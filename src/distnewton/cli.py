@@ -142,6 +142,8 @@ def cmd_sweep(args) -> int:
         cell_cfgs[label] = cfg
         try:
             results.append((label, run_experiment(cfg, threads=args.threads)))
+        except ConfigError:
+            raise
         except Exception as exc:  # one failing cell must not kill the sweep
             print(f"{label}: failed ({exc})", file=sys.stderr)
             results.append((label, RunHistory({}, [], "failed")))

@@ -23,6 +23,7 @@ import numpy as np
 
 from .config import ExperimentConfig, emit_config
 from .data import Dataset, load_idx, shard, synthetic_blobs
+from .errors import ConfigError
 from .objectives import Batch, MlpObjective, MlpSpec, QuadraticObjective, RosenbrockObjective
 from .operator import (
     WorkerReport,
@@ -38,10 +39,6 @@ STATUS_DIVERGED = "diverged"
 
 class DivergedError(RuntimeError):
     """A worker or the server produced non-finite numbers."""
-
-
-class ConfigIncompleteError(ValueError):
-    """The config and supplied data do not line up."""
 
 
 @dataclass(frozen=True)
@@ -213,9 +210,10 @@ def run_experiment(cfg: ExperimentConfig, dataset=None, threads=1, round_observe
         dataset = load_dataset(cfg)
     if isinstance(objective, MlpObjective):
         if dataset is None:
-            raise ConfigIncompleteError("mlp objective needs a dataset")
+            raise ConfigError("data.kind", "the mlp objective needs a dataset")
         if dataset.feature_count != cfg.mlp_layers[0]:
-            raise ConfigIncompleteError(
+            raise ConfigError(
+                "objective.layers",
                 f"dataset has {dataset.feature_count} features, model expects {cfg.mlp_layers[0]}"
             )
         full_batch = Batch(dataset.inputs, dataset.labels)

@@ -3,11 +3,11 @@
 Vectors are 1-d float64 numpy arrays; matrices are 2-d float64 arrays kept
 in column-major (Fortran) layout so that column slices are contiguous.
 The one decomposition offered is the Gram route to a thin SVD of a tall
-n-by-m matrix: eigendecompose the small m-by-m Gram matrix with cyclic
-Jacobi rotations, then recover left singular vectors one column at a
-time as u_k = M v_k / ||M v_k||.  Nothing n-by-n is ever formed, so the
-server's working set stays O(m*n) no matter how large the parameter
-dimension gets.
+n-by-m matrix: eigendecompose the small m-by-m Gram matrix with LAPACK's
+symmetric eigensolver (`np.linalg.eigh`), then recover the retained left
+singular vectors with one matmul as U = M V / ||M V||.  Nothing n-by-n is
+ever formed, so the server's working set stays O(m*n) no matter how large
+the parameter dimension gets.
 """
 
 from __future__ import annotations
@@ -18,10 +18,6 @@ import numpy as np
 
 from .errors import AsymmetricMatrixError, DimensionMismatchError
 
-# Jacobi sweeps stop once the off-diagonal Frobenius mass is negligible
-# relative to the matrix itself, or after a hard sweep cap.
-JACOBI_MAX_SWEEPS = 100
-JACOBI_OFFDIAG_RTOL = 1e-14
 SYMMETRY_RTOL = 1e-12
 DEFAULT_RANK_TOL = 1e-12
 MAX_EIG_SIZE = 1024
@@ -52,6 +48,16 @@ def matvec(mat, x) -> np.ndarray:
     return m @ v
 
 
+def fortran_matmul(a, b) -> np.ndarray:
+    """a @ b, laid out column-contiguous (Fortran order).
+
+    Computed as (b^T a^T)^T.  For a tall Fortran-order `a` that is one BLAS
+    call writing the n-by-r product column by column, which is faster than
+    `a @ b` (C-order result) and leaves each column a contiguous slice.
+    """
+    return (b.T @ a.T).T
+
+
 def gram(mat) -> np.ndarray:
     """M^T M, symmetrized so rounding noise cannot upset the eigensolver."""
     m = as_matrix(mat)
@@ -64,27 +70,19 @@ class SymEigResult:
     """Eigenpairs of a symmetric matrix, sorted by eigenvalue descending.
 
     Column k of `eigenvectors` belongs to `eigenvalues[k]`.  Ties keep the
-    order in which the (converged) diagonal produced them.
+    order in which the eigensolver produced them.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
 
-def _offdiag_norm(a: np.ndarray) -> float:
-    d = np.diag(np.diag(a))
-    return float(np.linalg.norm(a - d))
-
-
 def sym_eig(mat) -> SymEigResult:
-    """Eigendecomposition of a small symmetric matrix via cyclic Jacobi.
+    """Eigendecomposition of a small symmetric matrix via LAPACK `eigh`.
 
-    Sweeps Givens rotations over every (p, q) pair, annihilating one
-    off-diagonal entry per rotation, until the off-diagonal Frobenius norm
-    drops below JACOBI_OFFDIAG_RTOL * ||S||_F or JACOBI_MAX_SWEEPS sweeps
-    have run.  The accumulated rotations make the eigenvector matrix
-    orthogonal by construction.  O(m^3) per sweep; intended for the small
-    worker-count dimension, never for the parameter dimension.
+    `eigh` reads only the lower triangle, so the input is checked for
+    symmetry first.  Intended for the small worker-count dimension, never
+    for the parameter dimension.
     """
     s = as_matrix(mat)
     m, mc = s.shape
@@ -96,50 +94,13 @@ def sym_eig(mat) -> SymEigResult:
     if fro > 0.0 and float(np.linalg.norm(s - s.T)) > SYMMETRY_RTOL * fro:
         raise AsymmetricMatrixError("sym_eig: input is not symmetric within tolerance")
 
-    a = np.asfortranarray(0.5 * (s + s.T))
-    v = np.asfortranarray(np.eye(m))
-    target = JACOBI_OFFDIAG_RTOL * fro
-    for _ in range(JACOBI_MAX_SWEEPS):
-        if _offdiag_norm(a) <= target:
-            break
-        for p in range(m - 1):
-            for q in range(p + 1, m):
-                apq = a[p, q]
-                if apq == 0.0:
-                    continue
-                # stable annihilating tangent; same root as the textbook
-                # sign(theta)/(|theta| + sqrt(1 + theta^2)) but overflow-free
-                diff = a[q, q] - a[p, p]
-                if diff == 0.0:
-                    t = 1.0
-                else:
-                    t = 2.0 * apq * np.sign(diff) / (abs(diff) + np.hypot(2.0 * apq, diff))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                sn = t * c
-                ap = a[:, p].copy()
-                aq = a[:, q].copy()
-                a[:, p] = c * ap - sn * aq
-                a[:, q] = sn * ap + c * aq
-                ap = a[p, :].copy()
-                aq = a[q, :].copy()
-                a[p, :] = c * ap - sn * aq
-                a[q, :] = sn * ap + c * aq
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                vp = v[:, p].copy()
-                vq = v[:, q].copy()
-                v[:, p] = c * vp - sn * vq
-                v[:, q] = sn * vp + c * vq
-
-    eigvals = np.diag(a).copy()
+    eigvals, v = np.linalg.eigh(s)
     order = np.argsort(-eigvals, kind="stable")
     v = v[:, order]
     # Canonical sign: largest-magnitude entry of each eigenvector positive.
     # Pins the +-v ambiguity so identical subspaces always print the same.
-    for k in range(m):
-        lead = int(np.argmax(np.abs(v[:, k])))
-        if v[lead, k] < 0.0:
-            v[:, k] = -v[:, k]
+    lead = np.argmax(np.abs(v), axis=0)
+    v *= np.where(v[lead, np.arange(m)] < 0.0, -1.0, 1.0)
     return SymEigResult(eigvals[order], np.asfortranarray(v))
 
 
@@ -147,28 +108,37 @@ def sym_eig(mat) -> SymEigResult:
 class ThinSvd:
     """Thin SVD of an n-by-m matrix, computed through its Gram matrix.
 
-    `sigma` holds all m singular values, descending.  `left_vectors` holds
-    unit-norm u_k for a leading prefix of the spectrum only: k is included
-    while sigma_k > rank_tolerance * sigma_1 and G v_k has nonzero norm.
+    `sigma` holds all m singular values, descending.  `u` holds unit-norm
+    u_k as the columns of one Fortran-order n-by-r matrix, for a leading
+    prefix of the spectrum only: k is included while k < max_rank,
+    sigma_k > 0, sigma_k >= rank_tolerance * sigma_1 and M v_k has nonzero
+    norm.
     """
 
     sigma: np.ndarray
     right_vectors: np.ndarray
-    left_vectors: list[np.ndarray]
+    u: np.ndarray
+
+    @property
+    def left_vectors(self) -> list[np.ndarray]:
+        """The retained u_k, as column views of `u`."""
+        return [self.u[:, k] for k in range(self.retained)]
 
     @property
     def retained(self) -> int:
-        return len(self.left_vectors)
+        return int(self.u.shape[1])
 
 
-def thin_svd_via_gram(mat, rank_tolerance: float = DEFAULT_RANK_TOL) -> ThinSvd:
+def thin_svd_via_gram(
+    mat, rank_tolerance: float = DEFAULT_RANK_TOL, max_rank: int | None = None
+) -> ThinSvd:
     """Thin SVD from the m-by-m Gram eigendecomposition.
 
     sigma_k = sqrt(max(lambda_k, 0)) clamps tiny negative Gram eigenvalues
-    (rounding noise on a PSD matrix) to zero.  Left vectors are produced in
-    descending order and stop at the first k that falls at or below the
-    relative rank tolerance, so `left_vectors` is always a prefix.  A zero
-    matrix yields an all-zero sigma and no left vectors.
+    (rounding noise on a PSD matrix) to zero.  Left vectors are formed only
+    for the retained prefix (see ThinSvd), with one matmul that writes a
+    Fortran-order matrix, and are normalised in place.  A zero matrix
+    yields an all-zero sigma and no left vectors.
     """
     if rank_tolerance < 0:
         raise ValueError("rank_tolerance must be nonnegative")
@@ -176,13 +146,14 @@ def thin_svd_via_gram(mat, rank_tolerance: float = DEFAULT_RANK_TOL) -> ThinSvd:
     eig = sym_eig(gram(g))
     sigma = np.sqrt(np.clip(eig.eigenvalues, 0.0, None))
     lead = float(sigma[0]) if sigma.size else 0.0
-    left: list[np.ndarray] = []
-    for k in range(sigma.size):
-        if not (sigma[k] > 0.0 and sigma[k] > rank_tolerance * lead):
-            break
-        w = g @ eig.eigenvectors[:, k]
-        norm = float(np.linalg.norm(w))
-        if norm == 0.0:
-            break
-        left.append(w / norm)
-    return ThinSvd(sigma, eig.eigenvectors, left)
+    r = int(np.count_nonzero((sigma > 0.0) & (sigma >= rank_tolerance * lead)))
+    if max_rank is not None:
+        r = min(r, max_rank)
+    w = fortran_matmul(g, eig.eigenvectors[:, :r])
+    norms = np.sqrt(np.einsum("ij,ij->j", w, w))
+    zero = np.flatnonzero(norms == 0.0)
+    if zero.size:
+        r = int(zero[0])
+        w, norms = w[:, :r], norms[:r]
+    w /= norms
+    return ThinSvd(sigma, eig.eigenvectors, w)

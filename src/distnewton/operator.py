@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .linalg import DEFAULT_RANK_TOL, as_vector, thin_svd_via_gram
+from .linalg import as_vector, fortran_matmul, thin_svd_via_gram
 
 
 @dataclass(frozen=True)
@@ -83,8 +83,8 @@ class InverseHessianOperator:
     """
 
     sigmas: np.ndarray      # (j,) retained singular values, descending
-    us: np.ndarray          # (n, j) orthonormal left singular vectors
-    ys: np.ndarray          # (n, j) centered parameter displacements Theta v_k
+    us: np.ndarray          # (n, j) F-order, orthonormal left singular vectors
+    ys: np.ndarray          # (n, j) F-order, centered parameter displacements Theta v_k
     sigma_full: np.ndarray  # (m,) full spectrum, descending
     lam: float              # relative retention threshold used to build
 
@@ -113,26 +113,18 @@ def build_operator(batch: CenteredBatch, lam: float) -> InverseHessianOperator:
     provided sigma_k > 0 and a left vector exists.  lam > 1 therefore
     forces j = 0, which turns the update into a plain averaged gradient
     step.  Degenerate directions with ||G v_k|| = 0 are dropped.
+
+    Centering makes the ones vector an exact null right vector of G, so at
+    most m - 1 directions carry curvature and j <= m - 1.  Through the Gram
+    route that null direction shows up at sigma / sigma_1 ~ sqrt(eps), not
+    at zero, so the cap is structural rather than left to the threshold.
     """
     if lam <= 0.0:
         raise ValueError("lam must be positive")
-    # Keep the numerical rank floor below lam so every direction that the
-    # retention rule asks for actually has a left vector available.
-    svd = thin_svd_via_gram(batch.big_g, rank_tolerance=min(0.5 * lam, DEFAULT_RANK_TOL))
-    sigma = svd.sigma
-    right = svd.right_vectors
-    lead = float(sigma[0]) if sigma.size else 0.0
-    j = 0
-    while j < svd.retained and sigma[j] > 0.0 and sigma[j] >= lam * lead:
-        j += 1
-    n = batch.big_theta.shape[0]
-    us = np.empty((n, j), order="F")
-    for k in range(j):
-        us[:, k] = svd.left_vectors[k]
-    del svd  # release the left-vector list before allocating ys: keeps the
-    # transient working set within the O(mn) space budget
-    ys = batch.big_theta @ right[:, :j]
-    return InverseHessianOperator(sigma[:j].copy(), us, ys, sigma.copy(), lam)
+    svd = thin_svd_via_gram(batch.big_g, rank_tolerance=lam, max_rank=batch.m - 1)
+    j = svd.retained
+    ys = fortran_matmul(batch.big_theta, svd.right_vectors[:, :j])
+    return InverseHessianOperator(svd.sigma[:j], svd.u, ys, svd.sigma, lam)
 
 
 def apply(op: InverseHessianOperator, z) -> np.ndarray:

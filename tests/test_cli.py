@@ -94,6 +94,17 @@ def test_run_rejects_unknown_key(tmp_path, capsys):
     assert "harness.bogus" in capsys.readouterr().err
 
 
+def test_feature_mismatch_exits_config_naming_layers(tmp_path, capsys):
+    # the dataset has 12 features but the model's input layer expects 10
+    text = BLOB_CFG.replace("objective.layers = 12,8,4", "objective.layers = 10,8,4")
+    cfg = write_cfg(tmp_path, text)
+    for command in ("run", "sweep"):
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "objective.layers" in err
+        assert "Traceback" not in err
+
+
 def test_run_missing_config_file(tmp_path):
     code = main(["run", "--config", str(tmp_path / "nope.cfg"), "--out", str(tmp_path)])
     assert code == EXIT_CONFIG

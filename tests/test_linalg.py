@@ -7,7 +7,7 @@ from hypothesis.extra import numpy as hnp
 from distnewton.errors import AsymmetricMatrixError, DimensionMismatchError
 from distnewton.linalg import gram, matvec, sym_eig, thin_svd_via_gram
 
-from oracles import singular_values_oracle
+from oracles import power_iteration_eigs, singular_values_oracle
 
 
 def random_tall(rng, n, m):
@@ -127,6 +127,21 @@ def test_sym_eig_matches_power_iteration():
     got = sym_eig(s).eigenvalues
     want = np.sort(np.linalg.eigvalsh(s))[::-1]
     assert np.allclose(got, want, rtol=1e-10, atol=1e-10 * np.linalg.norm(s))
+
+
+@pytest.mark.parametrize("m", [16, 64])
+def test_sym_eig_matches_power_iteration_oracle(m):
+    # a random eigenbasis with eigenvalues 0.8^k keeps every power-iteration
+    # ratio at 0.8, so the oracle converges in a few hundred steps per pair
+    rng = np.random.default_rng(m)
+    q, _ = np.linalg.qr(rng.standard_normal((m, m)))
+    s = q @ np.diag(0.8 ** np.arange(m)) @ q.T
+    s = 0.5 * (s + s.T)
+    res = sym_eig(s)
+    want = power_iteration_eigs(s)
+    assert np.allclose(res.eigenvalues, want, rtol=1e-10, atol=1e-12 * np.linalg.norm(s))
+    v = res.eigenvectors
+    assert np.linalg.norm(s @ v - v * res.eigenvalues) <= 1e-12 * np.linalg.norm(s)
 
 
 # --------------------------------------------------- thin_svd_via_gram

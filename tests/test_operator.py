@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from distnewton.errors import DimensionMismatchError
@@ -147,6 +147,47 @@ def test_retention_respects_threshold():
     assert all(s >= 0.3 * lead for s in op.sigmas)
     if op.j < op.sigma_full.size:
         assert op.sigma_full[op.j] < 0.3 * lead
+
+
+def svd_reference_step(batch, lam, tau):
+    """The quasi-Newton step rebuilt from np.linalg.svd of the centered G."""
+    u, s, vt = np.linalg.svd(batch.big_g, full_matrices=False)
+    ratios = s / s[0] if s[0] > 0.0 else np.zeros_like(s)
+    j = int(np.count_nonzero(ratios >= lam))
+    u, s, v = u[:, :j], s[:j], vt[:j].T
+    alpha = u.T @ batch.g_bar
+    direction = batch.g_bar - u @ alpha + batch.big_theta @ v @ (alpha / s)
+    return batch.theta_bar - tau * direction, j, ratios
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 8),
+    st.integers(1, 8),
+    st.integers(4, 40),
+    st.sampled_from([1e-4, 1e-2, 0.1, 0.5]),
+    st.integers(0, 2**31 - 1),
+)
+def test_operator_contracts_on_degenerate_batches(m, distinct, n, lam, seed):
+    # m workers drawn from `distinct` report pairs: duplicate workers when
+    # distinct < m, identical reports (sigma = 0) when distinct == 1
+    rng = np.random.default_rng(seed)
+    pool = [(rng.standard_normal(n), rng.standard_normal(n)) for _ in range(min(distinct, m))]
+    picks = rng.integers(0, len(pool), size=m)
+    batch = center_reports([WorkerReport(*pool[i]) for i in picks])
+    want, j_ref, ratios = svd_reference_step(batch, lam, 0.7)
+    # the retention rule is only well defined away from its threshold
+    assume(not np.any((ratios > 0.8 * lam) & (ratios < 1.25 * lam)))
+
+    op = build_operator(batch, lam)
+    assert op.j <= m - 1
+    assert op.j == j_ref
+    assert op.us.shape == (n, op.j)
+    assert op.us.flags.f_contiguous
+    assert np.max(np.abs(op.us.T @ op.us - np.eye(op.j)), initial=0.0) <= 1e-10
+    got = newton_update(op, batch.theta_bar, batch.g_bar, 0.7)
+    step = np.linalg.norm(want - batch.theta_bar)
+    assert np.linalg.norm(got - want) <= 1e-8 * step
 
 
 # ----------------------------------------------------------------- apply
