@@ -2,71 +2,20 @@
 built from worker (parameter, gradient) reports, plus a synchronous
 parameter-server simulation harness."""
 
-from .config import ExperimentConfig, load_config, parse_config_text, emit_config
-from .data import Dataset, ShardPlan, load_idx, write_idx, shard, synthetic_blobs
-from .harness import (
-    EpochRecord,
-    RoundStats,
-    RunHistory,
-    run_experiment,
-    server_round,
-    worker_round,
-)
-from .linalg import SymEigResult, ThinSvd, gram, matvec, sym_eig, thin_svd_via_gram
-from .objectives import (
-    Batch,
-    MlpObjective,
-    MlpSpec,
-    QuadraticObjective,
-    RosenbrockObjective,
-    finite_diff_grad,
-)
-from .operator import (
-    CenteredBatch,
-    InverseHessianOperator,
-    WorkerReport,
-    apply,
-    build_operator,
-    center_reports,
-    lr_cap,
-    newton_update,
-)
+from .config import ExperimentConfig, emit_config, load_config, parse_config_text
+from .harness import RunHistory, run_experiment, server_round
+from .operator import WorkerReport, apply, build_operator, newton_update
 
 __all__ = [
-    "Batch",
-    "CenteredBatch",
-    "Dataset",
-    "EpochRecord",
     "ExperimentConfig",
-    "InverseHessianOperator",
-    "MlpObjective",
-    "MlpSpec",
-    "QuadraticObjective",
-    "RosenbrockObjective",
-    "RoundStats",
     "RunHistory",
-    "ShardPlan",
-    "SymEigResult",
-    "ThinSvd",
     "WorkerReport",
     "apply",
     "build_operator",
-    "center_reports",
     "emit_config",
-    "finite_diff_grad",
-    "gram",
     "load_config",
-    "load_idx",
-    "lr_cap",
-    "matvec",
     "newton_update",
     "parse_config_text",
     "run_experiment",
     "server_round",
-    "shard",
-    "sym_eig",
-    "synthetic_blobs",
-    "thin_svd_via_gram",
-    "worker_round",
-    "write_idx",
 ]

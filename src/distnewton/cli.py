@@ -119,7 +119,7 @@ def _load_and_override(args) -> ExperimentConfig:
 
 def cmd_run(args) -> int:
     cfg = _load_and_override(args)
-    hist = run_experiment(cfg, threads=args.threads)
+    hist = run_experiment(cfg)
     label = run_label(cfg)
     _write_outputs(Path(args.out), [(label, hist)], cfg, {label: cfg})
     for line in _summary_lines([(label, hist)]):
@@ -141,7 +141,7 @@ def cmd_sweep(args) -> int:
         label = run_label(cfg)
         cell_cfgs[label] = cfg
         try:
-            results.append((label, run_experiment(cfg, threads=args.threads)))
+            results.append((label, run_experiment(cfg)))
         except ConfigError:
             raise
         except Exception as exc:  # one failing cell must not kill the sweep
@@ -174,21 +174,18 @@ def _grad_check_points(cfg: ExperimentConfig, inner, dataset, count=10):
 
 def cmd_grad_check(args) -> int:
     cfg = _load_and_override(args)
-    inner = build_objective(cfg)
+    objective = build_objective(cfg)
     dataset = load_dataset(cfg)
-    if isinstance(inner, MlpObjective) and dataset is None:
-        raise ConfigError("data.kind", "grad-check on an mlp needs a dataset")
-    objective = _CorruptedGradient(inner) if cfg.corrupt_gradient else inner
     kind = cfg.activation if cfg.objective_kind == "mlp" else cfg.objective_kind
     tol = GRAD_CHECK_TOLERANCES[kind]
     screen_kinks = cfg.objective_kind == "mlp" and cfg.activation == "relu"
     worst = 0.0
     worst_coord = -1
     rng = np.random.default_rng([cfg.seed, 0xFD])
-    for theta, batch in _grad_check_points(cfg, inner, dataset):
+    for theta, batch in _grad_check_points(cfg, objective, dataset):
         coords = None
-        if isinstance(inner, MlpObjective) or theta.shape[0] > 64:
-            coords = _pick_coords(inner, theta, batch, rng, screen_kinks)
+        if isinstance(objective, MlpObjective) or theta.shape[0] > 64:
+            coords = _pick_coords(objective, theta, batch, rng, screen_kinks)
         err, coord = max_relative_gradient_error(objective, theta, batch, coords=coords, h=1e-5)
         if err > worst:
             worst, worst_coord = err, coord
@@ -223,24 +220,6 @@ def _kink_free(objective, theta, batch, i, h) -> bool:
     return bool(np.all(su == sd) and np.all(su != 0.0))
 
 
-class _CorruptedGradient:
-    """Negative-control wrapper: value is honest, gradient is wrong."""
-
-    def __init__(self, inner):
-        self.inner = inner
-        self.is_stochastic = inner.is_stochastic
-        self.dim = inner.dim
-
-    def value(self, theta, batch=None):
-        return self.inner.value(theta, batch)
-
-    def gradient(self, theta, batch=None):
-        g = self.inner.gradient(theta, batch)
-        g = g.copy()
-        g[0] = 2.0 * g[0] + 1.0
-        return g
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="distnewton", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -250,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=os.environ.get(OUTPUT_DIR_ENV, "out"),
                        help=f"output directory (default: ${OUTPUT_DIR_ENV} or ./out)")
         p.add_argument("--seed", type=int, default=None, help="override harness.seed")
-        p.add_argument("--threads", type=int, default=1, help="worker threads per round")
+        p.add_argument("--threads", type=int, default=1, help="accepted for compatibility; has no effect")
         p.set_defaults(func=fn)
     sub.choices["sweep"].add_argument(
         "--workers", default="1,2,4,8", help="comma-separated worker counts"

@@ -29,7 +29,6 @@ class ExperimentConfig:
     objective_dim: int = 8
     quad_condition: float = 100.0
     objective_seed: int = 0
-    corrupt_gradient: bool = False  # grad-check negative control, tests only
     # data
     data_kind: str = "synthetic"
     data_images: str = ""
@@ -124,7 +123,6 @@ _KEYS = {
     "objective.dim": ("objective_dim", int, str),
     "objective.condition": ("quad_condition", float, repr),
     "objective.seed": ("objective_seed", int, str),
-    "objective.corrupt_gradient": ("corrupt_gradient", _parse_bool, lambda v: str(v).lower()),
     "data.kind": ("data_kind", str, str),
     "data.images": ("data_images", str, str),
     "data.labels": ("data_labels", str, str),

@@ -2,11 +2,9 @@
 
 Each round every worker reads the same parameter snapshot, runs its local
 SGD steps on its own shard batches, and reports (theta_k, grad at
-theta_k).  Only when all m reports are in does the server aggregate, so
-the barrier is the end of the worker loop itself.  Workers may execute on
-a thread pool; results land in worker-indexed slots and every reduction
-runs in worker order, which keeps runs bit-identical regardless of
-scheduling.
+theta_k).  Workers run one after another, in worker order, on the calling
+thread; only when all m reports are in does the server aggregate, so the
+barrier is the end of the worker loop itself.
 
 Worker randomness comes from independent streams keyed by
 (seed, worker_id, global_round), so no worker's draw depends on any
@@ -16,7 +14,6 @@ other's, and a fixed seed pins the whole trajectory.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -202,15 +199,14 @@ def run_experiment(cfg: ExperimentConfig, dataset=None, threads=1, round_observe
     or loss stops the run with status 'diverged' (a flag record with NaN
     loss marks the broken epoch).  `round_observer`, when given, is called
     after every server aggregation with (epoch, round, theta_read,
-    reports, theta_new, stats).
+    reports, theta_new, stats).  `threads` is accepted for compatibility
+    and has no effect: workers always run serially, in worker order.
     """
     cfg.validate()
     objective = build_objective(cfg)
     if dataset is None:
         dataset = load_dataset(cfg)
     if isinstance(objective, MlpObjective):
-        if dataset is None:
-            raise ConfigError("data.kind", "the mlp objective needs a dataset")
         if dataset.feature_count != cfg.mlp_layers[0]:
             raise ConfigError(
                 "objective.layers",
@@ -230,66 +226,54 @@ def run_experiment(cfg: ExperimentConfig, dataset=None, threads=1, round_observe
         sizes = per_worker_batch_sizes(cfg.global_batch, cfg.m)
     else:
         n_rounds = 1
+        batches = [None] * (s + 1)
 
-    pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
     status = STATUS_COMPLETED
-    try:
-        for epoch in range(cfg.epochs):
-            tic = time.perf_counter()
-            sigma_max = 0.0
-            j_total = 0.0
-            if stochastic:
-                plan = shard(dataset, cfg.m, _epoch_seed(cfg.seed, epoch))
-                feeds = [
-                    _WorkerFeed(dataset, plan.worker_indices(k), sizes[k], n_rounds * (s + 1))
-                    for k in range(cfg.m)
-                ]
-            diverged = False
-            for rnd in range(n_rounds):
-                global_round = epoch * n_rounds + rnd
-
-                def one_worker(k, snapshot=theta, rid=global_round):
-                    rng = np.random.default_rng([cfg.seed, k, rid])
+    for epoch in range(cfg.epochs):
+        tic = time.perf_counter()
+        sigma_max = 0.0
+        j_total = 0.0
+        if stochastic:
+            plan = shard(dataset, cfg.m, _epoch_seed(cfg.seed, epoch))
+            feeds = [
+                _WorkerFeed(dataset, plan.worker_indices(k), sizes[k], n_rounds * (s + 1))
+                for k in range(cfg.m)
+            ]
+        diverged = False
+        for rnd in range(n_rounds):
+            global_round = epoch * n_rounds + rnd
+            try:
+                reports = []
+                for k in range(cfg.m):
+                    rng = np.random.default_rng([cfg.seed, k, global_round])
                     if stochastic:
-                        base = rnd * (s + 1)
-                        batches = [feeds[k].batch(base + t) for t in range(s + 1)]
-                    else:
-                        batches = [None] * (s + 1)
-                    return worker_round(
-                        snapshot, objective, batches, s, cfg.local_lr, rng, cfg.worker_jitter
-                    )
-
-                try:
-                    if pool is not None:
-                        reports = list(pool.map(one_worker, range(cfg.m)))
-                    else:
-                        reports = [one_worker(k) for k in range(cfg.m)]
-                    theta_new, stats = server_round(
-                        reports, cfg.lam, cfg.server_tau, cfg.use_lr_cap, cfg.aggregator
-                    )
-                    if not np.all(np.isfinite(theta_new)):
-                        raise DivergedError("server produced non-finite parameters")
-                except DivergedError:
-                    diverged = True
-                    break
-                if round_observer is not None:
-                    round_observer(epoch, rnd, theta, reports, theta_new, stats)
-                theta = theta_new
-                sigma_max = max(sigma_max, stats.sigma_max)
-                j_total += stats.j
-
-            wall = time.perf_counter() - tic
-            if diverged:
-                records.append(EpochRecord(epoch, float("nan"), sigma_max, j_total / n_rounds, wall))
-                status = STATUS_DIVERGED
+                        batches = [feeds[k].batch(rnd * (s + 1) + t) for t in range(s + 1)]
+                    reports.append(worker_round(
+                        theta, objective, batches, s, cfg.local_lr, rng, cfg.worker_jitter
+                    ))
+                theta_new, stats = server_round(
+                    reports, cfg.lam, cfg.server_tau, cfg.use_lr_cap, cfg.aggregator
+                )
+                if not np.all(np.isfinite(theta_new)):
+                    raise DivergedError("server produced non-finite parameters")
+            except DivergedError:
+                diverged = True
                 break
-            with np.errstate(over="ignore", invalid="ignore"):
-                nll = objective.value(theta, full_batch)
-            records.append(EpochRecord(epoch, nll, sigma_max, j_total / n_rounds, wall))
-            if not np.isfinite(nll):
-                status = STATUS_DIVERGED
-                break
-    finally:
-        if pool is not None:
-            pool.shutdown()
+            if round_observer is not None:
+                round_observer(epoch, rnd, theta, reports, theta_new, stats)
+            theta = theta_new
+            sigma_max = max(sigma_max, stats.sigma_max)
+            j_total += stats.j
+
+        wall = time.perf_counter() - tic
+        if diverged:
+            records.append(EpochRecord(epoch, float("nan"), sigma_max, j_total / n_rounds, wall))
+            status = STATUS_DIVERGED
+            break
+        with np.errstate(over="ignore", invalid="ignore"):
+            nll = objective.value(theta, full_batch)
+        records.append(EpochRecord(epoch, nll, sigma_max, j_total / n_rounds, wall))
+        if not np.isfinite(nll):
+            status = STATUS_DIVERGED
+            break
     return RunHistory(resolved, records, status)

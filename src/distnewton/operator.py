@@ -109,19 +109,24 @@ def build_operator(batch: CenteredBatch, lam: float) -> InverseHessianOperator:
     """Build the operator from a centered batch at retention threshold lam.
 
     Runs the Gram-route thin SVD on the centered gradient matrix and keeps
-    the leading prefix with sigma_k >= lam * sigma_1 (closed inequality),
-    provided sigma_k > 0 and a left vector exists.  lam > 1 therefore
-    forces j = 0, which turns the update into a plain averaged gradient
-    step.  Degenerate directions with ||G v_k|| = 0 are dropped.
+    the leading prefix with sigma_k >= max(lam, sqrt(m * eps)) * sigma_1
+    (closed inequality), provided sigma_k > 0 and a left vector exists.
+    lam > 1 therefore forces j = 0, which turns the update into a plain
+    averaged gradient step.  Degenerate directions with ||G v_k|| = 0 are
+    dropped.
 
     Centering makes the ones vector an exact null right vector of G, so at
     most m - 1 directions carry curvature and j <= m - 1.  Through the Gram
-    route that null direction shows up at sigma / sigma_1 ~ sqrt(eps), not
-    at zero, so the cap is structural rather than left to the threshold.
+    route exact null directions (that one, and those of duplicate workers)
+    show up at sigma / sigma_1 ~ sqrt(eps), not at zero, so the cap is
+    structural and the floor keeps the rest out for any lam.
     """
     if lam <= 0.0:
         raise ValueError("lam must be positive")
-    svd = thin_svd_via_gram(batch.big_g, rank_tolerance=lam, max_rank=batch.m - 1)
+    # Gram eigenvalues carry an absolute error of about m * eps * sigma_1^2,
+    # so sigma below sqrt(m * eps) * sigma_1 cannot be told from zero
+    floor = np.sqrt(batch.m * np.finfo(np.float64).eps)
+    svd = thin_svd_via_gram(batch.big_g, rank_tolerance=max(lam, floor), max_rank=batch.m - 1)
     j = svd.retained
     ys = fortran_matmul(batch.big_theta, svd.right_vectors[:, :j])
     return InverseHessianOperator(svd.sigma[:j], svd.u, ys, svd.sigma, lam)

@@ -225,8 +225,26 @@ def test_grad_check_relu_mlp_passes(tmp_path):
     assert main(["grad-check", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_OK
 
 
-def test_grad_check_corrupted_gradient_fails(tmp_path, capsys):
-    cfg = write_cfg(tmp_path, QUADRATIC_CFG + "objective.corrupt_gradient = true\n")
+def test_grad_check_corrupted_gradient_fails(tmp_path, capsys, monkeypatch):
+    # negative control: an honest value with one wrong gradient entry
+    import distnewton.cli
+    from distnewton.harness import build_objective
+
+    class CorruptedGradient:
+        def __init__(self, inner):
+            self.inner = inner
+            self.dim = inner.dim
+
+        def value(self, theta, batch=None):
+            return self.inner.value(theta, batch)
+
+        def gradient(self, theta, batch=None):
+            g = self.inner.gradient(theta, batch).copy()
+            g[0] = 2.0 * g[0] + 1.0
+            return g
+
+    monkeypatch.setattr(distnewton.cli, "build_objective", lambda cfg: CorruptedGradient(build_objective(cfg)))
+    cfg = write_cfg(tmp_path, QUADRATIC_CFG)
     code = main(["grad-check", "--config", str(cfg), "--out", str(tmp_path / "o")])
     assert code != EXIT_OK
     assert "FAILED" in capsys.readouterr().err
