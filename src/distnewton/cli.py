@@ -1,7 +1,7 @@
 """Command-line driver: single runs, worker-count sweeps, gradient checks.
 
-Exit codes: 0 success, 1 config error, 2 diverged (or a failed gradient
-check), 3 internal error.  Output CSVs have the header
+Exit codes: 0 success, 1 config or usage error, 2 diverged (or a failed
+gradient check), 3 internal error.  Output CSVs have the header
 `epoch,train_nll,sigma_max,retained_j,wall_time_s` with one row per
 epoch and at least 12 significant digits per number; a diverged run keeps
 its truncated CSV, whose last row carries a NaN loss as the flag.
@@ -129,7 +129,10 @@ def cmd_run(args) -> int:
 
 def cmd_sweep(args) -> int:
     base = _load_and_override(args)
-    workers = [int(w) for w in args.workers.split(",") if w.strip()]
+    try:
+        workers = [int(w) for w in args.workers.split(",") if w.strip()]
+    except ValueError:
+        raise ConfigError("workers", f"not a comma-separated list of integers: {args.workers!r}") from None
     if not workers or any(w < 1 for w in workers):
         raise ConfigError("workers", "worker counts must be >= 1")
     cells = [replace(base, m=w, aggregator="distnewton") for w in workers]
@@ -229,7 +232,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=os.environ.get(OUTPUT_DIR_ENV, "out"),
                        help=f"output directory (default: ${OUTPUT_DIR_ENV} or ./out)")
         p.add_argument("--seed", type=int, default=None, help="override harness.seed")
-        p.add_argument("--threads", type=int, default=1, help="accepted for compatibility; has no effect")
         p.set_defaults(func=fn)
     sub.choices["sweep"].add_argument(
         "--workers", default="1,2,4,8", help="comma-separated worker counts"
@@ -238,7 +240,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a usage error, which would read as EXIT_DIVERGED
+        return EXIT_OK if exc.code == 0 else EXIT_CONFIG
     try:
         return args.func(args)
     except ConfigError as exc:

@@ -40,7 +40,7 @@ class Dataset:
     def subset(self, count: int) -> "Dataset":
         """First `count` samples, in file order."""
         count = min(count, self.sample_count)
-        return Dataset(self.inputs[:, :count].copy(), self.labels[:count].copy())
+        return Dataset(self.inputs[:, :count].copy(order="F"), self.labels[:count].copy())
 
 
 def _read_header(raw: bytes, words: int, path) -> tuple:
@@ -135,9 +135,7 @@ class ShardPlan:
     """Disjoint round-robin split of a permuted dataset across m workers."""
 
     m: int
-    assignment: np.ndarray  # per-sample worker index
-    epoch_seed: int
-    order: np.ndarray       # the permutation the assignment walked
+    order: np.ndarray  # the permutation the workers take turns through
 
     def worker_indices(self, k: int) -> np.ndarray:
         """Sample indices for worker k, in permutation order."""
@@ -148,8 +146,5 @@ def shard(dataset: Dataset, m: int, epoch_seed: int) -> ShardPlan:
     """Seeded permutation, round-robin assignment; sizes differ by <= 1."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    n = dataset.sample_count
-    order = np.random.default_rng(epoch_seed).permutation(n)
-    assignment = np.empty(n, dtype=np.int64)
-    assignment[order] = np.arange(n) % m
-    return ShardPlan(m, assignment, epoch_seed, order)
+    order = np.random.default_rng(epoch_seed).permutation(dataset.sample_count)
+    return ShardPlan(m, order)

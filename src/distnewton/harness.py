@@ -212,6 +212,10 @@ def run_experiment(cfg: ExperimentConfig, dataset=None, threads=1, round_observe
                 "objective.layers",
                 f"dataset has {dataset.feature_count} features, model expects {cfg.mlp_layers[0]}"
             )
+        if dataset.sample_count < cfg.m:
+            raise ConfigError(
+                "harness.m", f"{cfg.m} workers but the dataset has only {dataset.sample_count} samples"
+            )
         full_batch = Batch(dataset.inputs, dataset.labels)
     else:
         full_batch = None

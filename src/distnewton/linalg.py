@@ -19,8 +19,6 @@ import numpy as np
 from .errors import AsymmetricMatrixError, DimensionMismatchError
 
 SYMMETRY_RTOL = 1e-12
-DEFAULT_RANK_TOL = 1e-12
-MAX_EIG_SIZE = 1024
 
 
 def as_vector(x) -> np.ndarray:
@@ -35,17 +33,6 @@ def as_matrix(x) -> np.ndarray:
     if a.ndim != 2:
         raise DimensionMismatchError(f"expected a 2-d matrix, got shape {a.shape}")
     return np.asfortranarray(a)
-
-
-def matvec(mat, x) -> np.ndarray:
-    """Matrix-vector product with an explicit shape check."""
-    m = as_matrix(mat)
-    v = as_vector(x)
-    if m.shape[1] != v.shape[0]:
-        raise DimensionMismatchError(
-            f"matvec: matrix is {m.shape[0]}x{m.shape[1]} but vector has length {v.shape[0]}"
-        )
-    return m @ v
 
 
 def fortran_matmul(a, b) -> np.ndarray:
@@ -88,8 +75,6 @@ def sym_eig(mat) -> SymEigResult:
     m, mc = s.shape
     if m != mc:
         raise DimensionMismatchError(f"sym_eig: matrix must be square, got {m}x{mc}")
-    if m > MAX_EIG_SIZE:
-        raise ValueError(f"sym_eig: size {m} exceeds the supported maximum {MAX_EIG_SIZE}")
     fro = float(np.linalg.norm(s))
     if fro > 0.0 and float(np.linalg.norm(s - s.T)) > SYMMETRY_RTOL * fro:
         raise AsymmetricMatrixError("sym_eig: input is not symmetric within tolerance")
@@ -120,18 +105,11 @@ class ThinSvd:
     u: np.ndarray
 
     @property
-    def left_vectors(self) -> list[np.ndarray]:
-        """The retained u_k, as column views of `u`."""
-        return [self.u[:, k] for k in range(self.retained)]
-
-    @property
     def retained(self) -> int:
         return int(self.u.shape[1])
 
 
-def thin_svd_via_gram(
-    mat, rank_tolerance: float = DEFAULT_RANK_TOL, max_rank: int | None = None
-) -> ThinSvd:
+def thin_svd_via_gram(mat, rank_tolerance: float, max_rank: int | None = None) -> ThinSvd:
     """Thin SVD from the m-by-m Gram eigendecomposition.
 
     sigma_k = sqrt(max(lambda_k, 0)) clamps tiny negative Gram eigenvalues

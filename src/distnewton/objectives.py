@@ -59,19 +59,16 @@ class QuadraticObjective:
             )
 
     @classmethod
-    def seeded(cls, dim: int, condition: float = 100.0, seed: int = 0, scale: float = 1.0):
+    def seeded(cls, dim: int, condition: float = 100.0, seed: int = 0):
         """Random SPD Hessian with an exact condition number.
 
-        Eigenvalues are log-spaced from `scale` down to `scale/condition`
-        and conjugated by a seeded random orthogonal basis, so the spectrum
-        is reproducible and the conditioning is exactly what was asked for.
+        Eigenvalues are log-spaced from 1 down to 1/condition and
+        conjugated by a seeded random orthogonal basis, so the spectrum is
+        reproducible and the conditioning is exactly what was asked for.
         """
         rng = np.random.default_rng(seed)
         q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
-        if dim > 1:
-            eigs = scale * np.logspace(0.0, -np.log10(condition), dim)
-        else:
-            eigs = np.array([scale])
+        eigs = np.logspace(0.0, -np.log10(condition), dim)
         a = (q * eigs) @ q.T
         a = 0.5 * (a + a.T)
         theta_star = rng.standard_normal(dim)
@@ -95,11 +92,6 @@ class QuadraticObjective:
 
     def gradient(self, theta, batch=None) -> np.ndarray:
         return self.a @ self._diff(theta)
-
-    def value_and_grad(self, theta, batch=None):
-        d = self._diff(theta)
-        g = self.a @ d
-        return float(0.5 * d @ g), g
 
 
 class RosenbrockObjective:
@@ -129,9 +121,6 @@ class RosenbrockObjective:
         g[0::2] = -400.0 * a * (b - a**2) - 2.0 * (1.0 - a)
         g[1::2] = 200.0 * (b - a**2)
         return g
-
-    def value_and_grad(self, theta, batch=None):
-        return self.value(theta), self.gradient(theta)
 
     def _check_dim(self, t):
         if t.shape[0] != self.dim:
@@ -266,14 +255,6 @@ class MlpObjective:
         if len(pre) < 2:
             return np.empty(0)
         return np.concatenate([np.sign(z).ravel() for z in pre[:-1]])
-
-
-def softmax_probabilities(logits) -> np.ndarray:
-    """Column-wise softmax with max subtraction; columns sum to one."""
-    z = as_matrix(logits)
-    shifted = z - z.max(axis=0)
-    e = np.exp(shifted)
-    return e / e.sum(axis=0)
 
 
 def finite_diff_grad(obj, theta, batch=None, h: float = 1e-5, coords=None) -> np.ndarray:

@@ -86,7 +86,6 @@ class InverseHessianOperator:
     us: np.ndarray          # (n, j) F-order, orthonormal left singular vectors
     ys: np.ndarray          # (n, j) F-order, centered parameter displacements Theta v_k
     sigma_full: np.ndarray  # (m,) full spectrum, descending
-    lam: float              # relative retention threshold used to build
 
     @property
     def j(self) -> int:
@@ -95,14 +94,6 @@ class InverseHessianOperator:
     @property
     def sigma_max(self) -> float:
         return float(self.sigma_full[0]) if self.sigma_full.size else 0.0
-
-    @property
-    def retained(self):
-        """The (sigma_k, u_k, y_k) triples, k = 1..j."""
-        return [(float(self.sigmas[k]), self.us[:, k], self.ys[:, k]) for k in range(self.j)]
-
-    def scalar_count(self) -> int:
-        return int(self.sigmas.size + self.us.size + self.ys.size + self.sigma_full.size)
 
 
 def build_operator(batch: CenteredBatch, lam: float) -> InverseHessianOperator:
@@ -129,7 +120,7 @@ def build_operator(batch: CenteredBatch, lam: float) -> InverseHessianOperator:
     svd = thin_svd_via_gram(batch.big_g, rank_tolerance=max(lam, floor), max_rank=batch.m - 1)
     j = svd.retained
     ys = fortran_matmul(batch.big_theta, svd.right_vectors[:, :j])
-    return InverseHessianOperator(svd.sigma[:j], svd.u, ys, svd.sigma, lam)
+    return InverseHessianOperator(svd.sigma[:j], svd.u, ys, svd.sigma)
 
 
 def apply(op: InverseHessianOperator, z) -> np.ndarray:

@@ -225,7 +225,7 @@ def test_criterion_4_svd_oracle():
         res = thin_svd_via_gram(g, 0.0)
         approx = np.zeros_like(g)
         for k in range(res.retained):
-            approx += res.sigma[k] * np.outer(res.left_vectors[k], res.right_vectors[:, k])
+            approx += res.sigma[k] * np.outer(res.u[:, k], res.right_vectors[:, k])
         assert np.linalg.norm(g - approx) <= 1e-10 * np.linalg.norm(g)
         want = singular_values_oracle(g)
         assert np.allclose(res.sigma, want, rtol=1e-8, atol=1e-10 * want[0])

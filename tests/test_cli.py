@@ -167,14 +167,22 @@ def test_run_output_dir_from_env(tmp_path, monkeypatch):
     assert (out / "distnewton-7.csv").exists()
 
 
-def test_run_threads_flag_identical_output(tmp_path):
-    cfg = write_cfg(tmp_path, BLOB_CFG)
-    out1, out2 = tmp_path / "t1", tmp_path / "t2"
-    main(["run", "--config", str(cfg), "--out", str(out1), "--threads", "1"])
-    main(["run", "--config", str(cfg), "--out", str(out2), "--threads", "3"])
-    assert strip_wall_time((out1 / "distnewton-2.csv").read_text()) == strip_wall_time(
-        (out2 / "distnewton-2.csv").read_text()
-    )
+def test_run_more_workers_than_samples_exits_config(tmp_path, capsys):
+    text = BLOB_CFG.replace("data.samples = 320", "data.samples = 6").replace("harness.m = 2", "harness.m = 8")
+    cfg = write_cfg(tmp_path, text)
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "harness.m" in err
+    assert "Traceback" not in err
+
+
+def test_usage_errors_exit_config(tmp_path, capsys):
+    # argparse's own exit code 2 would read as a diverged run
+    cfg = write_cfg(tmp_path, QUADRATIC_CFG)
+    assert main(["run", "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    assert main(["run", "--config", str(cfg), "--threads", "2"]) == EXIT_CONFIG
+    assert main(["run", "--help"]) == EXIT_OK
+    assert "--config" in capsys.readouterr().out
 
 
 # ------------------------------------------------------------------ sweep
@@ -200,10 +208,12 @@ def test_sweep_summary_sorted_ascending(tmp_path):
     assert finals == sorted(finals)
 
 
-def test_sweep_rejects_bad_worker_list(tmp_path):
+def test_sweep_rejects_bad_worker_list(tmp_path, capsys):
     cfg = write_cfg(tmp_path, BLOB_CFG)
-    code = main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o"), "--workers", "0,2"])
-    assert code == EXIT_CONFIG
+    for workers in ("0,2", "2,x"):
+        code = main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o"), "--workers", workers])
+        assert code == EXIT_CONFIG
+        assert "Traceback" not in capsys.readouterr().err
 
 
 # -------------------------------------------------------------- grad-check

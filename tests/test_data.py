@@ -141,6 +141,15 @@ def test_blobs_linearly_separable_enough():
     assert accuracy > 0.9
 
 
+def test_subset_keeps_column_major_layout():
+    # minibatches gather columns, which is a contiguous read only in F order
+    ds = synthetic_blobs(6, 3, 40, seed=8)
+    sub = ds.subset(25)
+    assert sub.inputs.flags.f_contiguous
+    assert np.array_equal(sub.inputs, ds.inputs[:, :25])
+    assert np.array_equal(sub.labels, ds.labels[:25])
+
+
 # ------------------------------------------------------------------ shard
 
 
@@ -148,7 +157,6 @@ def test_shard_single_worker():
     ds = synthetic_blobs(3, 2, 10, seed=3)
     plan = shard(ds, 1, epoch_seed=0)
     assert np.array_equal(np.sort(plan.worker_indices(0)), np.arange(10))
-    assert np.all(plan.assignment == 0)
 
 
 def test_shard_divisible_sizes():
@@ -162,7 +170,6 @@ def test_shard_deterministic():
     p1 = shard(ds, 3, epoch_seed=9)
     p2 = shard(ds, 3, epoch_seed=9)
     assert np.array_equal(p1.order, p2.order)
-    assert np.array_equal(p1.assignment, p2.assignment)
 
 
 def test_shard_new_permutation_per_epoch_seed():
@@ -182,8 +189,6 @@ def test_shard_partition_property(n, m, epoch_seed):
     assert max(sizes) - min(sizes) <= 1
     everything = np.concatenate(pieces)
     assert np.array_equal(np.sort(everything), np.arange(n))
-    for k in range(m):
-        assert np.all(plan.assignment[pieces[k]] == k)
 
 
 def test_shard_rejects_zero_workers():

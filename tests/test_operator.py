@@ -96,7 +96,9 @@ def test_identical_gradients_give_rank_zero():
     reports = [WorkerReport([1.0, 0.0], [1.0, 1.0]), WorkerReport([0.0, 1.0], [1.0, 1.0])]
     op = build_operator(center_reports(reports), 0.1)
     assert op.j == 0
-    assert op.retained == []
+    assert op.sigmas.shape == (0,)
+    assert op.us.shape == (2, 0)
+    assert op.ys.shape == (2, 0)
 
 
 def test_lambda_above_one_forces_sgd_mode():
@@ -296,7 +298,7 @@ def test_newton_update_matches_direct_solve_oracle():
 
 def _op_with_sigma(sigma_max):
     return InverseHessianOperator(
-        np.empty(0), np.empty((3, 0)), np.empty((3, 0)), np.array([sigma_max]), 0.1
+        np.empty(0), np.empty((3, 0)), np.empty((3, 0)), np.array([sigma_max])
     )
 
 
@@ -336,7 +338,8 @@ def test_operator_storage_bound():
     n, m = 500, 8
     batch = random_batch(rng, n, m)
     op = build_operator(batch, 1e-8)
-    assert op.scalar_count() <= op.j * 2 * n + m + op.j
+    stored = op.sigmas.size + op.us.size + op.ys.size + op.sigma_full.size
+    assert stored <= op.j * 2 * n + m + op.j
     assert op.us.shape == (n, op.j)
     assert op.ys.shape == (n, op.j)
     # orthonormal retained left vectors
@@ -345,9 +348,7 @@ def test_operator_storage_bound():
 
 def test_retained_triples_view():
     op, _ = diag_operator()
-    triples = op.retained
-    assert len(triples) == op.j
-    sigma, u, y = triples[0]
-    assert sigma == pytest.approx(op.sigma_full[0])
-    assert u.shape == (2,)
-    assert y.shape == (2,)
+    assert op.sigmas.shape == (op.j,)
+    assert op.sigmas[0] == pytest.approx(op.sigma_full[0])
+    assert op.us[:, 0].shape == (2,)
+    assert op.ys[:, 0].shape == (2,)
