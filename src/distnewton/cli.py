@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import ExperimentConfig, emit_config, load_config
+from .data import Batch
 from .errors import ConfigError
 from .harness import (
     STATUS_COMPLETED,
@@ -27,7 +28,7 @@ from .harness import (
     load_dataset,
     run_experiment,
 )
-from .objectives import Batch, MlpObjective, max_relative_gradient_error
+from .objectives import MlpObjective, max_relative_gradient_error
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -149,7 +150,7 @@ def cmd_sweep(args) -> int:
             raise
         except Exception as exc:  # one failing cell must not kill the sweep
             print(f"{label}: failed ({exc})", file=sys.stderr)
-            results.append((label, RunHistory({}, [], "failed")))
+            results.append((label, RunHistory([], "failed")))
             internal_failure = True
     _write_outputs(Path(args.out), results, base, cell_cfgs)
     for line in _summary_lines(results):

@@ -9,7 +9,7 @@ the same config, which is how runs echo their exact settings.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 from .errors import ConfigError
 
@@ -20,39 +20,40 @@ OBJECTIVES = ("quadratic", "rosenbrock", "mlp")
 DATA_KINDS = ("none", "synthetic", "mnist")
 
 
+def setting(key: str, default):
+    """A config field that reads and writes under the dotted `key`."""
+    return field(default=default, metadata={"key": key})
+
+
 @dataclass
 class ExperimentConfig:
-    # objective
-    objective_kind: str = "mlp"
-    mlp_layers: tuple = (784, 32, 10)
-    activation: str = "tanh"
-    objective_dim: int = 8
-    quad_condition: float = 100.0
-    objective_seed: int = 0
-    # data
-    data_kind: str = "synthetic"
-    data_images: str = ""
-    data_labels: str = ""
-    data_limit: int = 5000
-    synth_features: int = 784
-    synth_classes: int = 10
-    synth_samples: int = 5000
-    synth_spread: float = 0.08
-    synth_density: float = 1.0
-    synth_seed: int = 1234
-    # harness
-    m: int = 4
-    local_steps: int = 1
-    local_lr: float = 0.01
-    server_tau: float = 0.01
-    epochs: int = 20
-    global_batch: int = 256
-    seed: int = 0
-    aggregator: str = "distnewton"
-    worker_jitter: float = 0.0
-    # operator
-    lam: float = DEFAULT_LAMBDA
-    use_lr_cap: bool = False
+    objective_kind: str = setting("objective.kind", "mlp")
+    mlp_layers: tuple = setting("objective.layers", (784, 32, 10))
+    activation: str = setting("objective.activation", "tanh")
+    objective_dim: int = setting("objective.dim", 8)
+    quad_condition: float = setting("objective.condition", 100.0)
+    objective_seed: int = setting("objective.seed", 0)
+    data_kind: str = setting("data.kind", "synthetic")
+    data_images: str = setting("data.images", "")
+    data_labels: str = setting("data.labels", "")
+    data_limit: int = setting("data.limit", 5000)
+    synth_features: int = setting("data.features", 784)
+    synth_classes: int = setting("data.classes", 10)
+    synth_samples: int = setting("data.samples", 5000)
+    synth_spread: float = setting("data.spread", 0.08)
+    synth_density: float = setting("data.density", 1.0)
+    synth_seed: int = setting("data.seed", 1234)
+    m: int = setting("harness.m", 4)
+    local_steps: int = setting("harness.local_steps", 1)
+    local_lr: float = setting("harness.local_lr", 0.01)
+    server_tau: float = setting("harness.tau", 0.01)
+    epochs: int = setting("harness.epochs", 20)
+    global_batch: int = setting("harness.global_batch", 256)
+    seed: int = setting("harness.seed", 0)
+    aggregator: str = setting("harness.aggregator", "distnewton")
+    worker_jitter: float = setting("harness.jitter", 0.0)
+    lam: float = setting("operator.lambda", DEFAULT_LAMBDA)
+    use_lr_cap: bool = setting("operator.lr_cap", False)
 
     def validate(self):
         if self.objective_kind not in OBJECTIVES:
@@ -63,6 +64,8 @@ class ExperimentConfig:
             raise ConfigError("objective.layers", "need >= 2 positive layer sizes")
         if self.objective_dim < 1:
             raise ConfigError("objective.dim", "must be >= 1")
+        if self.objective_kind == "rosenbrock" and self.objective_dim % 2:
+            raise ConfigError("objective.dim", "rosenbrock needs an even dimension")
         if self.quad_condition < 1.0:
             raise ConfigError("objective.condition", "must be >= 1")
         if self.data_kind not in DATA_KINDS:
@@ -115,38 +118,18 @@ def _parse_layers(text: str) -> tuple:
     return tuple(int(p) for p in text.replace(" ", "").split(",") if p)
 
 
-# dotted key -> (dataclass field, parser, serializer)
-_KEYS = {
-    "objective.kind": ("objective_kind", str, str),
-    "objective.layers": ("mlp_layers", _parse_layers, lambda v: ",".join(str(s) for s in v)),
-    "objective.activation": ("activation", str, str),
-    "objective.dim": ("objective_dim", int, str),
-    "objective.condition": ("quad_condition", float, repr),
-    "objective.seed": ("objective_seed", int, str),
-    "data.kind": ("data_kind", str, str),
-    "data.images": ("data_images", str, str),
-    "data.labels": ("data_labels", str, str),
-    "data.limit": ("data_limit", int, str),
-    "data.features": ("synth_features", int, str),
-    "data.classes": ("synth_classes", int, str),
-    "data.samples": ("synth_samples", int, str),
-    "data.spread": ("synth_spread", float, repr),
-    "data.density": ("synth_density", float, repr),
-    "data.seed": ("synth_seed", int, str),
-    "harness.m": ("m", int, str),
-    "harness.local_steps": ("local_steps", int, str),
-    "harness.local_lr": ("local_lr", float, repr),
-    "harness.tau": ("server_tau", float, repr),
-    "harness.epochs": ("epochs", int, str),
-    "harness.global_batch": ("global_batch", int, str),
-    "harness.seed": ("seed", int, str),
-    "harness.aggregator": ("aggregator", str, str),
-    "harness.jitter": ("worker_jitter", float, repr),
-    "operator.lambda": ("lam", float, repr),
-    "operator.lr_cap": ("use_lr_cap", _parse_bool, lambda v: str(v).lower()),
+# type of a field's default -> (parser, serializer); looked up by exact
+# type, because bool is a subclass of int
+_CODECS = {
+    str: (str, str),
+    int: (int, str),
+    float: (float, repr),
+    bool: (_parse_bool, lambda v: str(v).lower()),
+    tuple: (_parse_layers, lambda v: ",".join(str(s) for s in v)),
 }
 
-_FIELD_TO_KEY = {field: key for key, (field, _, _) in _KEYS.items()}
+# dotted key -> dataclass field
+_FIELDS = {f.metadata["key"]: f for f in fields(ExperimentConfig)}
 
 
 def parse_config_text(text: str) -> ExperimentConfig:
@@ -161,11 +144,12 @@ def parse_config_text(text: str) -> ExperimentConfig:
         key, _, val = line.partition("=")
         key = key.strip()
         val = val.strip()
-        if key not in _KEYS:
+        if key not in _FIELDS:
             raise ConfigError(key, "unknown configuration key")
-        field_name, parser, _ = _KEYS[key]
+        f = _FIELDS[key]
+        parse, _ = _CODECS[type(f.default)]
         try:
-            values[field_name] = parser(val)
+            values[f.name] = parse(val)
         except (ValueError, TypeError) as exc:
             raise ConfigError(key, f"bad value {val!r} ({exc})") from None
     cfg = ExperimentConfig(**values)
@@ -181,8 +165,7 @@ def load_config(path) -> ExperimentConfig:
 def emit_config(cfg: ExperimentConfig) -> str:
     """Serialize every field, defaults included, in sorted key order."""
     lines = []
-    for f in fields(cfg):
-        key = _FIELD_TO_KEY[f.name]
-        _, _, serialize = _KEYS[key]
+    for key, f in _FIELDS.items():
+        _, serialize = _CODECS[type(f.default)]
         lines.append(f"{key} = {serialize(getattr(cfg, f.name))}")
     return "\n".join(sorted(lines)) + "\n"

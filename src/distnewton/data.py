@@ -16,41 +16,51 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import BadMagicError, CountMismatchError, TruncatedFileError
+from .errors import BadMagicError, CountMismatchError, DimensionMismatchError, TruncatedFileError
+from .linalg import as_matrix
 
 IMAGE_MAGIC = 0x00000803
 LABEL_MAGIC = 0x00000801
 
 
 @dataclass(frozen=True)
-class Dataset:
-    """Input columns in [0, 1], one per sample, with integer labels."""
+class Batch:
+    """Samples as columns: one column of `inputs` per sample, with integer
+    labels.  A whole dataset and a worker's minibatch are both batches."""
 
     inputs: np.ndarray
     labels: np.ndarray
 
+    def __post_init__(self):
+        object.__setattr__(self, "inputs", as_matrix(self.inputs))
+        object.__setattr__(self, "labels", np.asarray(self.labels, dtype=np.int64))
+        if self.inputs.shape[1] != self.labels.shape[0]:
+            raise DimensionMismatchError(
+                f"batch: {self.inputs.shape[1]} input columns vs {self.labels.shape[0]} labels"
+            )
+
     @property
     def sample_count(self) -> int:
-        return int(self.inputs.shape[1])
+        return int(self.labels.shape[0])
 
     @property
     def feature_count(self) -> int:
         return int(self.inputs.shape[0])
 
-    def subset(self, count: int) -> "Dataset":
+    def subset(self, count: int) -> "Batch":
         """First `count` samples, in file order."""
         count = min(count, self.sample_count)
-        return Dataset(self.inputs[:, :count].copy(order="F"), self.labels[:count].copy())
+        return Batch(self.inputs[:, :count].copy(order="F"), self.labels[:count].copy())
 
 
 def _read_header(raw: bytes, words: int, path) -> tuple:
     if len(raw) < 4 * words:
-        raise TruncatedFileError(f"{path}: header truncated")
+        raise TruncatedFileError(path, "header truncated")
     return struct.unpack(f">{words}I", raw[: 4 * words])
 
 
-def load_idx(images_path, labels_path) -> Dataset:
-    """Load an image/label IDX pair into a Dataset.
+def load_idx(images_path, labels_path) -> Batch:
+    """Load an image/label IDX pair into a Batch.
 
     Distinct failures raise distinct errors: wrong magic, truncated
     payload, or an image/label count mismatch.
@@ -58,32 +68,32 @@ def load_idx(images_path, labels_path) -> Dataset:
     img_raw = Path(images_path).read_bytes()
     magic, count, rows, cols = _read_header(img_raw, 4, images_path)
     if magic != IMAGE_MAGIC:
-        raise BadMagicError(f"{images_path}: bad magic 0x{magic:08x}")
+        raise BadMagicError(images_path, f"bad magic 0x{magic:08x}")
     expected = 16 + count * rows * cols
     if len(img_raw) < expected:
         raise TruncatedFileError(
-            f"{images_path}: expected {expected} bytes, file has {len(img_raw)}"
+            images_path, f"expected {expected} bytes, file has {len(img_raw)}"
         )
     pixels = np.frombuffer(img_raw, dtype=np.uint8, count=count * rows * cols, offset=16)
 
     lab_raw = Path(labels_path).read_bytes()
     lab_magic, lab_count = _read_header(lab_raw, 2, labels_path)
     if lab_magic != LABEL_MAGIC:
-        raise BadMagicError(f"{labels_path}: bad magic 0x{lab_magic:08x}")
+        raise BadMagicError(labels_path, f"bad magic 0x{lab_magic:08x}")
     if len(lab_raw) < 8 + lab_count:
-        raise TruncatedFileError(f"{labels_path}: label payload truncated")
+        raise TruncatedFileError(labels_path, "label payload truncated")
     if lab_count != count:
-        raise CountMismatchError(f"{count} images but {lab_count} labels")
+        raise CountMismatchError(labels_path, f"{count} images but {lab_count} labels")
     labels = np.frombuffer(lab_raw, dtype=np.uint8, count=lab_count, offset=8)
 
     inputs = np.asfortranarray(
         pixels.reshape(count, rows * cols).T.astype(np.float64) / 255.0
     )
-    return Dataset(inputs, labels.astype(np.int64))
+    return Batch(inputs, labels.astype(np.int64))
 
 
-def write_idx(dataset: Dataset, images_path, labels_path, rows: int | None = None, cols: int | None = None):
-    """Write a Dataset back out as an IDX pair.
+def write_idx(dataset: Batch, images_path, labels_path, rows: int | None = None, cols: int | None = None):
+    """Write a Batch back out as an IDX pair.
 
     Inputs are quantized to unsigned bytes (round of value*255), so a
     dataset that came from IDX files round-trips exactly.  The image shape
@@ -110,7 +120,7 @@ def synthetic_blobs(
     seed: int,
     spread: float = 0.08,
     density: float = 1.0,
-) -> Dataset:
+) -> Batch:
     """Gaussian class clusters with seeded centers, clipped to [0, 1].
 
     Labels cycle through the classes so every class is (near) balanced;
@@ -127,7 +137,7 @@ def synthetic_blobs(
     labels = np.arange(n_samples, dtype=np.int64) % n_classes
     noise = spread * rng.standard_normal((n_features, n_samples)) * support[:, labels]
     inputs = centers[:, labels] + noise
-    return Dataset(np.asfortranarray(np.clip(inputs, 0.0, 1.0)), labels)
+    return Batch(np.asfortranarray(np.clip(inputs, 0.0, 1.0)), labels)
 
 
 @dataclass(frozen=True)
@@ -142,7 +152,7 @@ class ShardPlan:
         return self.order[k :: self.m]
 
 
-def shard(dataset: Dataset, m: int, epoch_seed: int) -> ShardPlan:
+def shard(dataset: Batch, m: int, epoch_seed: int) -> ShardPlan:
     """Seeded permutation, round-robin assignment; sizes differ by <= 1."""
     if m < 1:
         raise ValueError("m must be >= 1")

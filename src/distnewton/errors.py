@@ -18,7 +18,11 @@ class ConfigError(ValueError):
 
 
 class IdxFormatError(ValueError):
-    """Base class for IDX file parsing failures."""
+    """Base class for IDX file parsing failures; `path` names the file at fault."""
+
+    def __init__(self, path, message: str):
+        super().__init__(f"{path}: {message}")
+        self.path = path
 
 
 class BadMagicError(IdxFormatError):

@@ -18,10 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import ExperimentConfig, emit_config
-from .data import Dataset, load_idx, shard, synthetic_blobs
-from .errors import ConfigError
-from .objectives import Batch, MlpObjective, MlpSpec, QuadraticObjective, RosenbrockObjective
+from .config import ExperimentConfig
+from .data import Batch, load_idx, shard, synthetic_blobs
+from .errors import ConfigError, IdxFormatError
+from .objectives import MlpObjective, MlpSpec, QuadraticObjective, RosenbrockObjective
 from .operator import (
     WorkerReport,
     build_operator,
@@ -60,7 +60,6 @@ class EpochRecord:
 
 @dataclass(frozen=True)
 class RunHistory:
-    config: dict          # resolved key -> serialized value
     records: list
     status: str
 
@@ -94,7 +93,7 @@ class _WorkerFeed:
     count needs more chunks than one pass provides.
     """
 
-    def __init__(self, dataset: Dataset, indices: np.ndarray, batch_size: int, chunks: int):
+    def __init__(self, dataset: Batch, indices: np.ndarray, batch_size: int, chunks: int):
         needed = chunks * batch_size
         if indices.shape[0] == 0:
             raise ValueError("worker received an empty shard")
@@ -160,11 +159,32 @@ def build_objective(cfg: ExperimentConfig):
     return MlpObjective(MlpSpec(tuple(cfg.mlp_layers), cfg.activation))
 
 
-def load_dataset(cfg: ExperimentConfig) -> Dataset | None:
+def _check_dataset(cfg: ExperimentConfig, dataset: Batch):
+    """Reject a dataset that the configured model and workers cannot run."""
+    if dataset.sample_count < cfg.m:
+        raise ConfigError(
+            "harness.m", f"{cfg.m} workers but the dataset has only {dataset.sample_count} samples"
+        )
+    features, classes = cfg.mlp_layers[0], cfg.mlp_layers[-1]
+    if dataset.feature_count != features:
+        raise ConfigError(
+            "objective.layers", f"dataset has {dataset.feature_count} features, model expects {features}"
+        )
+    lo, hi = int(dataset.labels.min()), int(dataset.labels.max())
+    if lo < 0 or hi >= classes:
+        raise ConfigError("objective.layers", f"dataset labels span {lo}..{hi}, model has {classes} outputs")
+
+
+def load_dataset(cfg: ExperimentConfig) -> Batch | None:
+    """The run's samples, checked against the model; None for objectives that take none."""
     if cfg.objective_kind != "mlp" or cfg.data_kind == "none":
         return None
     if cfg.data_kind == "mnist":
-        ds = load_idx(cfg.data_images, cfg.data_labels)
+        try:
+            ds = load_idx(cfg.data_images, cfg.data_labels)
+        except IdxFormatError as exc:
+            key = "data.images" if exc.path == cfg.data_images else "data.labels"
+            raise ConfigError(key, str(exc)) from None
     else:
         ds = synthetic_blobs(
             cfg.synth_features,
@@ -176,6 +196,7 @@ def load_dataset(cfg: ExperimentConfig) -> Dataset | None:
         )
     if cfg.data_limit > 0:
         ds = ds.subset(cfg.data_limit)
+    _check_dataset(cfg, ds)
     return ds
 
 
@@ -204,26 +225,16 @@ def run_experiment(cfg: ExperimentConfig, dataset=None, threads=1, round_observe
     """
     cfg.validate()
     objective = build_objective(cfg)
-    if dataset is None:
+    if cfg.objective_kind != "mlp":
+        dataset = None  # only the classifier reads samples
+    elif dataset is None:
         dataset = load_dataset(cfg)
-    if isinstance(objective, MlpObjective):
-        if dataset.feature_count != cfg.mlp_layers[0]:
-            raise ConfigError(
-                "objective.layers",
-                f"dataset has {dataset.feature_count} features, model expects {cfg.mlp_layers[0]}"
-            )
-        if dataset.sample_count < cfg.m:
-            raise ConfigError(
-                "harness.m", f"{cfg.m} workers but the dataset has only {dataset.sample_count} samples"
-            )
-        full_batch = Batch(dataset.inputs, dataset.labels)
     else:
-        full_batch = None
+        _check_dataset(cfg, dataset)
 
     theta = initial_theta(cfg, objective)
-    resolved = {line.split(" = ")[0]: line.split(" = ", 1)[1] for line in emit_config(cfg).splitlines()}
     records: list[EpochRecord] = []
-    stochastic = bool(getattr(objective, "is_stochastic", False)) and dataset is not None
+    stochastic = dataset is not None
     s = cfg.local_steps
     if stochastic:
         n_rounds = rounds_per_epoch(dataset.sample_count, cfg.global_batch, s)
@@ -275,9 +286,9 @@ def run_experiment(cfg: ExperimentConfig, dataset=None, threads=1, round_observe
             status = STATUS_DIVERGED
             break
         with np.errstate(over="ignore", invalid="ignore"):
-            nll = objective.value(theta, full_batch)
+            nll = objective.value(theta, dataset)
         records.append(EpochRecord(epoch, nll, sigma_max, j_total / n_rounds, wall))
         if not np.isfinite(nll):
             status = STATUS_DIVERGED
             break
-    return RunHistory(resolved, records, status)
+    return RunHistory(records, status)

@@ -15,28 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import Batch
 from .errors import DimensionMismatchError
 from .linalg import as_matrix, as_vector
-
-
-@dataclass(frozen=True)
-class Batch:
-    """A minibatch: one column of `inputs` per sample."""
-
-    inputs: np.ndarray
-    labels: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "inputs", as_matrix(self.inputs))
-        object.__setattr__(self, "labels", np.asarray(self.labels, dtype=np.int64))
-        if self.inputs.shape[1] != self.labels.shape[0]:
-            raise DimensionMismatchError(
-                f"batch: {self.inputs.shape[1]} input columns vs {self.labels.shape[0]} labels"
-            )
-
-    @property
-    def size(self) -> int:
-        return int(self.labels.shape[0])
 
 
 class QuadraticObjective:
@@ -46,8 +27,6 @@ class QuadraticObjective:
     The full n-by-n Hessian lives here deliberately: this is a test oracle,
     not server state, and n stays small.
     """
-
-    is_stochastic = False
 
     def __init__(self, a, theta_star):
         self.a = as_matrix(a)
@@ -97,8 +76,6 @@ class QuadraticObjective:
 class RosenbrockObjective:
     """Pairwise Rosenbrock: sum over independent coordinate pairs (a, b) of
     100 (b - a^2)^2 + (1 - a)^2.  Global minimum at all ones."""
-
-    is_stochastic = False
 
     def __init__(self, dim: int):
         if dim < 2 or dim % 2 != 0:
@@ -158,8 +135,6 @@ class MlpObjective:
     finite until the parameters themselves blow up.  ReLU's subgradient
     at 0 is taken as 0.
     """
-
-    is_stochastic = True
 
     def __init__(self, spec: MlpSpec):
         self.spec = spec
@@ -226,7 +201,7 @@ class MlpObjective:
         layers = self._layers(theta)
         acts, pre = self._forward(layers, batch)
         nll, shifted, lse = self._nll(pre[-1], batch.labels)
-        b = batch.size
+        b = batch.sample_count
         probs = np.exp(shifted - lse)
         delta = probs
         delta[batch.labels, np.arange(b)] -= 1.0

@@ -1,3 +1,7 @@
+import struct
+from dataclasses import fields
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -9,6 +13,9 @@ from distnewton.cli import (
     read_history_csv,
 )
 from distnewton.config import emit_config, load_config, parse_config_text
+from distnewton.data import IMAGE_MAGIC, LABEL_MAGIC
+
+PRESETS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.cfg"))
 
 QUADRATIC_CFG = """
 objective.kind = quadratic
@@ -95,14 +102,52 @@ def test_run_rejects_unknown_key(tmp_path, capsys):
 
 
 def test_feature_mismatch_exits_config_naming_layers(tmp_path, capsys):
-    # the dataset has 12 features but the model's input layer expects 10
-    text = BLOB_CFG.replace("objective.layers = 12,8,4", "objective.layers = 10,8,4")
-    cfg = write_cfg(tmp_path, text)
-    for command in ("run", "sweep"):
-        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    mismatches = (
+        # the dataset has 12 features but the model's input layer expects 10
+        BLOB_CFG.replace("objective.layers = 12,8,4", "objective.layers = 10,8,4"),
+        # labels run up to 5 but the model has 4 outputs
+        BLOB_CFG.replace("data.classes = 4", "data.classes = 6"),
+    )
+    for text in mismatches:
+        cfg = write_cfg(tmp_path, text)
+        for command in ("run", "sweep", "grad-check"):
+            assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+            err = capsys.readouterr().err
+            assert "objective.layers" in err
+            assert "Traceback" not in err
+
+
+def test_rosenbrock_odd_dimension_exits_config(tmp_path, capsys):
+    for dim in (1, 7):
+        cfg = write_cfg(tmp_path, f"objective.kind = rosenbrock\nobjective.dim = {dim}\ndata.kind = none\n")
+        for command in ("run", "sweep"):
+            assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+            err = capsys.readouterr().err
+            assert "objective.dim" in err
+            assert "Traceback" not in err
+
+
+def test_run_malformed_idx_exits_config_naming_file(tmp_path, capsys):
+    images = struct.pack(">4I", IMAGE_MAGIC, 2, 2, 2) + bytes(8)
+    labels = struct.pack(">2I", LABEL_MAGIC, 2) + bytes(2)
+    broken = {
+        "bad image magic": (struct.pack(">4I", 0, 2, 2, 2) + bytes(8), labels, "data.images"),
+        "truncated images": (images[:-3], labels, "data.images"),
+        "truncated labels": (images, labels[:-1], "data.labels"),
+        "count mismatch": (images, struct.pack(">2I", LABEL_MAGIC, 1) + bytes(1), "data.labels"),
+        "garbage labels": (images, b"garbage", "data.labels"),
+    }
+    for case, (image_bytes, label_bytes, key) in broken.items():
+        (tmp_path / "images.idx").write_bytes(image_bytes)
+        (tmp_path / "labels.idx").write_bytes(label_bytes)
+        cfg = write_cfg(tmp_path, (
+            "objective.layers = 4,3\ndata.kind = mnist\nharness.m = 1\nharness.global_batch = 2\n"
+            f"data.images = {tmp_path / 'images.idx'}\ndata.labels = {tmp_path / 'labels.idx'}\n"
+        ))
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG, case
         err = capsys.readouterr().err
-        assert "objective.layers" in err
-        assert "Traceback" not in err
+        assert err.startswith(f"config error: {key}: "), case
+        assert "Traceback" not in err, case
 
 
 def test_run_missing_config_file(tmp_path):
@@ -263,9 +308,57 @@ def test_grad_check_corrupted_gradient_fails(tmp_path, capsys, monkeypatch):
 # ------------------------------------------------------------------ config
 
 
-def test_emit_parse_round_trip():
-    cfg = parse_config_text(BLOB_CFG)
-    assert parse_config_text(emit_config(cfg)) == cfg
+# every key set away from its default; the lr float needs all 17 digits
+EVERY_KEY_CFG = """
+objective.kind = quadratic
+objective.layers = 5,7,3
+objective.activation = relu
+objective.dim = 6
+objective.condition = 12.5
+objective.seed = 3
+data.kind = mnist
+data.images = images.idx
+data.labels = labels.idx
+data.limit = 100
+data.features = 5
+data.classes = 3
+data.samples = 90
+data.spread = 0.125
+data.density = 0.5
+data.seed = 11
+harness.m = 3
+harness.local_steps = 2
+harness.local_lr = 0.30000000000000004
+harness.tau = 0.3
+harness.epochs = 5
+harness.global_batch = 33
+harness.seed = 4
+harness.aggregator = sgd_average
+harness.jitter = 1e-3
+operator.lambda = 0.2
+operator.lr_cap = true
+"""
+
+
+@pytest.mark.parametrize(
+    "text",
+    [p.read_text(encoding="utf-8") for p in PRESETS] + [EVERY_KEY_CFG],
+    ids=[p.stem for p in PRESETS] + ["every_key"],
+)
+def test_emit_parse_round_trip(text):
+    cfg = parse_config_text(text)
+    emitted = emit_config(cfg)
+    assert parse_config_text(emitted) == cfg
+    assert emit_config(parse_config_text(emitted)) == emitted
+
+
+def test_every_key_config_sets_every_field():
+    cfg = parse_config_text(EVERY_KEY_CFG)
+    assert [f.name for f in fields(cfg) if getattr(cfg, f.name) == f.default] == []
+    assert cfg.local_lr == 0.1 + 0.2
+    assert "harness.local_lr = 0.30000000000000004" in emit_config(cfg)
+    assert "operator.lr_cap = true" in emit_config(cfg)
+    assert "objective.layers = 5,7,3" in emit_config(cfg)
 
 
 def test_config_rejects_bad_value():

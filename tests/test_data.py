@@ -8,14 +8,14 @@ from hypothesis import strategies as st
 from distnewton.data import (
     IMAGE_MAGIC,
     LABEL_MAGIC,
-    Dataset,
+    Batch,
     load_idx,
     shard,
     synthetic_blobs,
     write_idx,
 )
 from distnewton.errors import BadMagicError, CountMismatchError, TruncatedFileError
-from distnewton.objectives import Batch, MlpObjective, MlpSpec
+from distnewton.objectives import MlpObjective, MlpSpec
 
 
 def make_idx_pair(tmp_path, pixels, labels, rows, cols, image_magic=IMAGE_MAGIC,
@@ -77,7 +77,7 @@ def test_load_idx_count_mismatch(tmp_path):
 def test_idx_round_trip_exact(tmp_path):
     rng = np.random.default_rng(0)
     raw = rng.integers(0, 256, size=(9, 6)).astype(np.uint8)
-    ds = Dataset(np.asfortranarray(raw.astype(np.float64) / 255.0), np.arange(6) % 3)
+    ds = Batch(np.asfortranarray(raw.astype(np.float64) / 255.0), np.arange(6) % 3)
     write_idx(ds, tmp_path / "i.idx", tmp_path / "l.idx", rows=3, cols=3)
     back = load_idx(tmp_path / "i.idx", tmp_path / "l.idx")
     assert np.array_equal(back.inputs, ds.inputs)
@@ -130,10 +130,9 @@ def test_blobs_linearly_separable_enough():
     # accuracy on the (2 features, 2 classes, 200 samples, seed 7) setup
     ds = synthetic_blobs(2, 2, 200, seed=7)
     mlp = MlpObjective(MlpSpec((2, 2), "tanh"))
-    batch = Batch(ds.inputs, ds.labels)
     theta = np.zeros(mlp.dim)
     for _ in range(2000):
-        theta -= 0.5 * mlp.gradient(theta, batch)
+        theta -= 0.5 * mlp.gradient(theta, ds)
     layers_w = theta[:4].reshape(2, 2)
     layers_b = theta[4:6]
     logits = layers_w @ ds.inputs + layers_b[:, None]
@@ -182,7 +181,7 @@ def test_shard_new_permutation_per_epoch_seed():
 @settings(max_examples=40, deadline=None)
 @given(st.integers(1, 200), st.integers(1, 9), st.integers(0, 2**31 - 1))
 def test_shard_partition_property(n, m, epoch_seed):
-    ds = Dataset(np.zeros((2, n), order="F"), np.zeros(n, dtype=np.int64))
+    ds = Batch(np.zeros((2, n), order="F"), np.zeros(n, dtype=np.int64))
     plan = shard(ds, m, epoch_seed)
     pieces = [plan.worker_indices(k) for k in range(m)]
     sizes = [p.shape[0] for p in pieces]

@@ -193,7 +193,6 @@ def test_mlp_rejects_wrong_theta_length():
 
 
 class _Constant:
-    is_stochastic = False
     dim = 3
 
     def value(self, theta, batch=None):
