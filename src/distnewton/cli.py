@@ -138,6 +138,8 @@ def cmd_sweep(args) -> int:
         raise ConfigError("workers", "worker counts must be >= 1")
     cells = [replace(base, m=w, aggregator="distnewton") for w in workers]
     cells.append(replace(base, m=1, aggregator="sgd_average"))
+    # one dataset for every cell; each cell checks it against its own harness.m
+    dataset = load_dataset(replace(base, m=1))
     results = []
     cell_cfgs = {}
     internal_failure = False
@@ -145,7 +147,7 @@ def cmd_sweep(args) -> int:
         label = run_label(cfg)
         cell_cfgs[label] = cfg
         try:
-            results.append((label, run_experiment(cfg)))
+            results.append((label, run_experiment(cfg, dataset=dataset)))
         except ConfigError:
             raise
         except Exception as exc:  # one failing cell must not kill the sweep
@@ -248,10 +250,7 @@ def main(argv=None) -> int:
         return EXIT_OK if exc.code == 0 else EXIT_CONFIG
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except FileNotFoundError as exc:
+    except (ConfigError, FileNotFoundError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except Exception:

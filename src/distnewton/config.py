@@ -9,6 +9,7 @@ the same config, which is how runs echo their exact settings.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 
 from .errors import ConfigError
@@ -17,7 +18,7 @@ DEFAULT_LAMBDA = 0.1
 
 AGGREGATORS = ("distnewton", "sgd_average")
 OBJECTIVES = ("quadratic", "rosenbrock", "mlp")
-DATA_KINDS = ("none", "synthetic", "mnist")
+DATA_KINDS = ("synthetic", "mnist")
 
 
 def setting(key: str, default):
@@ -36,10 +37,7 @@ class ExperimentConfig:
     data_kind: str = setting("data.kind", "synthetic")
     data_images: str = setting("data.images", "")
     data_labels: str = setting("data.labels", "")
-    data_limit: int = setting("data.limit", 5000)
-    synth_features: int = setting("data.features", 784)
-    synth_classes: int = setting("data.classes", 10)
-    synth_samples: int = setting("data.samples", 5000)
+    data_samples: int = setting("data.samples", 5000)
     synth_spread: float = setting("data.spread", 0.08)
     synth_density: float = setting("data.density", 1.0)
     synth_seed: int = setting("data.seed", 1234)
@@ -56,6 +54,9 @@ class ExperimentConfig:
     use_lr_cap: bool = setting("operator.lr_cap", False)
 
     def validate(self):
+        for f in fields(self):
+            if type(f.default) is float and not math.isfinite(getattr(self, f.name)):
+                raise ConfigError(f.metadata["key"], "must be finite")
         if self.objective_kind not in OBJECTIVES:
             raise ConfigError("objective.kind", f"must be one of {OBJECTIVES}")
         if self.activation not in ("tanh", "relu"):
@@ -72,10 +73,8 @@ class ExperimentConfig:
             raise ConfigError("data.kind", f"must be one of {DATA_KINDS}")
         if self.data_kind == "mnist" and (not self.data_images or not self.data_labels):
             raise ConfigError("data.images", "mnist data needs both image and label paths")
-        if self.objective_kind == "mlp" and self.data_kind == "none":
-            raise ConfigError("data.kind", "the mlp objective needs a dataset")
-        if min(self.synth_features, self.synth_classes, self.synth_samples) < 1:
-            raise ConfigError("data.features", "synthetic counts must be positive")
+        if self.data_samples < 1:
+            raise ConfigError("data.samples", "must be >= 1")
         if not 0.0 < self.synth_density <= 1.0:
             raise ConfigError("data.density", "must lie in (0, 1]")
         if self.m < 1:

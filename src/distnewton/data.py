@@ -48,8 +48,7 @@ class Batch:
         return int(self.inputs.shape[0])
 
     def subset(self, count: int) -> "Batch":
-        """First `count` samples, in file order."""
-        count = min(count, self.sample_count)
+        """First `count` samples (all of them if there are fewer), in file order."""
         return Batch(self.inputs[:, :count].copy(order="F"), self.labels[:count].copy())
 
 

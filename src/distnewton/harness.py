@@ -95,8 +95,6 @@ class _WorkerFeed:
 
     def __init__(self, dataset: Batch, indices: np.ndarray, batch_size: int, chunks: int):
         needed = chunks * batch_size
-        if indices.shape[0] == 0:
-            raise ValueError("worker received an empty shard")
         reps = -(-needed // indices.shape[0])  # ceil
         self.indices = np.tile(indices, reps)[:needed] if reps > 1 else indices[:needed]
         self.dataset = dataset
@@ -176,8 +174,9 @@ def _check_dataset(cfg: ExperimentConfig, dataset: Batch):
 
 
 def load_dataset(cfg: ExperimentConfig) -> Batch | None:
-    """The run's samples, checked against the model; None for objectives that take none."""
-    if cfg.objective_kind != "mlp" or cfg.data_kind == "none":
+    """The run's samples, checked against the model; None unless the objective
+    is the MLP.  Synthetic samples take their shape from the model's layers."""
+    if cfg.objective_kind != "mlp":
         return None
     if cfg.data_kind == "mnist":
         try:
@@ -185,17 +184,13 @@ def load_dataset(cfg: ExperimentConfig) -> Batch | None:
         except IdxFormatError as exc:
             key = "data.images" if exc.path == cfg.data_images else "data.labels"
             raise ConfigError(key, str(exc)) from None
+        if cfg.data_samples < ds.sample_count:
+            ds = ds.subset(cfg.data_samples)
     else:
         ds = synthetic_blobs(
-            cfg.synth_features,
-            cfg.synth_classes,
-            cfg.synth_samples,
-            cfg.synth_seed,
-            spread=cfg.synth_spread,
-            density=cfg.synth_density,
+            cfg.mlp_layers[0], cfg.mlp_layers[-1], cfg.data_samples, cfg.synth_seed,
+            spread=cfg.synth_spread, density=cfg.synth_density,
         )
-    if cfg.data_limit > 0:
-        ds = ds.subset(cfg.data_limit)
     _check_dataset(cfg, ds)
     return ds
 
@@ -225,10 +220,8 @@ def run_experiment(cfg: ExperimentConfig, dataset=None, threads=1, round_observe
     """
     cfg.validate()
     objective = build_objective(cfg)
-    if cfg.objective_kind != "mlp":
-        dataset = None  # only the classifier reads samples
-    elif dataset is None:
-        dataset = load_dataset(cfg)
+    if dataset is None or cfg.objective_kind != "mlp":
+        dataset = load_dataset(cfg)  # None unless the objective reads samples
     else:
         _check_dataset(cfg, dataset)
 

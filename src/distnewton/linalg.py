@@ -121,8 +121,15 @@ def thin_svd_via_gram(mat, rank_tolerance: float, max_rank: int | None = None) -
     if rank_tolerance < 0:
         raise ValueError("rank_tolerance must be nonnegative")
     g = as_matrix(mat)
-    eig = sym_eig(gram(g))
-    sigma = np.sqrt(np.clip(eig.eigenvalues, 0.0, None))
+    with np.errstate(over="ignore", invalid="ignore"):
+        gm = gram(g)
+    scale = 1.0
+    if not np.all(np.isfinite(gm)):  # entries past ~1e154: rerun on mat / max|mat|
+        scale = float(np.max(np.abs(g)))
+        g = g / scale
+        gm = gram(g)
+    eig = sym_eig(gm)
+    sigma = scale * np.sqrt(np.clip(eig.eigenvalues, 0.0, None))
     lead = float(sigma[0]) if sigma.size else 0.0
     r = int(np.count_nonzero((sigma > 0.0) & (sigma >= rank_tolerance * lead)))
     if max_rank is not None:

@@ -90,8 +90,7 @@ def test_criterion_1_exact_quadratic_one_step_newton():
 def _sgd_equivalence_cfg():
     return ExperimentConfig(
         objective_kind="mlp", mlp_layers=(16, 8, 4), activation="tanh",
-        data_kind="synthetic", synth_features=16, synth_classes=4,
-        synth_samples=3200, synth_seed=11, data_limit=0,
+        data_kind="synthetic", data_samples=3200, synth_seed=11,
         m=4, local_steps=1, local_lr=0.02, server_tau=0.05,
         epochs=2, global_batch=32, seed=5, aggregator="distnewton", lam=2.0,
     )
@@ -341,9 +340,8 @@ def _comparison_dataset():
 def _comparison_cfg(m, aggregator, seed, lam):
     return ExperimentConfig(
         objective_kind="mlp", mlp_layers=(784, 32, 10), activation="tanh",
-        data_kind="synthetic", synth_features=784, synth_classes=10,
-        synth_samples=5000, synth_seed=20260811, synth_spread=0.15,
-        synth_density=0.2, data_limit=5000,
+        data_kind="synthetic", data_samples=5000, synth_seed=20260811,
+        synth_spread=0.15, synth_density=0.2,
         m=m, local_steps=1, local_lr=0.01, server_tau=0.01, epochs=20,
         global_batch=256, seed=seed, aggregator=aggregator, lam=lam,
         worker_jitter=0.01,
@@ -407,13 +405,10 @@ objective.kind = mlp
 objective.layers = 784,32,10
 objective.activation = relu
 data.kind = synthetic
-data.features = 784
-data.classes = 10
 data.samples = 1280
 data.density = 0.2
 data.spread = 0.15
 data.seed = 20260811
-data.limit = 0
 harness.m = 4
 harness.local_steps = 1
 harness.local_lr = 1e160

@@ -21,7 +21,6 @@ QUADRATIC_CFG = """
 objective.kind = quadratic
 objective.dim = 6
 objective.condition = 50.0
-data.kind = none
 harness.m = 7
 harness.local_lr = 0.05
 harness.tau = 1.0
@@ -36,11 +35,8 @@ objective.kind = mlp
 objective.layers = 12,8,4
 objective.activation = tanh
 data.kind = synthetic
-data.features = 12
-data.classes = 4
 data.samples = 320
 data.seed = 9
-data.limit = 0
 harness.m = 2
 harness.local_lr = 0.05
 harness.tau = 0.05
@@ -101,15 +97,27 @@ def test_run_rejects_unknown_key(tmp_path, capsys):
     assert "harness.bogus" in capsys.readouterr().err
 
 
+def idx_cfg(tmp_path, image_bytes, label_bytes, layers="4,3"):
+    """A config that reads the given bytes as its IDX image and label files."""
+    (tmp_path / "images.idx").write_bytes(image_bytes)
+    (tmp_path / "labels.idx").write_bytes(label_bytes)
+    return write_cfg(tmp_path, (
+        f"objective.layers = {layers}\ndata.kind = mnist\nharness.m = 1\nharness.global_batch = 2\n"
+        f"data.images = {tmp_path / 'images.idx'}\ndata.labels = {tmp_path / 'labels.idx'}\n"
+    ))
+
+
 def test_feature_mismatch_exits_config_naming_layers(tmp_path, capsys):
+    # two 2x2 images, so 4 features
+    images = struct.pack(">4I", IMAGE_MAGIC, 2, 2, 2) + bytes(8)
     mismatches = (
-        # the dataset has 12 features but the model's input layer expects 10
-        BLOB_CFG.replace("objective.layers = 12,8,4", "objective.layers = 10,8,4"),
-        # labels run up to 5 but the model has 4 outputs
-        BLOB_CFG.replace("data.classes = 4", "data.classes = 6"),
+        # the model's input layer expects 5 features
+        (images, struct.pack(">2I", LABEL_MAGIC, 2) + bytes([0, 2]), "5,3"),
+        # a label of 5 but the model has 3 outputs
+        (images, struct.pack(">2I", LABEL_MAGIC, 2) + bytes([0, 5]), "4,3"),
     )
-    for text in mismatches:
-        cfg = write_cfg(tmp_path, text)
+    for image_bytes, label_bytes, layers in mismatches:
+        cfg = idx_cfg(tmp_path, image_bytes, label_bytes, layers)
         for command in ("run", "sweep", "grad-check"):
             assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
             err = capsys.readouterr().err
@@ -119,7 +127,7 @@ def test_feature_mismatch_exits_config_naming_layers(tmp_path, capsys):
 
 def test_rosenbrock_odd_dimension_exits_config(tmp_path, capsys):
     for dim in (1, 7):
-        cfg = write_cfg(tmp_path, f"objective.kind = rosenbrock\nobjective.dim = {dim}\ndata.kind = none\n")
+        cfg = write_cfg(tmp_path, f"objective.kind = rosenbrock\nobjective.dim = {dim}\n")
         for command in ("run", "sweep"):
             assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
             err = capsys.readouterr().err
@@ -138,12 +146,7 @@ def test_run_malformed_idx_exits_config_naming_file(tmp_path, capsys):
         "garbage labels": (images, b"garbage", "data.labels"),
     }
     for case, (image_bytes, label_bytes, key) in broken.items():
-        (tmp_path / "images.idx").write_bytes(image_bytes)
-        (tmp_path / "labels.idx").write_bytes(label_bytes)
-        cfg = write_cfg(tmp_path, (
-            "objective.layers = 4,3\ndata.kind = mnist\nharness.m = 1\nharness.global_batch = 2\n"
-            f"data.images = {tmp_path / 'images.idx'}\ndata.labels = {tmp_path / 'labels.idx'}\n"
-        ))
+        cfg = idx_cfg(tmp_path, image_bytes, label_bytes)
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG, case
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {key}: "), case
@@ -253,6 +256,25 @@ def test_sweep_summary_sorted_ascending(tmp_path):
     assert finals == sorted(finals)
 
 
+def test_sweep_builds_the_dataset_once(tmp_path, monkeypatch):
+    import distnewton.harness
+
+    calls = []
+    real = distnewton.harness.synthetic_blobs
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(distnewton.harness, "synthetic_blobs", counting)
+    # the base harness.m exceeds the 6 samples, but every cell's m fits
+    text = BLOB_CFG.replace("data.samples = 320", "data.samples = 6").replace("harness.m = 2", "harness.m = 8")
+    cfg = write_cfg(tmp_path, text)
+    code = main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o"), "--workers", "1,2,4"])
+    assert code == EXIT_OK
+    assert len(calls) == 1
+
+
 def test_sweep_rejects_bad_worker_list(tmp_path, capsys):
     cfg = write_cfg(tmp_path, BLOB_CFG)
     for workers in ("0,2", "2,x"):
@@ -319,9 +341,6 @@ objective.seed = 3
 data.kind = mnist
 data.images = images.idx
 data.labels = labels.idx
-data.limit = 100
-data.features = 5
-data.classes = 3
 data.samples = 90
 data.spread = 0.125
 data.density = 0.5
@@ -359,6 +378,35 @@ def test_every_key_config_sets_every_field():
     assert "harness.local_lr = 0.30000000000000004" in emit_config(cfg)
     assert "operator.lr_cap = true" in emit_config(cfg)
     assert "objective.layers = 5,7,3" in emit_config(cfg)
+
+
+FLOAT_KEYS = ("objective.condition", "data.spread", "data.density", "harness.local_lr",
+              "harness.tau", "harness.jitter", "operator.lambda")
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("key", FLOAT_KEYS)
+def test_non_finite_setting_exits_config_naming_key(tmp_path, capsys, key, value):
+    from distnewton.config import ExperimentConfig
+    from distnewton.errors import ConfigError
+
+    cfg = write_cfg(tmp_path, QUADRATIC_CFG + f"{key} = {value}\n")
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {key}: ")
+    assert "Traceback" not in err
+    # a config built in code is held to the same rule
+    name = next(f.name for f in fields(ExperimentConfig) if f.metadata["key"] == key)
+    with pytest.raises(ConfigError) as exc:
+        ExperimentConfig(**{name: float(value)}).validate()
+    assert exc.value.field == key
+
+
+def test_float_keys_cover_every_float_setting():
+    from distnewton.config import ExperimentConfig
+
+    floats = {f.metadata["key"] for f in fields(ExperimentConfig) if type(f.default) is float}
+    assert floats == set(FLOAT_KEYS)
 
 
 def test_config_rejects_bad_value():

@@ -1,7 +1,10 @@
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from distnewton.config import ExperimentConfig
+from distnewton.config import ExperimentConfig, load_config
 from distnewton.data import shard, synthetic_blobs
 from distnewton.harness import (
     STATUS_COMPLETED,
@@ -16,6 +19,8 @@ from distnewton.harness import (
 from distnewton.objectives import QuadraticObjective
 from distnewton.operator import WorkerReport
 
+PRESETS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.cfg"))
+
 
 def quadratic_cfg(**kw):
     base = dict(
@@ -23,7 +28,6 @@ def quadratic_cfg(**kw):
         objective_dim=8,
         quad_condition=100.0,
         objective_seed=0,
-        data_kind="none",
         m=9,
         local_steps=1,
         local_lr=0.05,
@@ -44,11 +48,8 @@ def blob_cfg(**kw):
         mlp_layers=(16, 8, 4),
         activation="tanh",
         data_kind="synthetic",
-        synth_features=16,
-        synth_classes=4,
-        synth_samples=640,
+        data_samples=640,
         synth_seed=5,
-        data_limit=0,
         m=4,
         local_steps=1,
         local_lr=0.05,
@@ -245,6 +246,14 @@ def test_run_with_lr_cap_enabled():
         assert tau_used <= 5.0
         if sigma_max > 0:
             assert tau_used <= 1.0 / sigma_max + 1e-15
+
+
+@pytest.mark.parametrize("path", PRESETS, ids=[p.stem for p in PRESETS])
+def test_preset_runs_one_epoch(path):
+    hist = run_experiment(replace(load_config(path), epochs=1))
+    expected = STATUS_DIVERGED if path.stem == "relu_divergence" else STATUS_COMPLETED
+    assert hist.status == expected
+    assert len(hist.records) == 1
 
 
 def test_run_sgd_average_baseline_completes():

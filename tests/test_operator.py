@@ -4,6 +4,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from distnewton.errors import DimensionMismatchError
+from distnewton.harness import server_round
 from distnewton.objectives import QuadraticObjective
 from distnewton.operator import (
     InverseHessianOperator,
@@ -193,6 +194,23 @@ def test_operator_contracts_on_degenerate_batches(m, distinct, n, lam, seed):
 
 
 # ----------------------------------------------------------------- apply
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 8), st.integers(0, 40), st.integers(0, 2**31 - 1))
+def test_server_round_is_scale_equivariant(m, extra, seed):
+    # reports scaled by c scale sigma by c and leave u, v and j alone, so the
+    # step scales by c; at 1e155 the Gram of the reports overflows
+    rng = np.random.default_rng(seed)
+    n = m + extra
+    reports = [WorkerReport(rng.standard_normal(n), rng.standard_normal(n)) for _ in range(m)]
+    theta_new, stats = server_round(reports, 0.1, 0.5, False, "distnewton")
+    for c in (1e-150, 1e150, 1e155):
+        scaled = [WorkerReport(c * r.theta, c * r.grad) for r in reports]
+        theta_c, stats_c = server_round(scaled, 0.1, 0.5, False, "distnewton")
+        assert stats_c.j == stats.j
+        err = np.linalg.norm(theta_c / c - theta_new)
+        assert err <= 1e-12 * np.linalg.norm(theta_new)
 
 
 def test_apply_rank_zero_is_identity():
