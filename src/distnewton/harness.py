@@ -24,10 +24,12 @@ from .errors import ConfigError, IdxFormatError
 from .objectives import MlpObjective, MlpSpec, QuadraticObjective, RosenbrockObjective
 from .operator import (
     WorkerReport,
-    build_operator,
+    build_operator,  # noqa: F401  (not called here; perfbench times it under this name)
     center_reports,
+    difference_spectrum,
+    full_sigma,
     lr_cap,
-    newton_update,
+    newton_step,
 )
 
 STATUS_COMPLETED = "completed"
@@ -130,8 +132,10 @@ def worker_round(theta_read, objective, batches, local_steps, local_lr, rng, jit
 def server_round(reports, lam, tau, use_lr_cap, aggregator):
     """Aggregate one round of reports into the next shared parameters.
 
-    distnewton: center the reports, build the rank-j operator, take the
-    quasi-Newton step (optionally capping tau at 1/sigma_max).
+    distnewton: take the reports as differences from worker 0, find the
+    spectrum of the centered gradients in that basis, and take the
+    quasi-Newton step in factored form (optionally capping tau at
+    1/sigma_max), without forming the operator's n x j matrices.
     sgd_average: plain parameter averaging, the baseline server.
     """
     reports = list(reports)
@@ -141,12 +145,10 @@ def server_round(reports, lam, tau, use_lr_cap, aggregator):
         theta_new = np.mean(np.column_stack([r.theta for r in reports]), axis=1)
         return theta_new, RoundStats(np.empty(0), 0, tau)
     batch = center_reports(reports)
-    op = build_operator(batch, lam)
-    tau_used = lr_cap(tau, op) if use_lr_cap else tau
-    theta_bar, g_bar = batch.theta_bar, batch.g_bar
-    del batch  # the centered matrices are dead weight past this point
-    theta_new = newton_update(op, theta_bar, g_bar, tau_used)
-    return theta_new, RoundStats(op.sigma_full, op.j, tau_used)
+    spec = difference_spectrum(batch, lam)
+    sigma = full_sigma(spec)
+    tau_used = lr_cap(tau, float(sigma[0])) if use_lr_cap else tau
+    return newton_step(batch, spec, tau_used), RoundStats(sigma, spec.retained, tau_used)
 
 
 def build_objective(cfg: ExperimentConfig):

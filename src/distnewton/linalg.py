@@ -2,12 +2,15 @@
 
 Vectors are 1-d float64 numpy arrays; matrices are 2-d float64 arrays kept
 in column-major (Fortran) layout so that column slices are contiguous.
-The one decomposition offered is the Gram route to a thin SVD of a tall
-n-by-m matrix: eigendecompose the small m-by-m Gram matrix with LAPACK's
-symmetric eigensolver (`np.linalg.eigh`), then recover the retained left
-singular vectors with one matmul as U = M V / ||M V||.  Nothing n-by-n is
-ever formed, so the server's working set stays O(m*n) no matter how large
-the parameter dimension gets.
+The one decomposition offered is the Gram route to the spectrum of a tall
+product M B, with M n-by-p and B a small p-by-q basis: form the p-by-p
+Gram matrix of M in one pass over M, eigendecompose the q-by-q matrix
+B^T (M^T M) B with LAPACK's symmetric eigensolver (`np.linalg.eigh`), and
+recover left singular vectors, where a caller wants them, with one more
+matmul as U = M B V / ||M B V||.  The server uses B to work in a basis of
+its worker differences; `thin_svd_via_gram` is the plain case B = I.
+Nothing n-by-n is ever formed, so the server's working set stays O(p*n)
+no matter how large the parameter dimension gets.
 """
 
 from __future__ import annotations
@@ -75,8 +78,8 @@ def sym_eig(mat) -> SymEigResult:
     m, mc = s.shape
     if m != mc:
         raise DimensionMismatchError(f"sym_eig: matrix must be square, got {m}x{mc}")
-    fro = float(np.linalg.norm(s))
-    if fro > 0.0 and float(np.linalg.norm(s - s.T)) > SYMMETRY_RTOL * fro:
+    # max-abs entries, not norms: a norm of entries near 1e300 overflows to inf
+    if np.max(np.abs(s - s.T), initial=0.0) > SYMMETRY_RTOL * np.max(np.abs(s), initial=0.0):
         raise AsymmetricMatrixError("sym_eig: input is not symmetric within tolerance")
 
     eigvals, v = np.linalg.eigh(s)
@@ -84,9 +87,64 @@ def sym_eig(mat) -> SymEigResult:
     v = v[:, order]
     # Canonical sign: largest-magnitude entry of each eigenvector positive.
     # Pins the +-v ambiguity so identical subspaces always print the same.
-    lead = np.argmax(np.abs(v), axis=0)
+    lead = np.argmax(np.abs(v), axis=0) if m else np.empty(0, dtype=np.intp)
     v *= np.where(v[lead, np.arange(m)] < 0.0, -1.0, 1.0)
     return SymEigResult(eigvals[order], np.asfortranarray(v))
+
+
+@dataclass(frozen=True)
+class GramSpectrum:
+    """Singular values of M B through the Gram matrix of M.
+
+    `sigma` holds all q singular values, descending.  Column k of `right` is
+    B v_k, so that M right[:, k] = sigma_k u_k.  The leading `retained`
+    sigma_k are those with sigma_k > 0 and sigma_k >= rank_tolerance *
+    sigma_1.  `gram` is M^T M / scale^2, which is finite: `scale` is 1
+    unless M^T M overflowed, and then the max-abs entry of M.
+    """
+
+    sigma: np.ndarray
+    right: np.ndarray
+    retained: int
+    gram: np.ndarray
+    scale: float
+
+
+def gram_spectrum(mat, basis, rank_tolerance: float) -> GramSpectrum:
+    """Spectrum of mat @ basis from the eigendecomposition of
+    basis^T (mat^T mat) basis.
+
+    sigma_k = sqrt(max(lambda_k, 0)) clamps tiny negative Gram eigenvalues
+    (rounding noise on a PSD matrix) to zero.  When the Gram matrix has a
+    non-finite entry (entries of mat past about 1e154), it is formed again
+    from mat divided by its max-abs entry, and sigma is scaled back.
+    """
+    if rank_tolerance < 0:
+        raise ValueError("rank_tolerance must be nonnegative")
+    g = as_matrix(mat)
+    with np.errstate(over="ignore", invalid="ignore"):
+        gm = gram(g)
+    scale = 1.0
+    if not np.all(np.isfinite(gm)):
+        scale = float(np.max(np.abs(g)))
+        gm = gram(g / scale)
+    eig = sym_eig(basis.T @ gm @ basis)
+    sigma = scale * np.sqrt(np.clip(eig.eigenvalues, 0.0, None))
+    lead = float(sigma[0]) if sigma.size else 0.0
+    retained = int(np.count_nonzero((sigma > 0.0) & (sigma >= rank_tolerance * lead)))
+    return GramSpectrum(sigma, basis @ eig.eigenvectors, retained, gm, scale)
+
+
+def left_vectors(mat, coefs) -> np.ndarray:
+    """The columns of mat @ coefs scaled to unit norm, as one Fortran-order
+    matrix, up to the first column of zero norm."""
+    w = fortran_matmul(mat, coefs)
+    norms = np.sqrt(np.einsum("ij,ij->j", w, w))
+    zero = np.flatnonzero(norms == 0.0)
+    if zero.size:
+        w, norms = w[:, : zero[0]], norms[: zero[0]]
+    w /= norms
+    return w
 
 
 @dataclass(frozen=True)
@@ -95,9 +153,8 @@ class ThinSvd:
 
     `sigma` holds all m singular values, descending.  `u` holds unit-norm
     u_k as the columns of one Fortran-order n-by-r matrix, for a leading
-    prefix of the spectrum only: k is included while k < max_rank,
-    sigma_k > 0, sigma_k >= rank_tolerance * sigma_1 and M v_k has nonzero
-    norm.
+    prefix of the spectrum only: k is included while sigma_k > 0,
+    sigma_k >= rank_tolerance * sigma_1 and M v_k has nonzero norm.
     """
 
     sigma: np.ndarray
@@ -109,36 +166,14 @@ class ThinSvd:
         return int(self.u.shape[1])
 
 
-def thin_svd_via_gram(mat, rank_tolerance: float, max_rank: int | None = None) -> ThinSvd:
-    """Thin SVD from the m-by-m Gram eigendecomposition.
-
-    sigma_k = sqrt(max(lambda_k, 0)) clamps tiny negative Gram eigenvalues
-    (rounding noise on a PSD matrix) to zero.  Left vectors are formed only
-    for the retained prefix (see ThinSvd), with one matmul that writes a
-    Fortran-order matrix, and are normalised in place.  A zero matrix
-    yields an all-zero sigma and no left vectors.
+def thin_svd_via_gram(mat, rank_tolerance: float) -> ThinSvd:
+    """Thin SVD from the m-by-m Gram eigendecomposition (`gram_spectrum`
+    with B = I).  Left vectors are formed only for the retained prefix,
+    with the right vectors divided by the Gram's scale, so that their norms
+    cannot overflow.  A zero matrix yields an all-zero sigma and no left
+    vectors.
     """
-    if rank_tolerance < 0:
-        raise ValueError("rank_tolerance must be nonnegative")
     g = as_matrix(mat)
-    with np.errstate(over="ignore", invalid="ignore"):
-        gm = gram(g)
-    scale = 1.0
-    if not np.all(np.isfinite(gm)):  # entries past ~1e154: rerun on mat / max|mat|
-        scale = float(np.max(np.abs(g)))
-        g = g / scale
-        gm = gram(g)
-    eig = sym_eig(gm)
-    sigma = scale * np.sqrt(np.clip(eig.eigenvalues, 0.0, None))
-    lead = float(sigma[0]) if sigma.size else 0.0
-    r = int(np.count_nonzero((sigma > 0.0) & (sigma >= rank_tolerance * lead)))
-    if max_rank is not None:
-        r = min(r, max_rank)
-    w = fortran_matmul(g, eig.eigenvectors[:, :r])
-    norms = np.sqrt(np.einsum("ij,ij->j", w, w))
-    zero = np.flatnonzero(norms == 0.0)
-    if zero.size:
-        r = int(zero[0])
-        w, norms = w[:, :r], norms[:r]
-    w /= norms
-    return ThinSvd(sigma, eig.eigenvectors, w)
+    spec = gram_spectrum(g, np.eye(g.shape[1]), rank_tolerance)
+    u = left_vectors(g, spec.right[:, : spec.retained] / spec.scale)
+    return ThinSvd(spec.sigma, spec.right, u)

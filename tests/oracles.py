@@ -47,6 +47,22 @@ def singular_values_oracle(g, **kw):
     return np.sqrt(np.clip(power_iteration_eigs(g.T @ g, **kw), 0.0, None))
 
 
+def centered(reports):
+    """The centered parameter and gradient matrices (n x m) of the reports.
+
+    Centers the differences from worker 0 by their mean, rather than the
+    reports by theirs, so that identical workers give exact zeros.
+    """
+
+    def center(cols):
+        diff = cols - cols[:, :1]
+        return diff - diff.mean(axis=1, keepdims=True)
+
+    thetas = np.column_stack([r.theta for r in reports])
+    grads = np.column_stack([r.grad for r in reports])
+    return center(thetas), center(grads)
+
+
 def newton_step_oracle(a, theta_bar, g_bar):
     """Exact Newton step for a quadratic with Hessian a: direct solve."""
     return theta_bar - np.linalg.solve(a, g_bar)

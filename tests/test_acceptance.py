@@ -45,7 +45,7 @@ from distnewton.operator import (
 )
 from distnewton.linalg import thin_svd_via_gram
 
-from oracles import singular_values_oracle
+from oracles import centered, singular_values_oracle
 
 MNIST_ENV = "DISTNEWTON_MNIST_DIR"
 
@@ -167,19 +167,20 @@ def _secant_cases():
         reports = [
             WorkerReport(rng.standard_normal(n), rng.standard_normal(n)) for _ in range(m)
         ]
-        cases.append((rng, center_reports(reports)))
+        cases.append((rng, reports))
     return cases
 
 
 def _secant_outputs():
     outs = []
-    for rng, batch in _secant_cases():
-        op = build_operator(batch, 1e-6)
-        svd = thin_svd_via_gram(batch.big_g, 0.0)
+    for rng, reports in _secant_cases():
+        op = build_operator(center_reports(reports), 1e-6)
+        big_theta, big_g = centered(reports)
+        svd = thin_svd_via_gram(big_g, 0.0)
         for k in range(op.j):
             vk = svd.right_vectors[:, k]
-            outs.append(("secant", apply(op, batch.big_g @ vk), batch.big_theta @ vk))
-        z = rng.standard_normal(batch.big_theta.shape[0])
+            outs.append(("secant", apply(op, big_g @ vk), big_theta @ vk))
+        z = rng.standard_normal(big_theta.shape[0])
         for _ in range(2):  # project out the retained span, twice for robustness
             for k in range(op.j):
                 z -= (z @ op.us[:, k]) * op.us[:, k]

@@ -191,6 +191,19 @@ def test_run_quadratic_newton_converges_fast():
     assert hist.records[2].train_nll < 1e-12
 
 
+def test_run_zero_spread_workers_follow_one_worker():
+    # without jitter every quadratic worker reports the same pair, so m
+    # workers must retrace the single worker's run exactly
+    def records(m):
+        hist = run_experiment(quadratic_cfg(m=m, worker_jitter=0.0, epochs=5))
+        return [(r.train_nll, r.sigma_max, r.retained_j) for r in hist.records]
+
+    one = records(1)
+    assert all(j == 0.0 for _, _, j in one)
+    for m in (3, 6):
+        assert records(m) == one
+
+
 def test_run_synchrony_observer():
     cfg = blob_cfg(epochs=2)
     seen = []

@@ -64,6 +64,12 @@ def test_sym_eig_rejects_asymmetric():
         sym_eig([[1.0, 2.0], [0.0, 1.0]])
 
 
+def test_sym_eig_rejects_asymmetric_near_overflow():
+    # the Frobenius norm of entries near 1e300 overflows to inf
+    with pytest.raises(AsymmetricMatrixError):
+        sym_eig(np.array([[1.0, 0.0], [1.0, 1.0]]) * 1e300)
+
+
 def test_sym_eig_rejects_nonsquare():
     with pytest.raises(DimensionMismatchError):
         sym_eig(np.ones((2, 3)))

@@ -7,7 +7,6 @@ from distnewton.errors import DimensionMismatchError
 from distnewton.harness import server_round
 from distnewton.objectives import QuadraticObjective
 from distnewton.operator import (
-    InverseHessianOperator,
     WorkerReport,
     apply,
     build_operator,
@@ -16,7 +15,7 @@ from distnewton.operator import (
     newton_update,
 )
 
-from oracles import newton_step_oracle, random_spanning_reports
+from oracles import centered, newton_step_oracle, random_spanning_reports
 
 
 def quadratic_reports(a, thetas, theta_star=None):
@@ -36,6 +35,15 @@ def random_batch(rng, n, m):
     return center_reports(reports)
 
 
+def batch_centered(batch):
+    """The centered matrices [0 | E] P and [0 | D] P, with P = I - 11^T/m,
+    rebuilt from a batch's differences."""
+    n, m = batch.theta0.shape[0], batch.m
+    p = np.eye(m) - 1.0 / m
+    zero = np.zeros((n, 1))
+    return np.hstack([zero, batch.e]) @ p, np.hstack([zero, batch.d]) @ p
+
+
 # -------------------------------------------------------- center_reports
 
 
@@ -44,16 +52,18 @@ def test_center_single_report():
     batch = center_reports([rep])
     assert np.array_equal(batch.theta_bar, [1.0, 2.0])
     assert np.array_equal(batch.g_bar, [3.0, 4.0])
-    assert np.array_equal(batch.big_theta, np.zeros((2, 1)))
-    assert np.array_equal(batch.big_g, np.zeros((2, 1)))
+    for got, want in zip(batch_centered(batch), centered([rep])):
+        assert np.array_equal(got, np.zeros((2, 1)))
+        assert np.array_equal(want, np.zeros((2, 1)))
 
 
 def test_center_two_symmetric_reports():
     reports = [WorkerReport([0.0, 0.0], [0.0, 0.0]), WorkerReport([2.0, 0.0], [0.0, 0.0])]
     batch = center_reports(reports)
     assert np.array_equal(batch.theta_bar, [1.0, 0.0])
-    assert np.array_equal(batch.big_theta[:, 0], [-1.0, 0.0])
-    assert np.array_equal(batch.big_theta[:, 1], [1.0, 0.0])
+    for big_theta in (batch_centered(batch)[0], centered(reports)[0]):
+        assert np.array_equal(big_theta[:, 0], [-1.0, 0.0])
+        assert np.array_equal(big_theta[:, 1], [1.0, 0.0])
 
 
 def test_center_three_reports_hand_oracle():
@@ -61,8 +71,12 @@ def test_center_three_reports_hand_oracle():
     reports = [WorkerReport(t, [0.0, 0.0]) for t in thetas]
     batch = center_reports(reports)
     assert np.array_equal(batch.theta_bar, [1.0, 1.0])
+    assert np.array_equal(batch.theta0, [1.0, 0.0])
+    assert np.array_equal(batch.e, [[-1.0, 1.0], [1.0, 2.0]])
+    assert batch.cols.flags.f_contiguous
     want = np.array([[0.0, -1.0, 1.0], [-1.0, 0.0, 1.0]])
-    assert np.allclose(batch.big_theta, want)
+    assert np.allclose(batch_centered(batch)[0], want)
+    assert np.allclose(centered(reports)[0], want)
 
 
 def test_center_empty_list_rejected():
@@ -84,10 +98,10 @@ def test_report_rejects_mismatched_lengths():
 def test_centered_columns_sum_to_zero():
     rng = np.random.default_rng(11)
     for m in (1, 2, 5, 9):
-        batch = random_batch(rng, 20, m)
-        scale = max(np.abs(batch.big_theta).max(), 1.0)
-        assert np.max(np.abs(batch.big_theta.sum(axis=1))) <= 1e-10 * scale * m
-        assert np.max(np.abs(batch.big_g.sum(axis=1))) <= 1e-10 * m
+        big_theta, big_g = batch_centered(random_batch(rng, 20, m))
+        scale = max(np.abs(big_theta).max(), 1.0)
+        assert np.max(np.abs(big_theta.sum(axis=1))) <= 1e-10 * scale * m
+        assert np.max(np.abs(big_g.sum(axis=1))) <= 1e-10 * m
 
 
 # -------------------------------------------------------- build_operator
@@ -152,15 +166,18 @@ def test_retention_respects_threshold():
         assert op.sigma_full[op.j] < 0.3 * lead
 
 
-def svd_reference_step(batch, lam, tau):
+def svd_reference_step(reports, lam, tau):
     """The quasi-Newton step rebuilt from np.linalg.svd of the centered G."""
-    u, s, vt = np.linalg.svd(batch.big_g, full_matrices=False)
+    big_theta, big_g = centered(reports)
+    theta_bar = np.mean([r.theta for r in reports], axis=0)
+    g_bar = np.mean([r.grad for r in reports], axis=0)
+    u, s, vt = np.linalg.svd(big_g, full_matrices=False)
     ratios = s / s[0] if s[0] > 0.0 else np.zeros_like(s)
     j = int(np.count_nonzero(ratios >= lam))
     u, s, v = u[:, :j], s[:j], vt[:j].T
-    alpha = u.T @ batch.g_bar
-    direction = batch.g_bar - u @ alpha + batch.big_theta @ v @ (alpha / s)
-    return batch.theta_bar - tau * direction, j, ratios
+    alpha = u.T @ g_bar
+    direction = g_bar - u @ alpha + big_theta @ v @ (alpha / s)
+    return theta_bar - tau * direction, j, ratios
 
 
 @settings(max_examples=60, deadline=None)
@@ -174,11 +191,9 @@ def svd_reference_step(batch, lam, tau):
 def test_operator_contracts_on_degenerate_batches(m, distinct, n, lam, seed):
     # m workers drawn from `distinct` report pairs: duplicate workers when
     # distinct < m, identical reports (sigma = 0) when distinct == 1
-    rng = np.random.default_rng(seed)
-    pool = [(rng.standard_normal(n), rng.standard_normal(n)) for _ in range(min(distinct, m))]
-    picks = rng.integers(0, len(pool), size=m)
-    batch = center_reports([WorkerReport(*pool[i]) for i in picks])
-    want, j_ref, ratios = svd_reference_step(batch, lam, 0.7)
+    reports = degenerate_reports(np.random.default_rng(seed), m, distinct, n, False)
+    batch = center_reports(reports)
+    want, j_ref, ratios = svd_reference_step(reports, lam, 0.7)
     # the retention rule is only well defined away from its threshold
     assume(not np.any((ratios > 0.8 * lam) & (ratios < 1.25 * lam)))
 
@@ -191,6 +206,51 @@ def test_operator_contracts_on_degenerate_batches(m, distinct, n, lam, seed):
     got = newton_update(op, batch.theta_bar, batch.g_bar, 0.7)
     step = np.linalg.norm(want - batch.theta_bar)
     assert np.linalg.norm(got - want) <= 1e-8 * step
+
+
+def degenerate_reports(rng, m, distinct, n, collinear):
+    """m reports drawn from `distinct` pairs (duplicate workers when
+    distinct < m, identical reports when distinct == 1), or, if collinear,
+    spreads that are integer multiples of one pair of directions."""
+    if collinear:
+        theta, g, dt, dg = (rng.standard_normal(n) for _ in range(4))
+        return [WorkerReport(theta + c * dt, g + c * dg) for c in rng.integers(-2, 3, size=m)]
+    pool = [(rng.standard_normal(n), rng.standard_normal(n)) for _ in range(min(distinct, m))]
+    return [WorkerReport(*pool[i]) for i in rng.integers(0, len(pool), size=m)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(1, 8),
+    st.integers(1, 8),
+    st.booleans(),
+    st.integers(4, 40),
+    st.sampled_from([1e-8, 1e-4, 1e-2, 0.1, 0.5]),
+    st.integers(0, 2**31 - 1),
+)
+def test_server_round_agrees_with_explicit_operator(m, distinct, collinear, n, lam, seed):
+    # the factored step and the materialised operator read one spectrum
+    reports = degenerate_reports(np.random.default_rng(seed), m, distinct, n, collinear)
+    theta_new, stats = server_round(reports, lam, 0.7, False, "distnewton")
+    batch = center_reports(reports)
+    op = build_operator(batch, lam)
+    assert stats.j == op.j
+    assert np.array_equal(stats.sigma, op.sigma_full)
+    assert stats.sigma.shape == (m,) and stats.sigma[-1] == 0.0
+    want = newton_update(op, batch.theta_bar, batch.g_bar, 0.7)
+    assert np.linalg.norm(theta_new - want) <= 1e-10 * np.linalg.norm(want - batch.theta_bar)
+
+
+@pytest.mark.parametrize("m", range(1, 10))
+def test_identical_reports_step_like_one_worker(m):
+    # zero spread leaves every difference from worker 0 an exact zero, so no
+    # rounding noise can pose as a curvature direction
+    rng = np.random.default_rng(m)
+    theta, g = rng.standard_normal(30), rng.standard_normal(30)
+    for lam, tau in ((1e-8, 1.0), (0.1, 0.7)):
+        theta_new, stats = server_round([WorkerReport(theta, g)] * m, lam, tau, False, "distnewton")
+        assert stats.j == 0
+        assert np.array_equal(theta_new, theta - tau * g)
 
 
 # ----------------------------------------------------------------- apply
@@ -314,22 +374,16 @@ def test_newton_update_matches_direct_solve_oracle():
 # ---------------------------------------------------------------- lr_cap
 
 
-def _op_with_sigma(sigma_max):
-    return InverseHessianOperator(
-        np.empty(0), np.empty((3, 0)), np.empty((3, 0)), np.array([sigma_max])
-    )
-
-
 def test_lr_cap_inactive():
-    assert lr_cap(0.01, _op_with_sigma(50.0)) == 0.01
+    assert lr_cap(0.01, 50.0) == 0.01
 
 
 def test_lr_cap_active():
-    assert lr_cap(1.0, _op_with_sigma(50.0)) == pytest.approx(0.02)
+    assert lr_cap(1.0, 50.0) == pytest.approx(0.02)
 
 
 def test_lr_cap_degenerate_sigma():
-    assert lr_cap(0.7, _op_with_sigma(0.0)) == 0.7
+    assert lr_cap(0.7, 0.0) == 0.7
 
 
 # ------------------------------------------------------------ invariants
