@@ -1,0 +1,69 @@
+#!/usr/bin/env python3
+"""Time one distnewton server round over a grid of sizes.
+
+For each (n, m) it prints the cold first call (the first server_round of
+a fresh process, page faults included) and the warm median of ROUNDS
+further rounds on the same reports, with the retained rank j.  The
+reports are seeded standard normals.  A header line gives the numpy
+version, the BLAS numpy was built against and the usable core count.
+
+Usage: PYTHONPATH=src python scripts/server_round_sizes.py
+"""
+
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import time
+
+import numpy as np
+
+from distnewton.harness import server_round
+from distnewton.operator import WorkerReport
+
+SIZES = [(100_000, 4), (100_000, 64), (300_000, 16), (1_000_000, 4), (1_000_000, 16)]
+ROUNDS = 15
+LAMBDA, TAU = 0.1, 0.01
+
+
+def time_size(n: int, m: int) -> dict:
+    rng = np.random.default_rng([n, m])
+    reports = [WorkerReport(rng.standard_normal(n), rng.standard_normal(n)) for _ in range(m)]
+    times = []
+    for _ in range(ROUNDS + 1):
+        t0 = time.perf_counter()
+        _, stats = server_round(reports, LAMBDA, TAU, False, "distnewton")
+        times.append(time.perf_counter() - t0)
+    return {"cold_ms": 1e3 * times[0], "warm_p50_ms": 1e3 * statistics.median(times[1:]), "j": stats.j}
+
+
+def blas() -> str:
+    try:
+        dep = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        return f"{dep.get('name')} {dep.get('version')}"
+    except (KeyError, TypeError):
+        return "unknown"
+
+
+def main(argv) -> int:
+    if argv[1:2] == ["--one"]:  # child: one size in a fresh process
+        print(json.dumps(time_size(int(argv[2]), int(argv[3]))))
+        return 0
+    print(
+        f"python {platform.python_version()}, numpy {np.__version__}, BLAS {blas()}, "
+        f"{len(os.sched_getaffinity(0))} cores; warm p50 over {ROUNDS} rounds"
+    )
+    print(f"{'n':>9} {'m':>3} {'j':>3} {'cold ms':>9} {'warm p50 ms':>12}")
+    for n, m in SIZES:
+        out = subprocess.run(
+            [sys.executable, __file__, "--one", str(n), str(m)], capture_output=True, text=True, check=True
+        )
+        r = json.loads(out.stdout)
+        print(f"{n:>9} {m:>3} {r['j']:>3} {r['cold_ms']:>9.1f} {r['warm_p50_ms']:>12.1f}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv))

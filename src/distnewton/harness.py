@@ -25,11 +25,12 @@ from .objectives import MlpObjective, MlpSpec, QuadraticObjective, RosenbrockObj
 from .operator import (
     WorkerReport,
     build_operator,  # noqa: F401  (not called here; perfbench times it under this name)
-    center_reports,
+    center_reports,  # noqa: F401  (not called here; perfbench times it under this name)
     difference_spectrum,
     full_sigma,
     lr_cap,
     newton_step,
+    report_blocks,
 )
 
 STATUS_COMPLETED = "completed"
@@ -132,10 +133,12 @@ def worker_round(theta_read, objective, batches, local_steps, local_lr, rng, jit
 def server_round(reports, lam, tau, use_lr_cap, aggregator):
     """Aggregate one round of reports into the next shared parameters.
 
-    distnewton: take the reports as differences from worker 0, find the
-    spectrum of the centered gradients in that basis, and take the
-    quasi-Newton step in factored form (optionally capping tau at
-    1/sigma_max), without forming the operator's n x j matrices.
+    distnewton: take the reports as differences from worker 0, one row
+    block at a time: one pass over the gradients sums the Gram matrix that
+    gives the spectrum of the centered gradients, and one pass over all
+    reports takes the quasi-Newton step in factored form (optionally
+    capping tau at 1/sigma_max).  Nothing of size n is written but the
+    new parameters and one cache-sized block.
     sgd_average: plain parameter averaging, the baseline server.
     """
     reports = list(reports)
@@ -144,11 +147,11 @@ def server_round(reports, lam, tau, use_lr_cap, aggregator):
     if aggregator == "sgd_average":
         theta_new = np.mean(np.column_stack([r.theta for r in reports]), axis=1)
         return theta_new, RoundStats(np.empty(0), 0, tau)
-    batch = center_reports(reports)
-    spec = difference_spectrum(batch, lam)
+    rows = report_blocks(reports)
+    spec = difference_spectrum(rows, lam)
     sigma = full_sigma(spec)
     tau_used = lr_cap(tau, float(sigma[0])) if use_lr_cap else tau
-    return newton_step(batch, spec, tau_used), RoundStats(sigma, spec.retained, tau_used)
+    return newton_step(rows, spec, tau_used), RoundStats(sigma, spec.retained, tau_used)
 
 
 def build_objective(cfg: ExperimentConfig):

@@ -3,14 +3,15 @@
 Vectors are 1-d float64 numpy arrays; matrices are 2-d float64 arrays kept
 in column-major (Fortran) layout so that column slices are contiguous.
 The one decomposition offered is the Gram route to the spectrum of a tall
-product M B, with M n-by-p and B a small p-by-q basis: form the p-by-p
-Gram matrix of M in one pass over M, eigendecompose the q-by-q matrix
-B^T (M^T M) B with LAPACK's symmetric eigensolver (`np.linalg.eigh`), and
-recover left singular vectors, where a caller wants them, with one more
-matmul as U = M B V / ||M B V||.  The server uses B to work in a basis of
-its worker differences; `thin_svd_via_gram` is the plain case B = I.
-Nothing n-by-n is ever formed, so the server's working set stays O(p*n)
-no matter how large the parameter dimension gets.
+product M B, with M n-by-p and B a small p-by-q basis: sum the p-by-p
+Gram matrix of M over its row blocks (`blocked_gram`), so that M never
+has to exist whole, eigendecompose the q-by-q matrix B^T (M^T M) B with
+LAPACK's symmetric eigensolver (`np.linalg.eigh`), and recover left
+singular vectors, where a caller wants them, with one more matmul as
+U = M B V / ||M B V||.  The server uses B to work in a basis of its
+worker differences; `thin_svd_via_gram` is the plain case B = I with M
+as one block.  Nothing n-by-n is ever formed, so the server's working set
+stays O(p*n) no matter how large the parameter dimension gets.
 """
 
 from __future__ import annotations
@@ -100,7 +101,8 @@ class GramSpectrum:
     B v_k, so that M right[:, k] = sigma_k u_k.  The leading `retained`
     sigma_k are those with sigma_k > 0 and sigma_k >= rank_tolerance *
     sigma_1.  `gram` is M^T M / scale^2, which is finite: `scale` is 1
-    unless M^T M overflowed, and then the max-abs entry of M.
+    unless M^T M overflowed, and then the max-abs entry of M.  A caller
+    that knows the spectrum is empty (q = 0) may leave `gram` 0-by-0.
     """
 
     sigma: np.ndarray
@@ -110,24 +112,35 @@ class GramSpectrum:
     scale: float
 
 
-def gram_spectrum(mat, basis, rank_tolerance: float) -> GramSpectrum:
-    """Spectrum of mat @ basis from the eigendecomposition of
-    basis^T (mat^T mat) basis.
+def blocked_gram(blocks) -> tuple[np.ndarray, float]:
+    """M^T M / scale^2 and scale, summed over the row blocks of M.
 
-    sigma_k = sqrt(max(lambda_k, 0)) clamps tiny negative Gram eigenvalues
-    (rounding noise on a PSD matrix) to zero.  When the Gram matrix has a
-    non-finite entry (entries of mat past about 1e154), it is formed again
-    from mat divided by its max-abs entry, and sigma is scaled back.
+    Each call of `blocks()` starts one pass and yields M's row blocks in
+    order; a block is only read before the next one is asked for.  `scale`
+    is 1 unless the sum has a non-finite entry (entries of M past about
+    1e154); then one more pass finds the max-abs entry of M and a third
+    sums the Gram matrices of the blocks divided by it.  The result is
+    symmetrized so rounding noise cannot upset the eigensolver.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        total, scale = sum(b.T @ b for b in blocks()), 1.0
+    if not np.all(np.isfinite(total)):
+        scale = max(float(np.max(np.abs(b), initial=0.0)) for b in blocks())
+        total = sum(c.T @ c for c in (b / scale for b in blocks()))
+    return 0.5 * (total + total.T), scale
+
+
+def gram_spectrum(blocks, basis, rank_tolerance: float) -> GramSpectrum:
+    """Spectrum of M B from the eigendecomposition of B^T (M^T M) B, with
+    M^T M summed over the row blocks of M that `blocks()` yields
+    (`blocked_gram`).
+
+    sigma_k = scale * sqrt(max(lambda_k, 0)) clamps tiny negative Gram
+    eigenvalues (rounding noise on a PSD matrix) to zero.
     """
     if rank_tolerance < 0:
         raise ValueError("rank_tolerance must be nonnegative")
-    g = as_matrix(mat)
-    with np.errstate(over="ignore", invalid="ignore"):
-        gm = gram(g)
-    scale = 1.0
-    if not np.all(np.isfinite(gm)):
-        scale = float(np.max(np.abs(g)))
-        gm = gram(g / scale)
+    gm, scale = blocked_gram(blocks)
     eig = sym_eig(basis.T @ gm @ basis)
     sigma = scale * np.sqrt(np.clip(eig.eigenvalues, 0.0, None))
     lead = float(sigma[0]) if sigma.size else 0.0
@@ -168,12 +181,12 @@ class ThinSvd:
 
 def thin_svd_via_gram(mat, rank_tolerance: float) -> ThinSvd:
     """Thin SVD from the m-by-m Gram eigendecomposition (`gram_spectrum`
-    with B = I).  Left vectors are formed only for the retained prefix,
-    with the right vectors divided by the Gram's scale, so that their norms
-    cannot overflow.  A zero matrix yields an all-zero sigma and no left
-    vectors.
+    with B = I, and M summed as one block).  Left vectors are formed only
+    for the retained prefix, with the right vectors divided by the Gram's
+    scale, so that their norms cannot overflow.  A zero matrix yields an
+    all-zero sigma and no left vectors.
     """
     g = as_matrix(mat)
-    spec = gram_spectrum(g, np.eye(g.shape[1]), rank_tolerance)
+    spec = gram_spectrum(lambda: (g,), np.eye(g.shape[1]), rank_tolerance)
     u = left_vectors(g, spec.right[:, : spec.retained] / spec.scale)
     return ThinSvd(spec.sigma, spec.right, u)

@@ -20,16 +20,24 @@ the coordinates of D.  The step is then
     theta_new = theta_bar - tau * (g_bar + (E - D) W Sigma^-2 W^T D^T g_bar),
 
 with theta_bar = theta_0 + E/m 1 and g_bar = g_0 + D/m 1, and D^T g_bar
-comes from the same Gram product as D^T D.  A round reads the reports
-once as it writes D and E, reads D once for the Gram and D and E once
-more for the step, and writes nothing else of size n but theta_new.
-`build_operator` materialises U = D W Sigma^-1 and Y = E W from the same
-spectrum, for callers that apply the operator to other vectors.
+comes from the same Gram product as D^T D.  A round takes this in two
+read passes over the reports, in row blocks of about ROW_BLOCK_BYTES:
+the first writes each block of [D | g_0] into one reused scratch block
+and adds its Gram matrix into the m-by-m sum, the second writes each
+block of [D | g_0 | E | theta_0] into the same scratch and takes that
+block's rows of theta_new with one matrix-vector product.  Nothing of
+size n is written but theta_new and the one block.  `center_reports`
+writes the whole n-by-2m buffer with the same per-row code, and
+`build_operator` materialises U = D W Sigma^-1 and Y = E W from it, with
+the Gram matrix summed over the same row blocks, for callers that apply
+the operator to other vectors.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -42,6 +50,13 @@ from .linalg import (
     left_vectors,
     thin_svd_via_gram,  # noqa: F401  (perfbench times the Gram route under this name)
 )
+
+# Scratch bytes of one row block of [D | g_0 | E | theta_0]: small enough
+# to stay in cache between the write of a block and its read.
+ROW_BLOCK_BYTES = 1 << 20
+# Fewest rows in a block (it binds for m > 16): with fewer, the calls that
+# fill a block column by column cost more than the data they move.
+MIN_BLOCK_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -67,7 +82,8 @@ class CenteredBatch:
     """m reports as differences from worker 0, in one n-by-2m Fortran-order
     buffer whose columns are [D | g_0 | E | theta_0]: D[:, k-1] = g_k - g_0
     and E[:, k-1] = theta_k - theta_0 for k = 1..m-1.  Every accessor is a
-    view of that buffer except the two means, computed on demand."""
+    view of that buffer except the two means, computed on demand.  The
+    server round never builds one; `build_operator` reads it."""
 
     cols: np.ndarray
 
@@ -108,28 +124,91 @@ def _mean(first, diffs) -> np.ndarray:
     return mean
 
 
-def center_reports(reports) -> CenteredBatch:
-    """Write m reports into one buffer as worker 0 and the differences from it."""
+def _report_vectors(reports, caller: str) -> list:
+    """The 2m vectors [g_0, ..., g_{m-1}, theta_0, ..., theta_{m-1}] of
+    the reports, checked to share one length."""
     reports = list(reports)
     if not reports:
-        raise ValueError("center_reports: empty report list")
-    first = reports[0]
-    n = first.theta.shape[0]
-    m = len(reports)
-    cols = np.empty((n, 2 * m), order="F")
-    cols[:, m - 1] = first.grad
-    cols[:, -1] = first.theta
-    for k, rep in enumerate(reports[1:], start=1):
+        raise ValueError(f"{caller}: empty report list")
+    n = reports[0].theta.shape[0]
+    for k, rep in enumerate(reports):
         if rep.theta.shape[0] != n:
             raise DimensionMismatchError(
-                f"center_reports: report {k} has dimension {rep.theta.shape[0]}, expected {n}"
+                f"{caller}: report {k} has dimension {rep.theta.shape[0]}, expected {n}"
             )
-        np.subtract(rep.grad, first.grad, out=cols[:, k - 1])
-        np.subtract(rep.theta, first.theta, out=cols[:, m + k - 1])
+    return [r.grad for r in reports] + [r.theta for r in reports]
+
+
+def _write_rows(vectors, lo: int, hi: int, out) -> None:
+    """Rows lo:hi of [D | g_0 | E | theta_0] into out, for as many of its
+    2m columns as out has: m gives [D | g_0] alone.  One subtraction per
+    column, D[:, k-1] = g_k - g_0 and E[:, k-1] = theta_k - theta_0."""
+    m = len(vectors) // 2
+    for half in range(0, out.shape[1], m):
+        first = vectors[half][lo:hi]
+        out[:, half + m - 1] = first
+        for k in range(1, m):
+            np.subtract(vectors[half + k][lo:hi], first, out=out[:, half + k - 1])
+
+
+def center_reports(reports) -> CenteredBatch:
+    """Write m reports into one buffer as worker 0 and the differences from it."""
+    vectors = _report_vectors(reports, "center_reports")
+    n = vectors[0].shape[0]
+    cols = np.empty((n, len(vectors)), order="F")
+    _write_rows(vectors, 0, n, cols)
     return CenteredBatch(cols)
 
 
-def difference_spectrum(batch: CenteredBatch, lam: float) -> GramSpectrum:
+class RowBlocks:
+    """[D | g_0 | E | theta_0] of one round, n rows for m workers, handed
+    out in row blocks of one reused Fortran-order scratch.  `fill(lo, hi,
+    out)` writes rows lo:hi into out's columns, the first m or all 2m.
+
+    A block has `block_rows(m)` rows, so the scratch takes ROW_BLOCK_BYTES
+    (up to m = 16) and the round's working set, beyond the reports, is that
+    scratch and the new n-vector."""
+
+    def __init__(self, n: int, m: int, fill: Callable):
+        self.n, self.m, self.fill = n, m, fill
+        self.scratch = np.empty((min(block_rows(m), max(n, 1)), 2 * m), order="F")
+
+    def blocks(self, width: int):
+        """One pass: yield (lo, hi, rows lo:hi of the first `width` columns).
+        An empty matrix still yields one block, with no rows."""
+        rows = self.scratch.shape[0]
+        for lo in range(0, max(self.n, 1), rows):
+            hi = min(lo + rows, self.n)
+            block = self.scratch[: hi - lo, :width]
+            self.fill(lo, hi, block)
+            yield lo, hi, block
+
+
+def block_rows(m: int) -> int:
+    """Rows per block: as many as fit 2m float64 columns in ROW_BLOCK_BYTES,
+    and at least MIN_BLOCK_ROWS."""
+    return max(MIN_BLOCK_ROWS, ROW_BLOCK_BYTES // (16 * m))
+
+
+def report_blocks(reports) -> RowBlocks:
+    """Row blocks written straight from the reports; their lengths are
+    checked here, before any pass reads them."""
+    vectors = _report_vectors(reports, "server_round")
+    return RowBlocks(vectors[0].shape[0], len(vectors) // 2, partial(_write_rows, vectors))
+
+
+def batch_blocks(batch: CenteredBatch) -> RowBlocks:
+    """Row blocks copied from a centered batch: the same numbers in the same
+    scratch as `report_blocks` of its reports, so every blocked sum over
+    them gives the same bits."""
+
+    def fill(lo, hi, out):
+        out[...] = batch.cols[lo:hi, : out.shape[1]]
+
+    return RowBlocks(batch.cols.shape[0], batch.m, fill)
+
+
+def difference_spectrum(rows: RowBlocks, lam: float) -> GramSpectrum:
     """Spectrum of the centered gradients at retention threshold lam.
 
     It is the spectrum of [D | g_0] B, with B = [S; 0]: the g_0 column
@@ -137,6 +216,9 @@ def difference_spectrum(batch: CenteredBatch, lam: float) -> GramSpectrum:
     Householder basis that maps e_1 to -1/sqrt(m), whose S = H[1:, :] is
     I - 11^T / (m + sqrt(m)).  `right` holds W = S V over the rows of D
     and a zero last row; `sigma` has the m - 1 singular values of D S.
+    The Gram matrix is summed over the row blocks of [D | g_0], one read
+    pass over the m gradients.  With m = 1, D has no columns and the
+    spectrum is empty: no pass, no Gram matrix and no eigensolve.
 
     The leading sigma_k >= max(lam, sqrt(m * eps)) * sigma_1 with sigma_k
     > 0 are retained (closed inequality), so lam > 1 forces j = 0, which
@@ -149,11 +231,13 @@ def difference_spectrum(batch: CenteredBatch, lam: float) -> GramSpectrum:
     """
     if lam <= 0.0:
         raise ValueError("lam must be positive")
-    m = batch.m
+    m = rows.m
+    if m == 1:
+        return GramSpectrum(np.empty(0), np.empty((1, 0)), 0, np.empty((0, 0)), 1.0)
     floor = np.sqrt(m * np.finfo(np.float64).eps)
     basis = np.zeros((m, m - 1))
     basis[:-1] = np.eye(m - 1) - 1.0 / (m + np.sqrt(m))
-    return gram_spectrum(batch.cols[:, :m], basis, max(lam, floor))
+    return gram_spectrum(lambda: (b for _, _, b in rows.blocks(m)), basis, max(lam, floor))
 
 
 def full_sigma(spec: GramSpectrum) -> np.ndarray:
@@ -162,27 +246,31 @@ def full_sigma(spec: GramSpectrum) -> np.ndarray:
     return np.append(spec.sigma, 0.0)
 
 
-def newton_step(batch: CenteredBatch, spec: GramSpectrum, tau: float) -> np.ndarray:
+def newton_step(rows: RowBlocks, spec: GramSpectrum, tau: float) -> np.ndarray:
     """theta_bar - tau * op(g_bar), taken in factored form from the
-    difference spectrum: one matrix-vector product over the whole buffer.
+    difference spectrum: one read pass over all 2m report vectors, one
+    matrix-vector product per row block.
 
     With j = 0 it is the averaged gradient step theta_bar - tau * g_bar,
     which is exactly theta - tau * g when every report is the same.
     """
-    j = spec.retained
+    m, j = rows.m, spec.retained
+    theta_new = np.empty(rows.n)
     if j == 0:
-        step = batch.g_bar
-        step *= tau
-        theta_new = batch.theta_bar
-        theta_new -= step
+        for lo, hi, block in rows.blocks(2 * m):
+            step = _mean(block[:, m - 1], block[:, : m - 1])
+            step *= tau
+            np.subtract(_mean(block[:, -1], block[:, m:-1]), step, out=theta_new[lo:hi])
         return theta_new
-    m = batch.m
     cbar = np.full(m - 1, 1.0 / m)
     w = spec.right[:-1, :j]
     dtg = spec.gram[:-1] @ np.append(cbar, 1.0)  # D^T g_bar / scale^2
     a = w @ ((w.T @ dtg) / (spec.sigma[:j] / spec.scale) ** 2)
     # theta_new = theta_0 - tau g_0 + E (cbar - tau a) - tau D (cbar - a)
-    return batch.cols @ np.concatenate([tau * (a - cbar), [-tau], cbar - tau * a, [1.0]])
+    coef = np.concatenate([tau * (a - cbar), [-tau], cbar - tau * a, [1.0]])
+    for lo, hi, block in rows.blocks(2 * m):
+        np.matmul(block, coef, out=theta_new[lo:hi])
+    return theta_new
 
 
 @dataclass(frozen=True)
@@ -212,7 +300,7 @@ def build_operator(batch: CenteredBatch, lam: float) -> InverseHessianOperator:
     Theta v_k for the right vector v_k = H V[:, k] of G.  Degenerate
     directions with ||D w_k|| = 0 are dropped.
     """
-    spec = difference_spectrum(batch, lam)
+    spec = difference_spectrum(batch_blocks(batch), lam)
     w = spec.right[:-1, : spec.retained]
     us = left_vectors(batch.d, w / spec.scale)
     j = us.shape[1]

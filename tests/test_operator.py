@@ -1,14 +1,18 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from distnewton import linalg, operator
 from distnewton.errors import DimensionMismatchError
 from distnewton.harness import server_round
 from distnewton.objectives import QuadraticObjective
 from distnewton.operator import (
     WorkerReport,
     apply,
+    block_rows,
     build_operator,
     center_reports,
     lr_cap,
@@ -251,6 +255,75 @@ def test_identical_reports_step_like_one_worker(m):
         theta_new, stats = server_round([WorkerReport(theta, g)] * m, lam, tau, False, "distnewton")
         assert stats.j == 0
         assert np.array_equal(theta_new, theta - tau * g)
+
+
+# --------------------------------------------------------- streamed round
+
+
+def test_single_worker_round_skips_gram_and_eigensolve(monkeypatch):
+    # with m = 1 there are no differences, so j = 0 is known without a Gram
+    def forbidden(*args):
+        raise AssertionError("m = 1 formed a Gram matrix or ran the eigensolver")
+
+    monkeypatch.setattr(linalg, "blocked_gram", forbidden)
+    monkeypatch.setattr(linalg, "sym_eig", forbidden)
+    rng = np.random.default_rng(13)
+    theta, g = rng.standard_normal(50), rng.standard_normal(50)
+    theta_new, stats = server_round([WorkerReport(theta, g)], 0.1, 0.7, False, "distnewton")
+    assert np.array_equal(theta_new, theta - 0.7 * g)
+    assert np.array_equal(stats.sigma, [0.0])
+    assert stats.j == 0
+
+
+def test_server_round_allocates_no_n_by_m_buffer():
+    # beyond theta_new and one row block, a round holds nothing of size n
+    n, m = 100_000, 8
+    rng = np.random.default_rng(14)
+    reports = [WorkerReport(rng.standard_normal(n), rng.standard_normal(n)) for _ in range(m)]
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        server_round(reports, 0.1, 0.01, False, "distnewton")
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 8 * n + 2 * 2**20, f"peak {peak / 1e6:.2f} MB"
+
+
+def multi_block_reports(m, seed):
+    """Reports over two full row blocks and a ragged tail."""
+    n = 2 * block_rows(m) + 123
+    rng = np.random.default_rng(seed)
+    return [WorkerReport(rng.standard_normal(n), rng.standard_normal(n)) for _ in range(m)]
+
+
+@pytest.mark.parametrize("m", [2, 5])
+def test_multi_block_round_agrees_with_explicit_operator(m):
+    reports = multi_block_reports(m, 15 + m)
+    theta_new, stats = server_round(reports, 0.1, 0.7, False, "distnewton")
+    batch = center_reports(reports)
+    op = build_operator(batch, 0.1)
+    assert stats.j == op.j > 0
+    assert np.array_equal(stats.sigma, op.sigma_full)
+    want = newton_update(op, batch.theta_bar, batch.g_bar, 0.7)
+    assert np.linalg.norm(theta_new - want) <= 1e-10 * np.linalg.norm(want - batch.theta_bar)
+
+    # the Gram of the blocks overflows: the blocked rerun keeps j and scales the step
+    c = 1e155
+    scaled = [WorkerReport(c * r.theta, c * r.grad) for r in reports]
+    theta_c, stats_c = server_round(scaled, 0.1, 0.7, False, "distnewton")
+    assert stats_c.j == stats.j
+    assert np.linalg.norm(theta_c / c - theta_new) <= 1e-12 * np.linalg.norm(theta_new)
+
+
+def test_wrong_length_report_rejected_before_any_pass(monkeypatch):
+    reports = multi_block_reports(3, 16)
+    reports.append(WorkerReport(np.ones(5), np.ones(5)))
+    writes = []
+    monkeypatch.setattr(operator, "_write_rows", lambda *args: writes.append(args))
+    with pytest.raises(DimensionMismatchError, match="report 3"):
+        server_round(reports, 0.1, 0.7, False, "distnewton")
+    assert writes == []
 
 
 # ----------------------------------------------------------------- apply
