@@ -20,17 +20,16 @@ import numpy as np
 
 from .config import ExperimentConfig
 from .data import Batch, load_idx, shard, synthetic_blobs
-from .errors import ConfigError, IdxFormatError
+from .errors import ConfigError, DimensionMismatchError, IdxFormatError
 from .objectives import MlpObjective, MlpSpec, QuadraticObjective, RosenbrockObjective
 from .operator import (
     WorkerReport,
     build_operator,  # noqa: F401  (not called here; perfbench times it under this name)
-    center_reports,  # noqa: F401  (not called here; perfbench times it under this name)
+    center_reports,
     difference_spectrum,
     full_sigma,
     lr_cap,
     newton_step,
-    report_blocks,
 )
 
 STATUS_COMPLETED = "completed"
@@ -139,15 +138,21 @@ def server_round(reports, lam, tau, use_lr_cap, aggregator):
     reports takes the quasi-Newton step in factored form (optionally
     capping tau at 1/sigma_max).  Nothing of size n is written but the
     new parameters and one cache-sized block.
-    sgd_average: plain parameter averaging, the baseline server.
+    sgd_average: plain parameter averaging, the baseline server, as a
+    running sum in one n-vector.
     """
     reports = list(reports)
     if not reports:
         raise ValueError("server_round: no reports")
     if aggregator == "sgd_average":
-        theta_new = np.mean(np.column_stack([r.theta for r in reports]), axis=1)
+        theta_new = reports[0].theta.copy()
+        for k, rep in enumerate(reports[1:], 1):
+            if rep.theta.shape != theta_new.shape:
+                raise DimensionMismatchError(f"server_round: report {k} has a different length")
+            theta_new += rep.theta
+        theta_new /= len(reports)
         return theta_new, RoundStats(np.empty(0), 0, tau)
-    rows = report_blocks(reports)
+    rows = center_reports(reports)
     spec = difference_spectrum(rows, lam)
     sigma = full_sigma(spec)
     tau_used = lr_cap(tau, float(sigma[0])) if use_lr_cap else tau

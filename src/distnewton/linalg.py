@@ -148,10 +148,9 @@ def gram_spectrum(blocks, basis, rank_tolerance: float) -> GramSpectrum:
     return GramSpectrum(sigma, basis @ eig.eigenvectors, retained, gm, scale)
 
 
-def left_vectors(mat, coefs) -> np.ndarray:
-    """The columns of mat @ coefs scaled to unit norm, as one Fortran-order
-    matrix, up to the first column of zero norm."""
-    w = fortran_matmul(mat, coefs)
+def unit_columns(w) -> np.ndarray:
+    """The columns of w scaled to unit norm in place, up to the first
+    column of zero norm."""
     norms = np.sqrt(np.einsum("ij,ij->j", w, w))
     zero = np.flatnonzero(norms == 0.0)
     if zero.size:
@@ -188,5 +187,5 @@ def thin_svd_via_gram(mat, rank_tolerance: float) -> ThinSvd:
     """
     g = as_matrix(mat)
     spec = gram_spectrum(lambda: (g,), np.eye(g.shape[1]), rank_tolerance)
-    u = left_vectors(g, spec.right[:, : spec.retained] / spec.scale)
+    u = unit_columns(fortran_matmul(g, spec.right[:, : spec.retained] / spec.scale))
     return ThinSvd(spec.sigma, spec.right, u)

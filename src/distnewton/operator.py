@@ -20,24 +20,21 @@ the coordinates of D.  The step is then
     theta_new = theta_bar - tau * (g_bar + (E - D) W Sigma^-2 W^T D^T g_bar),
 
 with theta_bar = theta_0 + E/m 1 and g_bar = g_0 + D/m 1, and D^T g_bar
-comes from the same Gram product as D^T D.  A round takes this in two
-read passes over the reports, in row blocks of about ROW_BLOCK_BYTES:
-the first writes each block of [D | g_0] into one reused scratch block
-and adds its Gram matrix into the m-by-m sum, the second writes each
-block of [D | g_0 | E | theta_0] into the same scratch and takes that
-block's rows of theta_new with one matrix-vector product.  Nothing of
-size n is written but theta_new and the one block.  `center_reports`
-writes the whole n-by-2m buffer with the same per-row code, and
-`build_operator` materialises U = D W Sigma^-1 and Y = E W from it, with
-the Gram matrix summed over the same row blocks, for callers that apply
-the operator to other vectors.
+comes from the same Gram product as D^T D.  Reports reach the server by
+one path: `center_reports` checks their lengths and hands them out as
+row blocks of [D | g_0 | E | theta_0], about ROW_BLOCK_BYTES each, written
+into one reused scratch block.  A round reads those blocks in two passes:
+the first adds each block's Gram matrix of [D | g_0] into the m-by-m sum,
+the second takes each block's rows of theta_new with one matrix-vector
+product, so nothing of size n is written but theta_new and the one block.
+`build_operator`, for callers that apply the operator to other vectors,
+reads the same spectrum from the same blocks and writes U = D W Sigma^-1
+and Y = E W in one more pass.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -45,10 +42,9 @@ from .errors import DimensionMismatchError
 from .linalg import (
     GramSpectrum,
     as_vector,
-    fortran_matmul,
     gram_spectrum,
-    left_vectors,
     thin_svd_via_gram,  # noqa: F401  (perfbench times the Gram route under this name)
+    unit_columns,
 )
 
 # Scratch bytes of one row block of [D | g_0 | E | theta_0]: small enough
@@ -77,68 +73,6 @@ class WorkerReport:
             )
 
 
-@dataclass(frozen=True)
-class CenteredBatch:
-    """m reports as differences from worker 0, in one n-by-2m Fortran-order
-    buffer whose columns are [D | g_0 | E | theta_0]: D[:, k-1] = g_k - g_0
-    and E[:, k-1] = theta_k - theta_0 for k = 1..m-1.  Every accessor is a
-    view of that buffer except the two means, computed on demand.  The
-    server round never builds one; `build_operator` reads it."""
-
-    cols: np.ndarray
-
-    @property
-    def m(self) -> int:
-        return self.cols.shape[1] // 2
-
-    @property
-    def d(self) -> np.ndarray:
-        return self.cols[:, : self.m - 1]
-
-    @property
-    def g0(self) -> np.ndarray:
-        return self.cols[:, self.m - 1]
-
-    @property
-    def e(self) -> np.ndarray:
-        return self.cols[:, self.m : -1]
-
-    @property
-    def theta0(self) -> np.ndarray:
-        return self.cols[:, -1]
-
-    @property
-    def theta_bar(self) -> np.ndarray:
-        return _mean(self.theta0, self.e)
-
-    @property
-    def g_bar(self) -> np.ndarray:
-        return _mean(self.g0, self.d)
-
-
-def _mean(first, diffs) -> np.ndarray:
-    """first + diffs 1/m, the mean of m reports, in one new n-vector."""
-    mean = diffs.sum(axis=1)
-    mean /= diffs.shape[1] + 1
-    mean += first
-    return mean
-
-
-def _report_vectors(reports, caller: str) -> list:
-    """The 2m vectors [g_0, ..., g_{m-1}, theta_0, ..., theta_{m-1}] of
-    the reports, checked to share one length."""
-    reports = list(reports)
-    if not reports:
-        raise ValueError(f"{caller}: empty report list")
-    n = reports[0].theta.shape[0]
-    for k, rep in enumerate(reports):
-        if rep.theta.shape[0] != n:
-            raise DimensionMismatchError(
-                f"{caller}: report {k} has dimension {rep.theta.shape[0]}, expected {n}"
-            )
-    return [r.grad for r in reports] + [r.theta for r in reports]
-
-
 def _write_rows(vectors, lo: int, hi: int, out) -> None:
     """Rows lo:hi of [D | g_0 | E | theta_0] into out, for as many of its
     2m columns as out has: m gives [D | g_0] alone.  One subtraction per
@@ -151,27 +85,19 @@ def _write_rows(vectors, lo: int, hi: int, out) -> None:
             np.subtract(vectors[half + k][lo:hi], first, out=out[:, half + k - 1])
 
 
-def center_reports(reports) -> CenteredBatch:
-    """Write m reports into one buffer as worker 0 and the differences from it."""
-    vectors = _report_vectors(reports, "center_reports")
-    n = vectors[0].shape[0]
-    cols = np.empty((n, len(vectors)), order="F")
-    _write_rows(vectors, 0, n, cols)
-    return CenteredBatch(cols)
-
-
 class RowBlocks:
-    """[D | g_0 | E | theta_0] of one round, n rows for m workers, handed
-    out in row blocks of one reused Fortran-order scratch.  `fill(lo, hi,
-    out)` writes rows lo:hi into out's columns, the first m or all 2m.
+    """[D | g_0 | E | theta_0] of one round, from the 2m report vectors
+    [g_0, ..., g_{m-1}, theta_0, ..., theta_{m-1}], handed out in row
+    blocks of one reused Fortran-order scratch.
 
     A block has `block_rows(m)` rows, so the scratch takes ROW_BLOCK_BYTES
     (up to m = 16) and the round's working set, beyond the reports, is that
     scratch and the new n-vector."""
 
-    def __init__(self, n: int, m: int, fill: Callable):
-        self.n, self.m, self.fill = n, m, fill
-        self.scratch = np.empty((min(block_rows(m), max(n, 1)), 2 * m), order="F")
+    def __init__(self, vectors: list):
+        self.vectors = vectors
+        self.n, self.m = vectors[0].shape[0], len(vectors) // 2
+        self.scratch = np.empty((min(block_rows(self.m), max(self.n, 1)), 2 * self.m), order="F")
 
     def blocks(self, width: int):
         """One pass: yield (lo, hi, rows lo:hi of the first `width` columns).
@@ -180,7 +106,7 @@ class RowBlocks:
         for lo in range(0, max(self.n, 1), rows):
             hi = min(lo + rows, self.n)
             block = self.scratch[: hi - lo, :width]
-            self.fill(lo, hi, block)
+            _write_rows(self.vectors, lo, hi, block)
             yield lo, hi, block
 
 
@@ -190,22 +116,19 @@ def block_rows(m: int) -> int:
     return max(MIN_BLOCK_ROWS, ROW_BLOCK_BYTES // (16 * m))
 
 
-def report_blocks(reports) -> RowBlocks:
-    """Row blocks written straight from the reports; their lengths are
-    checked here, before any pass reads them."""
-    vectors = _report_vectors(reports, "server_round")
-    return RowBlocks(vectors[0].shape[0], len(vectors) // 2, partial(_write_rows, vectors))
-
-
-def batch_blocks(batch: CenteredBatch) -> RowBlocks:
-    """Row blocks copied from a centered batch: the same numbers in the same
-    scratch as `report_blocks` of its reports, so every blocked sum over
-    them gives the same bits."""
-
-    def fill(lo, hi, out):
-        out[...] = batch.cols[lo:hi, : out.shape[1]]
-
-    return RowBlocks(batch.cols.shape[0], batch.m, fill)
+def center_reports(reports) -> RowBlocks:
+    """The reports as worker 0 and the differences from it, in row blocks.
+    Their lengths are checked here, before any pass reads them."""
+    reports = list(reports)
+    if not reports:
+        raise ValueError("center_reports: empty report list")
+    n = reports[0].theta.shape[0]
+    for k, rep in enumerate(reports):
+        if rep.theta.shape[0] != n:
+            raise DimensionMismatchError(
+                f"center_reports: report {k} has dimension {rep.theta.shape[0]}, expected {n}"
+            )
+    return RowBlocks([r.grad for r in reports] + [r.theta for r in reports])
 
 
 def difference_spectrum(rows: RowBlocks, lam: float) -> GramSpectrum:
@@ -244,6 +167,14 @@ def full_sigma(spec: GramSpectrum) -> np.ndarray:
     """All m singular values of the centered gradients: those of D S and
     an exact 0 for the ones direction."""
     return np.append(spec.sigma, 0.0)
+
+
+def _mean(first, diffs) -> np.ndarray:
+    """first + diffs 1/m, the mean of m reports, in one new n-vector."""
+    mean = diffs.sum(axis=1)
+    mean /= diffs.shape[1] + 1
+    mean += first
+    return mean
 
 
 def newton_step(rows: RowBlocks, spec: GramSpectrum, tau: float) -> np.ndarray:
@@ -292,20 +223,27 @@ class InverseHessianOperator:
         return int(self.sigmas.shape[0])
 
 
-def build_operator(batch: CenteredBatch, lam: float) -> InverseHessianOperator:
-    """Build the explicit operator from a centered batch at retention
-    threshold lam (see `difference_spectrum` for the retention rule).
+def build_operator(rows: RowBlocks, lam: float) -> InverseHessianOperator:
+    """Build the explicit operator from the row blocks of `center_reports`
+    at retention threshold lam (see `difference_spectrum` for the retention
+    rule), so that its spectrum is the round's.
 
     us holds u_k = D w_k / ||D w_k|| and ys holds y_k = E w_k, which is
-    Theta v_k for the right vector v_k = H V[:, k] of G.  Degenerate
-    directions with ||D w_k|| = 0 are dropped.
+    Theta v_k for the right vector v_k = H V[:, k] of G; both are written
+    block by block in one more pass.  Degenerate directions with
+    ||D w_k|| = 0 are dropped.
     """
-    spec = difference_spectrum(batch_blocks(batch), lam)
-    w = spec.right[:-1, : spec.retained]
-    us = left_vectors(batch.d, w / spec.scale)
+    spec = difference_spectrum(rows, lam)
+    m, w = rows.m, spec.right[:-1, : spec.retained]
+    wu = w / spec.scale
+    us = np.empty((rows.n, spec.retained), order="F")
+    ys = np.empty((rows.n, spec.retained), order="F")
+    for lo, hi, block in rows.blocks(2 * m):
+        us[lo:hi] = block[:, : m - 1] @ wu
+        ys[lo:hi] = block[:, m:-1] @ w
+    us = unit_columns(us)
     j = us.shape[1]
-    ys = fortran_matmul(batch.e, w[:, :j])
-    return InverseHessianOperator(spec.sigma[:j], us, ys, full_sigma(spec))
+    return InverseHessianOperator(spec.sigma[:j], us, ys[:, :j], full_sigma(spec))
 
 
 def apply(op: InverseHessianOperator, z) -> np.ndarray:

@@ -63,6 +63,14 @@ def centered(reports):
     return center(thetas), center(grads)
 
 
+def report_means(reports):
+    """The mean parameters and the mean gradient of the reports."""
+    return (
+        np.mean([r.theta for r in reports], axis=0),
+        np.mean([r.grad for r in reports], axis=0),
+    )
+
+
 def newton_step_oracle(a, theta_bar, g_bar):
     """Exact Newton step for a quadratic with Hessian a: direct solve."""
     return theta_bar - np.linalg.solve(a, g_bar)

@@ -45,7 +45,7 @@ from distnewton.operator import (
 )
 from distnewton.linalg import thin_svd_via_gram
 
-from oracles import centered, singular_values_oracle
+from oracles import centered, report_means, singular_values_oracle
 
 MNIST_ENV = "DISTNEWTON_MNIST_DIR"
 
@@ -64,20 +64,20 @@ def _one_step_newton():
     for _ in range(9):
         theta = quad.theta_star + rng.standard_normal(8)
         reports.append(WorkerReport(theta, quad.gradient(theta)))
-    batch = center_reports(reports)
-    op = build_operator(batch, 1e-6)
-    theta_new = newton_update(op, batch.theta_bar, batch.g_bar, 1.0)
-    return quad, batch, theta_new
+    means = report_means(reports)
+    op = build_operator(center_reports(reports), 1e-6)
+    theta_new = newton_update(op, *means, 1.0)
+    return quad, means, theta_new
 
 
 def test_criterion_1_exact_quadratic_one_step_newton():
     tic = time.perf_counter()
-    quad, batch, theta_new = _one_step_newton()
+    quad, (theta_bar, g_bar), theta_new = _one_step_newton()
     err = np.linalg.norm(theta_new - quad.theta_star)
-    bound = 1e-8 * (np.linalg.norm(batch.theta_bar - quad.theta_star) + 1.0)
+    bound = 1e-8 * (np.linalg.norm(theta_bar - quad.theta_star) + 1.0)
     assert err <= bound
     # independent oracle: dense direct solve of A d = g_bar
-    oracle = batch.theta_bar - np.linalg.solve(quad.a, batch.g_bar)
+    oracle = theta_bar - np.linalg.solve(quad.a, g_bar)
     assert np.linalg.norm(theta_new - oracle) <= bound
     elapsed = time.perf_counter() - tic
     assert elapsed < 1.0

@@ -1,3 +1,4 @@
+import importlib
 from dataclasses import replace
 from pathlib import Path
 
@@ -6,6 +7,7 @@ import pytest
 
 from distnewton.config import ExperimentConfig, load_config
 from distnewton.data import shard, synthetic_blobs
+from distnewton.errors import DimensionMismatchError
 from distnewton.harness import (
     STATUS_COMPLETED,
     STATUS_DIVERGED,
@@ -136,6 +138,21 @@ def test_server_round_exact_quadratic_newton():
 def test_server_round_rejects_empty():
     with pytest.raises(ValueError):
         server_round([], 0.1, 0.1, False, "distnewton")
+
+
+def test_server_round_average_rejects_mismatched_lengths():
+    # a length-1 report must not broadcast into the running sum
+    reports = [WorkerReport([1.0, 2.0], [0.0, 0.0]), WorkerReport([1.0], [0.0])]
+    with pytest.raises(DimensionMismatchError, match="report 1"):
+        server_round(reports, 0.1, 0.1, False, "sgd_average")
+
+
+def test_benchmark_tracer_finds_every_target(monkeypatch):
+    # the benchmark's traced run wraps these names: a rename in src/ would break it
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    with workloads.layer_tracer().installed():
+        pass
 
 
 # --------------------------------------------------------- epoch planning

@@ -19,7 +19,7 @@ from distnewton.operator import (
     newton_update,
 )
 
-from oracles import centered, newton_step_oracle, random_spanning_reports
+from oracles import centered, newton_step_oracle, random_spanning_reports, report_means
 
 
 def quadratic_reports(a, thetas, theta_star=None):
@@ -39,13 +39,18 @@ def random_batch(rng, n, m):
     return center_reports(reports)
 
 
-def batch_centered(batch):
+def stacked(rows):
+    """One pass of row blocks stacked into the n x 2m matrix [D | g_0 | E | theta_0]."""
+    return np.vstack([block.copy() for _, _, block in rows.blocks(2 * rows.m)])
+
+
+def batch_centered(rows):
     """The centered matrices [0 | E] P and [0 | D] P, with P = I - 11^T/m,
-    rebuilt from a batch's differences."""
-    n, m = batch.theta0.shape[0], batch.m
+    rebuilt from the differences in one pass of row blocks."""
+    cols, m = stacked(rows), rows.m
     p = np.eye(m) - 1.0 / m
-    zero = np.zeros((n, 1))
-    return np.hstack([zero, batch.e]) @ p, np.hstack([zero, batch.d]) @ p
+    zero = np.zeros((rows.n, 1))
+    return np.hstack([zero, cols[:, m:-1]]) @ p, np.hstack([zero, cols[:, : m - 1]]) @ p
 
 
 # -------------------------------------------------------- center_reports
@@ -54,8 +59,6 @@ def batch_centered(batch):
 def test_center_single_report():
     rep = WorkerReport([1.0, 2.0], [3.0, 4.0])
     batch = center_reports([rep])
-    assert np.array_equal(batch.theta_bar, [1.0, 2.0])
-    assert np.array_equal(batch.g_bar, [3.0, 4.0])
     for got, want in zip(batch_centered(batch), centered([rep])):
         assert np.array_equal(got, np.zeros((2, 1)))
         assert np.array_equal(want, np.zeros((2, 1)))
@@ -64,7 +67,6 @@ def test_center_single_report():
 def test_center_two_symmetric_reports():
     reports = [WorkerReport([0.0, 0.0], [0.0, 0.0]), WorkerReport([2.0, 0.0], [0.0, 0.0])]
     batch = center_reports(reports)
-    assert np.array_equal(batch.theta_bar, [1.0, 0.0])
     for big_theta in (batch_centered(batch)[0], centered(reports)[0]):
         assert np.array_equal(big_theta[:, 0], [-1.0, 0.0])
         assert np.array_equal(big_theta[:, 1], [1.0, 0.0])
@@ -74,10 +76,10 @@ def test_center_three_reports_hand_oracle():
     thetas = [[1.0, 0.0], [0.0, 1.0], [2.0, 2.0]]
     reports = [WorkerReport(t, [0.0, 0.0]) for t in thetas]
     batch = center_reports(reports)
-    assert np.array_equal(batch.theta_bar, [1.0, 1.0])
-    assert np.array_equal(batch.theta0, [1.0, 0.0])
-    assert np.array_equal(batch.e, [[-1.0, 1.0], [1.0, 2.0]])
-    assert batch.cols.flags.f_contiguous
+    cols = stacked(batch)
+    assert np.array_equal(cols[:, -1], [1.0, 0.0])
+    assert np.array_equal(cols[:, 3:-1], [[-1.0, 1.0], [1.0, 2.0]])
+    assert all(block.flags.f_contiguous for _, _, block in batch.blocks(6))
     want = np.array([[0.0, -1.0, 1.0], [-1.0, 0.0, 1.0]])
     assert np.allclose(batch_centered(batch)[0], want)
     assert np.allclose(centered(reports)[0], want)
@@ -173,8 +175,7 @@ def test_retention_respects_threshold():
 def svd_reference_step(reports, lam, tau):
     """The quasi-Newton step rebuilt from np.linalg.svd of the centered G."""
     big_theta, big_g = centered(reports)
-    theta_bar = np.mean([r.theta for r in reports], axis=0)
-    g_bar = np.mean([r.grad for r in reports], axis=0)
+    theta_bar, g_bar = report_means(reports)
     u, s, vt = np.linalg.svd(big_g, full_matrices=False)
     ratios = s / s[0] if s[0] > 0.0 else np.zeros_like(s)
     j = int(np.count_nonzero(ratios >= lam))
@@ -197,6 +198,7 @@ def test_operator_contracts_on_degenerate_batches(m, distinct, n, lam, seed):
     # distinct < m, identical reports (sigma = 0) when distinct == 1
     reports = degenerate_reports(np.random.default_rng(seed), m, distinct, n, False)
     batch = center_reports(reports)
+    theta_bar, g_bar = report_means(reports)
     want, j_ref, ratios = svd_reference_step(reports, lam, 0.7)
     # the retention rule is only well defined away from its threshold
     assume(not np.any((ratios > 0.8 * lam) & (ratios < 1.25 * lam)))
@@ -207,8 +209,8 @@ def test_operator_contracts_on_degenerate_batches(m, distinct, n, lam, seed):
     assert op.us.shape == (n, op.j)
     assert op.us.flags.f_contiguous
     assert np.max(np.abs(op.us.T @ op.us - np.eye(op.j)), initial=0.0) <= 1e-10
-    got = newton_update(op, batch.theta_bar, batch.g_bar, 0.7)
-    step = np.linalg.norm(want - batch.theta_bar)
+    got = newton_update(op, theta_bar, g_bar, 0.7)
+    step = np.linalg.norm(want - theta_bar)
     assert np.linalg.norm(got - want) <= 1e-8 * step
 
 
@@ -241,8 +243,9 @@ def test_server_round_agrees_with_explicit_operator(m, distinct, collinear, n, l
     assert stats.j == op.j
     assert np.array_equal(stats.sigma, op.sigma_full)
     assert stats.sigma.shape == (m,) and stats.sigma[-1] == 0.0
-    want = newton_update(op, batch.theta_bar, batch.g_bar, 0.7)
-    assert np.linalg.norm(theta_new - want) <= 1e-10 * np.linalg.norm(want - batch.theta_bar)
+    theta_bar, g_bar = report_means(reports)
+    want = newton_update(op, theta_bar, g_bar, 0.7)
+    assert np.linalg.norm(theta_new - want) <= 1e-10 * np.linalg.norm(want - theta_bar)
 
 
 @pytest.mark.parametrize("m", range(1, 10))
@@ -275,19 +278,39 @@ def test_single_worker_round_skips_gram_and_eigensolve(monkeypatch):
     assert stats.j == 0
 
 
-def test_server_round_allocates_no_n_by_m_buffer():
-    # beyond theta_new and one row block, a round holds nothing of size n
-    n, m = 100_000, 8
-    rng = np.random.default_rng(14)
-    reports = [WorkerReport(rng.standard_normal(n), rng.standard_normal(n)) for _ in range(m)]
+def traced_peak(fn):
+    """fn() and the tracemalloc peak of the call, in bytes."""
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        server_round(reports, 0.1, 0.01, False, "distnewton")
+        out = fn()
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
+    return out, peak
+
+
+def large_reports(n, m, seed):
+    rng = np.random.default_rng(seed)
+    return [WorkerReport(rng.standard_normal(n), rng.standard_normal(n)) for _ in range(m)]
+
+
+@pytest.mark.parametrize("aggregator", ["distnewton", "sgd_average"])
+def test_server_round_allocates_no_n_by_m_buffer(aggregator):
+    # beyond theta_new and one row block, a round holds nothing of size n
+    n = 100_000
+    reports = large_reports(n, 8, 14)
+    _, peak = traced_peak(lambda: server_round(reports, 0.1, 0.01, False, aggregator))
     assert peak <= 4 * 8 * n + 2 * 2**20, f"peak {peak / 1e6:.2f} MB"
+
+
+def test_build_operator_allocates_only_its_vectors():
+    # us and ys are written block by block: O(jn), with no n x m buffer
+    n = 100_000
+    reports = large_reports(n, 8, 14)
+    op, peak = traced_peak(lambda: build_operator(center_reports(reports), 0.1))
+    assert op.j == 7
+    assert peak <= (2 * op.j + 1) * 8 * n + 2 * 2**20, f"peak {peak / 1e6:.2f} MB"
 
 
 def multi_block_reports(m, seed):
@@ -305,8 +328,9 @@ def test_multi_block_round_agrees_with_explicit_operator(m):
     op = build_operator(batch, 0.1)
     assert stats.j == op.j > 0
     assert np.array_equal(stats.sigma, op.sigma_full)
-    want = newton_update(op, batch.theta_bar, batch.g_bar, 0.7)
-    assert np.linalg.norm(theta_new - want) <= 1e-10 * np.linalg.norm(want - batch.theta_bar)
+    theta_bar, g_bar = report_means(reports)
+    want = newton_update(op, theta_bar, g_bar, 0.7)
+    assert np.linalg.norm(theta_new - want) <= 1e-10 * np.linalg.norm(want - theta_bar)
 
     # the Gram of the blocks overflows: the blocked rerun keeps j and scales the step
     c = 1e155
@@ -408,8 +432,9 @@ def test_newton_update_rank_zero_is_sgd_step():
     batch = center_reports(reports)
     op = build_operator(batch, 0.1)
     assert op.j == 0
-    out = newton_update(op, batch.theta_bar, batch.g_bar, 0.3)
-    assert np.allclose(out, batch.theta_bar - 0.3 * batch.g_bar, atol=1e-15)
+    theta_bar, g_bar = report_means(reports)
+    out = newton_update(op, theta_bar, g_bar, 0.3)
+    assert np.allclose(out, theta_bar - 0.3 * g_bar, atol=1e-15)
 
 
 def test_newton_update_zero_gradient_is_stationary():
@@ -439,8 +464,9 @@ def test_newton_update_matches_direct_solve_oracle():
         # the smallest genuine relative singular value of the centered batch
         op = build_operator(batch, 1e-6)
         assert op.j == n
-        got = newton_update(op, batch.theta_bar, batch.g_bar, 1.0)
-        want = newton_step_oracle(quad.a, batch.theta_bar, batch.g_bar)
+        theta_bar, g_bar = report_means(reports)
+        got = newton_update(op, theta_bar, g_bar, 1.0)
+        want = newton_step_oracle(quad.a, theta_bar, g_bar)
         assert np.linalg.norm(got - want) <= 1e-8 * (np.linalg.norm(want) + 1.0)
 
 
@@ -468,8 +494,6 @@ def test_worker_order_invariance():
     perm = rng.permutation(6)
     base = center_reports(reports)
     shuffled = center_reports([reports[i] for i in perm])
-    assert np.allclose(base.theta_bar, shuffled.theta_bar, atol=1e-12)
-    assert np.allclose(base.g_bar, shuffled.g_bar, atol=1e-12)
     op1 = build_operator(base, 0.1)
     op2 = build_operator(shuffled, 0.1)
     for _ in range(5):
