@@ -102,7 +102,8 @@ class GramSpectrum:
     sigma_k are those with sigma_k > 0 and sigma_k >= rank_tolerance *
     sigma_1.  `gram` is M^T M / scale^2, which is finite: `scale` is 1
     unless M^T M overflowed, and then the max-abs entry of M.  A caller
-    that knows the spectrum is empty (q = 0) may leave `gram` 0-by-0.
+    that knows the spectrum is empty (q = 0) may skip the sum and give a
+    p-by-p zero `gram`, so that code reading it needs no case for q = 0.
     """
 
     sigma: np.ndarray

@@ -20,13 +20,18 @@ the coordinates of D.  The step is then
     theta_new = theta_bar - tau * (g_bar + (E - D) W Sigma^-2 W^T D^T g_bar),
 
 with theta_bar = theta_0 + E/m 1 and g_bar = g_0 + D/m 1, and D^T g_bar
-comes from the same Gram product as D^T D.  Reports reach the server by
+comes from the same Gram product as D^T D.  Expanded, for every j, it is
+theta_new = theta_0 - tau * g_0 + [D | E] c with c = [tau (a - cbar),
+cbar - tau a], cbar = 1/m and a = W Sigma^-2 W^T D^T g_bar: j = 0 is
+a = 0, c = [-tau cbar, cbar], and zero spread (D = E = 0) leaves exactly
+theta_0 - tau * g_0.  Reports reach the server by
 one path: `center_reports` checks their lengths and hands them out as
 row blocks of [D | g_0 | E | theta_0], about ROW_BLOCK_BYTES each, written
 into one reused scratch block.  A round reads those blocks in two passes:
 the first adds each block's Gram matrix of [D | g_0] into the m-by-m sum,
 the second takes each block's rows of theta_new with one matrix-vector
-product, so nothing of size n is written but theta_new and the one block.
+product and adds worker 0's pair, so nothing of size n is written but
+theta_new and the one block.
 `build_operator`, for callers that apply the operator to other vectors,
 reads the same spectrum from the same blocks and writes U = D W Sigma^-1
 and Y = E W in one more pass.
@@ -141,7 +146,8 @@ def difference_spectrum(rows: RowBlocks, lam: float) -> GramSpectrum:
     and a zero last row; `sigma` has the m - 1 singular values of D S.
     The Gram matrix is summed over the row blocks of [D | g_0], one read
     pass over the m gradients.  With m = 1, D has no columns and the
-    spectrum is empty: no pass, no Gram matrix and no eigensolve.
+    spectrum is empty: no pass, no Gram matrix and no eigensolve, and
+    `gram` is a 1-by-1 zero, which `newton_step` reads like any other.
 
     The leading sigma_k >= max(lam, sqrt(m * eps)) * sigma_1 with sigma_k
     > 0 are retained (closed inequality), so lam > 1 forces j = 0, which
@@ -156,7 +162,7 @@ def difference_spectrum(rows: RowBlocks, lam: float) -> GramSpectrum:
         raise ValueError("lam must be positive")
     m = rows.m
     if m == 1:
-        return GramSpectrum(np.empty(0), np.empty((1, 0)), 0, np.empty((0, 0)), 1.0)
+        return GramSpectrum(np.empty(0), np.empty((1, 0)), 0, np.zeros((1, 1)), 1.0)
     floor = np.sqrt(m * np.finfo(np.float64).eps)
     basis = np.zeros((m, m - 1))
     basis[:-1] = np.eye(m - 1) - 1.0 / (m + np.sqrt(m))
@@ -169,38 +175,30 @@ def full_sigma(spec: GramSpectrum) -> np.ndarray:
     return np.append(spec.sigma, 0.0)
 
 
-def _mean(first, diffs) -> np.ndarray:
-    """first + diffs 1/m, the mean of m reports, in one new n-vector."""
-    mean = diffs.sum(axis=1)
-    mean /= diffs.shape[1] + 1
-    mean += first
-    return mean
-
-
 def newton_step(rows: RowBlocks, spec: GramSpectrum, tau: float) -> np.ndarray:
     """theta_bar - tau * op(g_bar), taken in factored form from the
     difference spectrum: one read pass over all 2m report vectors, one
     matrix-vector product per row block.
 
-    With j = 0 it is the averaged gradient step theta_bar - tau * g_bar,
-    which is exactly theta - tau * g when every report is the same.
+    Each block's rows are theta_0 - tau * g_0 + [D | E] c for every m and
+    j, with j = 0 as c = [-tau cbar, cbar], the averaged gradient step.
+    Worker 0's pair is added after the product, so identical reports
+    (D = E = 0) step exactly to theta - tau * g.
     """
     m, j = rows.m, spec.retained
-    theta_new = np.empty(rows.n)
-    if j == 0:
-        for lo, hi, block in rows.blocks(2 * m):
-            step = _mean(block[:, m - 1], block[:, : m - 1])
-            step *= tau
-            np.subtract(_mean(block[:, -1], block[:, m:-1]), step, out=theta_new[lo:hi])
-        return theta_new
     cbar = np.full(m - 1, 1.0 / m)
     w = spec.right[:-1, :j]
     dtg = spec.gram[:-1] @ np.append(cbar, 1.0)  # D^T g_bar / scale^2
     a = w @ ((w.T @ dtg) / (spec.sigma[:j] / spec.scale) ** 2)
-    # theta_new = theta_0 - tau g_0 + E (cbar - tau a) - tau D (cbar - a)
-    coef = np.concatenate([tau * (a - cbar), [-tau], cbar - tau * a, [1.0]])
+    # zero on worker 0's columns, which are added after the product
+    coef = np.concatenate([tau * (a - cbar), [0.0], cbar - tau * a, [0.0]])
+    theta_new = np.empty(rows.n)
     for lo, hi, block in rows.blocks(2 * m):
-        np.matmul(block, coef, out=theta_new[lo:hi])
+        out = theta_new[lo:hi]
+        np.matmul(block, coef, out=out)
+        block[:, m - 1] *= tau  # the scratch's g_0 column: the next block rewrites it
+        out -= block[:, m - 1]
+        out += block[:, -1]
     return theta_new
 
 
@@ -253,8 +251,6 @@ def apply(op: InverseHessianOperator, z) -> np.ndarray:
         raise DimensionMismatchError(
             f"apply: vector has length {z.shape[0]}, operator expects {op.us.shape[0]}"
         )
-    if op.j == 0:
-        return z.copy()
     alpha = op.us.T @ z
     return z - op.us @ alpha + op.ys @ (alpha / op.sigmas)
 

@@ -19,7 +19,7 @@ from distnewton.harness import (
     worker_round,
 )
 from distnewton.objectives import QuadraticObjective
-from distnewton.operator import WorkerReport
+from distnewton.operator import WorkerReport, block_rows
 
 PRESETS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.cfg"))
 
@@ -115,9 +115,13 @@ def test_server_round_average_aggregator():
     assert stats.sigma.size == 0
 
 
-def test_server_round_sgd_mode_matches_reference():
+@pytest.mark.parametrize("m", [2, 5, 9])
+def test_server_round_sgd_mode_matches_reference(m):
+    # n spans more than one row block, so the j = 0 step crosses block edges
+    n = 70_000
+    assert n > block_rows(m)
     rng = np.random.default_rng(2)
-    reports = [WorkerReport(rng.standard_normal(12), rng.standard_normal(12)) for _ in range(5)]
+    reports = [WorkerReport(rng.standard_normal(n), rng.standard_normal(n)) for _ in range(m)]
     theta, stats = server_round(reports, 2.0, 0.3, False, "distnewton")
     thetas = np.column_stack([r.theta for r in reports])
     grads = np.column_stack([r.grad for r in reports])

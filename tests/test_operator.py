@@ -304,6 +304,15 @@ def test_server_round_allocates_no_n_by_m_buffer(aggregator):
     assert peak <= 4 * 8 * n + 2 * 2**20, f"peak {peak / 1e6:.2f} MB"
 
 
+def test_single_worker_round_allocates_one_block_and_the_step():
+    # at m = 1 and the train_m1 size, one block holds all n rows: the round
+    # writes that block (2n) and theta_new (n), and no mean vectors
+    n = 25_450
+    reports = large_reports(n, 1, 15)
+    _, peak = traced_peak(lambda: server_round(reports, 0.1, 0.01, False, "distnewton"))
+    assert peak <= 4.1 * 8 * n, f"peak {peak / (8 * n):.2f} x 8n"
+
+
 def test_build_operator_allocates_only_its_vectors():
     # us and ys are written block by block: O(jn), with no n x m buffer
     n = 100_000
@@ -402,6 +411,31 @@ def test_apply_secant_subspace_identity():
             want = op.ys[:, k]                     # = Theta v_k
             got = apply(op, zin)
             assert np.linalg.norm(got - want) <= 1e-8 * max(np.linalg.norm(want), 1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(2, 29),
+    st.floats(0.0, 6.0),
+    st.integers(2, 39),
+    st.integers(0, 2**31 - 1),
+)
+def test_secant_residual_on_exact_quadratics(dim, log_kappa, m, seed):
+    # exact gradients give G = A Theta, so A y_k = sigma_k u_k up to rounding:
+    # the Gram route resolves u_k to about eps * sigma_1 / sigma_k, and A
+    # magnifies that by at most kappa(A).  Seeded probes over these ranges
+    # (dim 2-29, kappa <= 1e6, m 2-39, lambda 1e-8) put the worst ratio to
+    # eps * kappa * sigma_1 / sigma_k at 1e2 to 2e3, so c = 1e4 leaves a
+    # margin of at least 5.
+    kappa = 10.0**log_kappa
+    quad = QuadraticObjective.seeded(dim, condition=kappa, seed=seed)
+    reports = random_spanning_reports(quad.a, quad.theta_star, np.zeros(dim), m, seed)
+    op = build_operator(center_reports(reports), 1e-8)
+    eps = np.finfo(np.float64).eps
+    for k in range(op.j):
+        sigma = op.sigmas[k]
+        residual = np.linalg.norm(quad.a @ op.ys[:, k] - sigma * op.us[:, k]) / sigma
+        assert residual <= 1e4 * eps * kappa * op.sigmas[0] / sigma
 
 
 @settings(max_examples=25, deadline=None)
