@@ -111,7 +111,10 @@ def _write_outputs(out_dir: Path, results, base_cfg: ExperimentConfig, cell_cfgs
 
 
 def _load_and_override(args) -> ExperimentConfig:
-    cfg = load_config(args.config)
+    try:
+        cfg = load_config(args.config)
+    except (OSError, UnicodeDecodeError) as exc:  # missing, a directory, not UTF-8
+        raise ConfigError("--config", f"cannot read {args.config}: {exc}") from None
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
     cfg.validate()
@@ -250,7 +253,7 @@ def main(argv=None) -> int:
         return EXIT_OK if exc.code == 0 else EXIT_CONFIG
     try:
         return args.func(args)
-    except (ConfigError, FileNotFoundError) as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except Exception:

@@ -21,86 +21,66 @@ OBJECTIVES = ("quadratic", "rosenbrock", "mlp")
 DATA_KINDS = ("synthetic", "mnist")
 
 
-def setting(key: str, default):
-    """A config field that reads and writes under the dotted `key`."""
-    return field(default=default, metadata={"key": key})
+# rule name -> (test of a value against the rule's bound, message): an
+# allowed set, inclusive and exclusive lower bounds, an inclusive upper bound
+_RULES = {
+    "choices": (lambda v, c: v in c, "must be one of {}"),
+    "ge": (lambda v, b: v >= b, "must be >= {}"),
+    "gt": (lambda v, b: v > b, "must be > {}"),
+    "le": (lambda v, b: v <= b, "must be <= {}"),
+}
+
+
+def setting(key: str, default, **rules):
+    """A config field that reads and writes under the dotted `key` and is held
+    to `rules`: `choices`, `ge`, `gt` and `le`, as named in _RULES."""
+    return field(default=default, metadata={"key": key, "rules": rules})
 
 
 @dataclass
 class ExperimentConfig:
-    objective_kind: str = setting("objective.kind", "mlp")
+    objective_kind: str = setting("objective.kind", "mlp", choices=OBJECTIVES)
     mlp_layers: tuple = setting("objective.layers", (784, 32, 10))
-    activation: str = setting("objective.activation", "tanh")
-    objective_dim: int = setting("objective.dim", 8)
-    quad_condition: float = setting("objective.condition", 100.0)
-    objective_seed: int = setting("objective.seed", 0)
-    data_kind: str = setting("data.kind", "synthetic")
+    activation: str = setting("objective.activation", "tanh", choices=("tanh", "relu"))
+    objective_dim: int = setting("objective.dim", 8, ge=1)
+    quad_condition: float = setting("objective.condition", 100.0, ge=1)
+    objective_seed: int = setting("objective.seed", 0, ge=0)
+    data_kind: str = setting("data.kind", "synthetic", choices=DATA_KINDS)
     data_images: str = setting("data.images", "")
     data_labels: str = setting("data.labels", "")
-    data_samples: int = setting("data.samples", 5000)
+    data_samples: int = setting("data.samples", 5000, ge=1)
     synth_spread: float = setting("data.spread", 0.08)
-    synth_density: float = setting("data.density", 1.0)
-    synth_seed: int = setting("data.seed", 1234)
-    m: int = setting("harness.m", 4)
-    local_steps: int = setting("harness.local_steps", 1)
-    local_lr: float = setting("harness.local_lr", 0.01)
-    server_tau: float = setting("harness.tau", 0.01)
-    epochs: int = setting("harness.epochs", 20)
+    synth_density: float = setting("data.density", 1.0, gt=0, le=1)
+    synth_seed: int = setting("data.seed", 1234, ge=0)
+    m: int = setting("harness.m", 4, ge=1)
+    local_steps: int = setting("harness.local_steps", 1, ge=1)
+    local_lr: float = setting("harness.local_lr", 0.01, gt=0)
+    server_tau: float = setting("harness.tau", 0.01, gt=0)
+    epochs: int = setting("harness.epochs", 20, ge=0)
     global_batch: int = setting("harness.global_batch", 256)
-    seed: int = setting("harness.seed", 0)
-    aggregator: str = setting("harness.aggregator", "distnewton")
-    worker_jitter: float = setting("harness.jitter", 0.0)
-    lam: float = setting("operator.lambda", DEFAULT_LAMBDA)
+    seed: int = setting("harness.seed", 0, ge=0)
+    aggregator: str = setting("harness.aggregator", "distnewton", choices=AGGREGATORS)
+    worker_jitter: float = setting("harness.jitter", 0.0, ge=0)
+    lam: float = setting("operator.lambda", DEFAULT_LAMBDA, gt=0)
     use_lr_cap: bool = setting("operator.lr_cap", False)
 
     def validate(self):
         for f in fields(self):
-            if type(f.default) is float and not math.isfinite(getattr(self, f.name)):
-                raise ConfigError(f.metadata["key"], "must be finite")
-        if self.objective_kind not in OBJECTIVES:
-            raise ConfigError("objective.kind", f"must be one of {OBJECTIVES}")
-        if self.activation not in ("tanh", "relu"):
-            raise ConfigError("objective.activation", "must be 'tanh' or 'relu'")
+            key, value = f.metadata["key"], getattr(self, f.name)
+            if type(f.default) is float and not math.isfinite(value):
+                raise ConfigError(key, "must be finite")
+            for rule, bound in f.metadata["rules"].items():
+                test, message = _RULES[rule]
+                if not test(value, bound):
+                    raise ConfigError(key, message.format(bound))
         if len(self.mlp_layers) < 2 or any(s < 1 for s in self.mlp_layers):
             raise ConfigError("objective.layers", "need >= 2 positive layer sizes")
-        if self.objective_dim < 1:
-            raise ConfigError("objective.dim", "must be >= 1")
         if self.objective_kind == "rosenbrock" and self.objective_dim % 2:
             raise ConfigError("objective.dim", "rosenbrock needs an even dimension")
-        if self.quad_condition < 1.0:
-            raise ConfigError("objective.condition", "must be >= 1")
-        if self.data_kind not in DATA_KINDS:
-            raise ConfigError("data.kind", f"must be one of {DATA_KINDS}")
         if self.data_kind == "mnist" and (not self.data_images or not self.data_labels):
             raise ConfigError("data.images", "mnist data needs both image and label paths")
-        if self.data_samples < 1:
-            raise ConfigError("data.samples", "must be >= 1")
-        if not 0.0 < self.synth_density <= 1.0:
-            raise ConfigError("data.density", "must lie in (0, 1]")
-        if self.m < 1:
-            raise ConfigError("harness.m", "must be >= 1")
-        if self.local_steps < 1:
-            raise ConfigError("harness.local_steps", "must be >= 1")
-        if self.local_lr <= 0.0:
-            raise ConfigError("harness.local_lr", "must be positive")
-        if self.server_tau <= 0.0:
-            raise ConfigError("harness.tau", "must be positive")
-        if self.epochs < 0:
-            raise ConfigError("harness.epochs", "must be >= 0")
         if self.global_batch < self.m:
             raise ConfigError("harness.global_batch", "must be >= harness.m")
-        if self.aggregator not in AGGREGATORS:
-            raise ConfigError("harness.aggregator", f"must be one of {AGGREGATORS}")
-        if self.worker_jitter < 0.0:
-            raise ConfigError("harness.jitter", "must be >= 0")
-        if self.seed < 0:
-            raise ConfigError("harness.seed", "must be >= 0")
-        if self.objective_seed < 0:
-            raise ConfigError("objective.seed", "must be >= 0")
-        if self.synth_seed < 0:
-            raise ConfigError("data.seed", "must be >= 0")
-        if self.lam <= 0.0:
-            raise ConfigError("operator.lambda", "must be positive")
         return self
 
 

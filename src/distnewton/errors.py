@@ -9,6 +9,18 @@ class AsymmetricMatrixError(ValueError):
     """A symmetric-only routine received a matrix that is not symmetric."""
 
 
+class NonFiniteInputError(ValueError):
+    """An input holds a NaN or an infinity."""
+
+
+class NonFiniteReportError(NonFiniteInputError):
+    """A worker report holds a NaN or an infinity; `report` is its index."""
+
+    def __init__(self, report: int, message: str):
+        super().__init__(f"report {report}: {message}")
+        self.report = report
+
+
 class ConfigError(ValueError):
     """A configuration value failed validation; `field` names the key."""
 

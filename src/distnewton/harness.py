@@ -20,16 +20,16 @@ import numpy as np
 
 from .config import ExperimentConfig
 from .data import Batch, load_idx, shard, synthetic_blobs
-from .errors import ConfigError, DimensionMismatchError, IdxFormatError
+from .errors import ConfigError, IdxFormatError
 from .objectives import MlpObjective, MlpSpec, QuadraticObjective, RosenbrockObjective
 from .operator import (
     WorkerReport,
     build_operator,  # noqa: F401  (not called here; perfbench times it under this name)
     center_reports,
     difference_spectrum,
-    full_sigma,
     lr_cap,
     newton_step,
+    parameter_average,
 )
 
 STATUS_COMPLETED = "completed"
@@ -42,7 +42,7 @@ class DivergedError(RuntimeError):
 
 @dataclass(frozen=True)
 class RoundStats:
-    sigma: np.ndarray  # full singular spectrum of the round (empty for averaging)
+    sigma: np.ndarray  # the round's m - 1 singular values of D S (empty for averaging)
     j: int
     tau_used: float
 
@@ -138,25 +138,16 @@ def server_round(reports, lam, tau, use_lr_cap, aggregator):
     reports takes the quasi-Newton step in factored form (optionally
     capping tau at 1/sigma_max).  Nothing of size n is written but the
     new parameters and one cache-sized block.
-    sgd_average: plain parameter averaging, the baseline server, as a
-    running sum in one n-vector.
+    sgd_average: plain parameter averaging, the baseline server, summed
+    as differences from worker 0.  Both check the reports through
+    `center_reports`.
     """
-    reports = list(reports)
-    if not reports:
-        raise ValueError("server_round: no reports")
-    if aggregator == "sgd_average":
-        theta_new = reports[0].theta.copy()
-        for k, rep in enumerate(reports[1:], 1):
-            if rep.theta.shape != theta_new.shape:
-                raise DimensionMismatchError(f"server_round: report {k} has a different length")
-            theta_new += rep.theta
-        theta_new /= len(reports)
-        return theta_new, RoundStats(np.empty(0), 0, tau)
     rows = center_reports(reports)
+    if aggregator == "sgd_average":
+        return parameter_average(rows), RoundStats(np.empty(0), 0, tau)
     spec = difference_spectrum(rows, lam)
-    sigma = full_sigma(spec)
-    tau_used = lr_cap(tau, float(sigma[0])) if use_lr_cap else tau
-    return newton_step(rows, spec, tau_used), RoundStats(sigma, spec.retained, tau_used)
+    tau_used = lr_cap(tau, float(np.max(spec.sigma, initial=0.0))) if use_lr_cap else tau
+    return newton_step(rows, spec, tau_used), RoundStats(spec.sigma, spec.retained, tau_used)
 
 
 def build_objective(cfg: ExperimentConfig):
@@ -191,8 +182,9 @@ def load_dataset(cfg: ExperimentConfig) -> Batch | None:
     if cfg.data_kind == "mnist":
         try:
             ds = load_idx(cfg.data_images, cfg.data_labels)
-        except IdxFormatError as exc:
-            key = "data.images" if exc.path == cfg.data_images else "data.labels"
+        except (IdxFormatError, OSError) as exc:  # malformed, missing, a directory, unreadable
+            path = exc.path if isinstance(exc, IdxFormatError) else exc.filename
+            key = "data.images" if path == cfg.data_images else "data.labels"
             raise ConfigError(key, str(exc)) from None
         if cfg.data_samples < ds.sample_count:
             ds = ds.subset(cfg.data_samples)

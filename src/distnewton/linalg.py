@@ -20,9 +20,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AsymmetricMatrixError, DimensionMismatchError
+from .errors import AsymmetricMatrixError, DimensionMismatchError, NonFiniteInputError
 
 SYMMETRY_RTOL = 1e-12
+# A Gram matrix whose largest diagonal entry is below this has entries that
+# lost digits to subnormal underflow, or became zero: it is summed again
+# from the matrix divided by its max-abs entry.
+GRAM_UNDERFLOW = np.finfo(np.float64).tiny / np.finfo(np.float64).eps
 
 
 def as_vector(x) -> np.ndarray:
@@ -101,7 +105,8 @@ class GramSpectrum:
     B v_k, so that M right[:, k] = sigma_k u_k.  The leading `retained`
     sigma_k are those with sigma_k > 0 and sigma_k >= rank_tolerance *
     sigma_1.  `gram` is M^T M / scale^2, which is finite: `scale` is 1
-    unless M^T M overflowed, and then the max-abs entry of M.  A caller
+    unless M^T M overflowed or underflowed, and then the max-abs entry of
+    M (see `blocked_gram`).  A caller
     that knows the spectrum is empty (q = 0) may skip the sum and give a
     p-by-p zero `gram`, so that code reading it needs no case for q = 0.
     """
@@ -119,15 +124,23 @@ def blocked_gram(blocks) -> tuple[np.ndarray, float]:
     Each call of `blocks()` starts one pass and yields M's row blocks in
     order; a block is only read before the next one is asked for.  `scale`
     is 1 unless the sum has a non-finite entry (entries of M past about
-    1e154); then one more pass finds the max-abs entry of M and a third
-    sums the Gram matrices of the blocks divided by it.  The result is
+    1e154) or its largest diagonal entry is below GRAM_UNDERFLOW (entries
+    of M below about 1e-146, whose squares lose digits or vanish); then
+    one more pass finds the max-abs entry of M and a third sums the Gram
+    matrices of the blocks divided by it.  A NaN or an infinity in M,
+    found on that second pass, raises NonFiniteInputError.  The result is
     symmetrized so rounding noise cannot upset the eigensolver.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         total, scale = sum(b.T @ b for b in blocks()), 1.0
-    if not np.all(np.isfinite(total)):
-        scale = max(float(np.max(np.abs(b), initial=0.0)) for b in blocks())
-        total = sum(c.T @ c for c in (b / scale for b in blocks()))
+        if np.all(np.isfinite(total)) and np.max(np.diag(total), initial=0.0) >= GRAM_UNDERFLOW:
+            return 0.5 * (total + total.T), scale
+        peaks = [float(np.max(np.abs(b), initial=0.0)) for b in blocks()]
+    if not np.all(np.isfinite(peaks)):
+        raise NonFiniteInputError("blocked_gram: the matrix has a NaN or infinite entry")
+    peak = max(peaks)
+    if peak > 0.0:  # else M is zero, and so is its Gram sum
+        total, scale = sum(c.T @ c for c in (b / peak for b in blocks())), peak
     return 0.5 * (total + total.T), scale
 
 

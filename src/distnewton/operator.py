@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError
+from .errors import DimensionMismatchError, NonFiniteInputError, NonFiniteReportError
 from .linalg import (
     GramSpectrum,
     as_vector,
@@ -157,6 +157,10 @@ def difference_spectrum(rows: RowBlocks, lam: float) -> GramSpectrum:
     the exact null directions of duplicate workers for any lam.  The ones
     vector, the null right vector that centering adds, has no column in
     this basis, so j <= m - 1 by construction.
+
+    A gradient with a NaN or an infinity raises NonFiniteReportError, which
+    names the first such report.  The reports are only searched for it
+    once the Gram sum has come out non-finite, so finite rounds pay nothing.
     """
     if lam <= 0.0:
         raise ValueError("lam must be positive")
@@ -166,13 +170,26 @@ def difference_spectrum(rows: RowBlocks, lam: float) -> GramSpectrum:
     floor = np.sqrt(m * np.finfo(np.float64).eps)
     basis = np.zeros((m, m - 1))
     basis[:-1] = np.eye(m - 1) - 1.0 / (m + np.sqrt(m))
-    return gram_spectrum(lambda: (b for _, _, b in rows.blocks(m)), basis, max(lam, floor))
+    try:
+        return gram_spectrum(lambda: (b for _, _, b in rows.blocks(m)), basis, max(lam, floor))
+    except NonFiniteInputError:
+        bad = [k for k, g in enumerate(rows.vectors[:m]) if not np.all(np.isfinite(g))]
+        if not bad:
+            raise
+        raise NonFiniteReportError(bad[0], "gradient has a NaN or infinite entry") from None
 
 
-def full_sigma(spec: GramSpectrum) -> np.ndarray:
-    """All m singular values of the centered gradients: those of D S and
-    an exact 0 for the ones direction."""
-    return np.append(spec.sigma, 0.0)
+def parameter_average(rows: RowBlocks) -> np.ndarray:
+    """theta_0 + (1/m) sum_k (theta_k - theta_0), the averaging baseline's
+    step.  Summed in this difference form, identical reports (E = 0) give
+    back theta_0 bit for bit."""
+    thetas = rows.vectors[rows.m :]
+    total, diff = np.zeros(rows.n), np.empty(rows.n)
+    for theta in thetas[1:]:
+        total += np.subtract(theta, thetas[0], out=diff)
+    total /= rows.m
+    total += thetas[0]
+    return total
 
 
 def newton_step(rows: RowBlocks, spec: GramSpectrum, tau: float) -> np.ndarray:
@@ -207,14 +224,13 @@ class InverseHessianOperator:
     """Rank-j approximate inverse Hessian.
 
     Keeps only the retained triples (sigma_k, u_k, y_k), stacked as the
-    columns of `us` and `ys`, plus the full singular spectrum for
-    diagnostics.  Storage is j*(2n) + m + j scalars; no n-by-n object.
+    columns of `us` and `ys`.  Storage is j*(2n) + j scalars; no n-by-n
+    object.
     """
 
-    sigmas: np.ndarray      # (j,) retained singular values, descending
-    us: np.ndarray          # (n, j) F-order, orthonormal left singular vectors
-    ys: np.ndarray          # (n, j) F-order, centered parameter displacements Theta v_k
-    sigma_full: np.ndarray  # (m,) full spectrum, descending, ending in the ones direction's 0
+    sigmas: np.ndarray  # (j,) retained singular values, descending
+    us: np.ndarray      # (n, j) F-order, orthonormal left singular vectors
+    ys: np.ndarray      # (n, j) F-order, centered parameter displacements Theta v_k
 
     @property
     def j(self) -> int:
@@ -241,7 +257,7 @@ def build_operator(rows: RowBlocks, lam: float) -> InverseHessianOperator:
         ys[lo:hi] = block[:, m:-1] @ w
     us = unit_columns(us)
     j = us.shape[1]
-    return InverseHessianOperator(spec.sigma[:j], us, ys[:, :j], full_sigma(spec))
+    return InverseHessianOperator(spec.sigma[:j], us, ys[:, :j])
 
 
 def apply(op: InverseHessianOperator, z) -> np.ndarray:

@@ -158,6 +158,31 @@ def test_run_missing_config_file(tmp_path):
     assert code == EXIT_CONFIG
 
 
+def test_unreadable_config_exits_config_naming_flag(tmp_path, capsys):
+    (tmp_path / "latin1.cfg").write_bytes("# caf\xe9\nharness.m = 2\n".encode("latin-1"))
+    for path in (tmp_path, tmp_path / "latin1.cfg"):
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: --config: ")
+        assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("key", ["data.images", "data.labels"])
+def test_unreadable_data_path_exits_config_naming_key(tmp_path, capsys, key):
+    images = struct.pack(">4I", IMAGE_MAGIC, 2, 2, 2) + bytes(8)
+    labels = struct.pack(">2I", LABEL_MAGIC, 2) + bytes(2)
+    cfg = idx_cfg(tmp_path, images, labels)
+    (tmp_path / "dir").mkdir()
+    for bad in (tmp_path / "dir", tmp_path / "missing.idx"):
+        write_cfg(tmp_path, cfg.read_text() + f"{key} = {bad}\n", name="bad.cfg")
+        for command in ("run", "grad-check"):
+            code = main([command, "--config", str(tmp_path / "bad.cfg"), "--out", str(tmp_path / "o")])
+            assert code == EXIT_CONFIG
+            err = capsys.readouterr().err
+            assert err.startswith(f"config error: {key}: ")
+            assert "Traceback" not in err
+
+
 def test_run_divergence_exit_code_and_flag_row(tmp_path):
     text = BLOB_CFG.replace("objective.activation = tanh", "objective.activation = relu")
     text = text.replace("harness.local_lr = 0.05", "harness.local_lr = 1e160")
@@ -407,6 +432,47 @@ def test_float_keys_cover_every_float_setting():
 
     floats = {f.metadata["key"] for f in fields(ExperimentConfig) if type(f.default) is float}
     assert floats == set(FLOAT_KEYS)
+
+
+# one violating value per declared rule: (key, rule, value)
+RULE_VIOLATIONS = [
+    ("objective.kind", "choices", "linear"),
+    ("objective.activation", "choices", "sigmoid"),
+    ("objective.dim", "ge", "0"),
+    ("objective.condition", "ge", "0.5"),
+    ("objective.seed", "ge", "-1"),
+    ("data.kind", "choices", "cifar"),
+    ("data.samples", "ge", "0"),
+    ("data.density", "gt", "0.0"),
+    ("data.density", "le", "1.5"),
+    ("data.seed", "ge", "-1"),
+    ("harness.m", "ge", "0"),
+    ("harness.local_steps", "ge", "0"),
+    ("harness.local_lr", "gt", "0.0"),
+    ("harness.tau", "gt", "-0.5"),
+    ("harness.epochs", "ge", "-1"),
+    ("harness.seed", "ge", "-2"),
+    ("harness.aggregator", "choices", "adam"),
+    ("harness.jitter", "ge", "-0.01"),
+    ("operator.lambda", "gt", "0.0"),
+]
+
+
+def test_rule_violations_cover_every_declared_rule():
+    from distnewton.config import ExperimentConfig
+
+    declared = {(f.metadata["key"], rule) for f in fields(ExperimentConfig) for rule in f.metadata["rules"]}
+    assert declared == {(key, rule) for key, rule, _ in RULE_VIOLATIONS}
+
+
+@pytest.mark.parametrize("key,rule,value", RULE_VIOLATIONS, ids=[f"{k}-{r}" for k, r, _ in RULE_VIOLATIONS])
+def test_rule_violation_exits_config_naming_key(tmp_path, capsys, key, rule, value):
+    cfg = write_cfg(tmp_path, QUADRATIC_CFG + f"{key} = {value}\n")
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {key}: must be ")
+    assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_config_rejects_bad_value():

@@ -115,6 +115,16 @@ def test_server_round_average_aggregator():
     assert stats.sigma.size == 0
 
 
+@pytest.mark.parametrize("m", range(1, 10))
+def test_server_round_average_of_identical_reports_is_exact(m):
+    # summed as differences from worker 0, duplicates add exact zeros
+    rng = np.random.default_rng(m)
+    theta = rng.standard_normal(1000)
+    reports = [WorkerReport(theta, rng.standard_normal(1000))] * m
+    theta_new, _ = server_round(reports, 0.1, 0.5, False, "sgd_average")
+    assert np.array_equal(theta_new, theta)
+
+
 @pytest.mark.parametrize("m", [2, 5, 9])
 def test_server_round_sgd_mode_matches_reference(m):
     # n spans more than one row block, so the j = 0 step crosses block edges

@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from distnewton import linalg, operator
-from distnewton.errors import DimensionMismatchError
+from distnewton.errors import DimensionMismatchError, NonFiniteInputError, NonFiniteReportError
 from distnewton.harness import server_round
 from distnewton.objectives import QuadraticObjective
 from distnewton.operator import (
@@ -15,6 +15,7 @@ from distnewton.operator import (
     block_rows,
     build_operator,
     center_reports,
+    difference_spectrum,
     lr_cap,
     newton_update,
 )
@@ -166,10 +167,12 @@ def test_retention_respects_threshold():
     rng = np.random.default_rng(6)
     batch = random_batch(rng, 25, 6)
     op = build_operator(batch, 0.3)
-    lead = op.sigma_full[0]
-    assert all(s >= 0.3 * lead for s in op.sigmas)
-    if op.j < op.sigma_full.size:
-        assert op.sigma_full[op.j] < 0.3 * lead
+    sigma = difference_spectrum(batch, 0.3).sigma
+    assert sigma.shape == (5,)
+    assert np.array_equal(op.sigmas, sigma[: op.j])
+    assert all(s >= 0.3 * sigma[0] for s in op.sigmas)
+    if op.j < sigma.size:
+        assert sigma[op.j] < 0.3 * sigma[0]
 
 
 def svd_reference_step(reports, lam, tau):
@@ -241,8 +244,8 @@ def test_server_round_agrees_with_explicit_operator(m, distinct, collinear, n, l
     batch = center_reports(reports)
     op = build_operator(batch, lam)
     assert stats.j == op.j
-    assert np.array_equal(stats.sigma, op.sigma_full)
-    assert stats.sigma.shape == (m,) and stats.sigma[-1] == 0.0
+    assert stats.sigma.shape == (m - 1,)
+    assert np.array_equal(stats.sigma[: op.j], op.sigmas)
     theta_bar, g_bar = report_means(reports)
     want = newton_update(op, theta_bar, g_bar, 0.7)
     assert np.linalg.norm(theta_new - want) <= 1e-10 * np.linalg.norm(want - theta_bar)
@@ -274,7 +277,7 @@ def test_single_worker_round_skips_gram_and_eigensolve(monkeypatch):
     theta, g = rng.standard_normal(50), rng.standard_normal(50)
     theta_new, stats = server_round([WorkerReport(theta, g)], 0.1, 0.7, False, "distnewton")
     assert np.array_equal(theta_new, theta - 0.7 * g)
-    assert np.array_equal(stats.sigma, [0.0])
+    assert stats.sigma.size == 0 and stats.sigma_max == 0.0
     assert stats.j == 0
 
 
@@ -336,7 +339,7 @@ def test_multi_block_round_agrees_with_explicit_operator(m):
     batch = center_reports(reports)
     op = build_operator(batch, 0.1)
     assert stats.j == op.j > 0
-    assert np.array_equal(stats.sigma, op.sigma_full)
+    assert np.array_equal(stats.sigma[: op.j], op.sigmas)
     theta_bar, g_bar = report_means(reports)
     want = newton_update(op, theta_bar, g_bar, 0.7)
     assert np.linalg.norm(theta_new - want) <= 1e-10 * np.linalg.norm(want - theta_bar)
@@ -366,17 +369,38 @@ def test_wrong_length_report_rejected_before_any_pass(monkeypatch):
 @given(st.integers(2, 8), st.integers(0, 40), st.integers(0, 2**31 - 1))
 def test_server_round_is_scale_equivariant(m, extra, seed):
     # reports scaled by c scale sigma by c and leave u, v and j alone, so the
-    # step scales by c; at 1e155 the Gram of the reports overflows
+    # step scales by c; at 1e155 the Gram of the reports overflows, and from
+    # 1e-150 down it underflows into subnormals or to zero
     rng = np.random.default_rng(seed)
     n = m + extra
     reports = [WorkerReport(rng.standard_normal(n), rng.standard_normal(n)) for _ in range(m)]
     theta_new, stats = server_round(reports, 0.1, 0.5, False, "distnewton")
-    for c in (1e-150, 1e150, 1e155):
+    for c in (1e-300, 1e-200, 1e-160, 1e-150, 1e150, 1e155):
         scaled = [WorkerReport(c * r.theta, c * r.grad) for r in reports]
         theta_c, stats_c = server_round(scaled, 0.1, 0.5, False, "distnewton")
         assert stats_c.j == stats.j
         err = np.linalg.norm(theta_c / c - theta_new)
         assert err <= 1e-12 * np.linalg.norm(theta_new)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("worker", [0, 3])
+def test_non_finite_gradient_report_is_named(worker, bad):
+    rng = np.random.default_rng(17)
+    reports = [WorkerReport(rng.standard_normal(40), rng.standard_normal(40)) for _ in range(5)]
+    reports[worker].grad[7] = bad
+    for call in (lambda: server_round(reports, 0.1, 0.5, False, "distnewton"),
+                 lambda: build_operator(center_reports(reports), 0.1)):
+        with pytest.raises(NonFiniteReportError, match=f"report {worker}") as exc:
+            call()
+        assert exc.value.report == worker
+
+
+def test_non_finite_input_to_thin_svd_is_named():
+    mat = np.ones((6, 3))
+    mat[2, 1] = np.inf
+    with pytest.raises(NonFiniteInputError):
+        linalg.thin_svd_via_gram(mat, 0.1)
 
 
 def test_apply_rank_zero_is_identity():
@@ -541,8 +565,8 @@ def test_operator_storage_bound():
     n, m = 500, 8
     batch = random_batch(rng, n, m)
     op = build_operator(batch, 1e-8)
-    stored = op.sigmas.size + op.us.size + op.ys.size + op.sigma_full.size
-    assert stored <= op.j * 2 * n + m + op.j
+    stored = op.sigmas.size + op.us.size + op.ys.size
+    assert stored <= op.j * 2 * n + op.j
     assert op.us.shape == (n, op.j)
     assert op.ys.shape == (n, op.j)
     # orthonormal retained left vectors
@@ -552,6 +576,6 @@ def test_operator_storage_bound():
 def test_retained_triples_view():
     op, _ = diag_operator()
     assert op.sigmas.shape == (op.j,)
-    assert op.sigmas[0] == pytest.approx(op.sigma_full[0])
+    assert np.all(op.sigmas[:-1] >= op.sigmas[1:])
     assert op.us[:, 0].shape == (2,)
     assert op.ys[:, 0].shape == (2,)
