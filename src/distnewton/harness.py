@@ -20,7 +20,7 @@ import numpy as np
 
 from .config import ExperimentConfig
 from .data import Batch, load_idx, shard, synthetic_blobs
-from .errors import ConfigError, IdxFormatError
+from .errors import ConfigError, IdxFormatError, NonFiniteInputError
 from .objectives import MlpObjective, MlpSpec, QuadraticObjective, RosenbrockObjective
 from .operator import (
     WorkerReport,
@@ -138,9 +138,10 @@ def server_round(reports, lam, tau, use_lr_cap, aggregator):
     reports takes the quasi-Newton step in factored form (optionally
     capping tau at 1/sigma_max).  Nothing of size n is written but the
     new parameters and one cache-sized block.
-    sgd_average: plain parameter averaging, the baseline server, summed
-    as differences from worker 0.  Both check the reports through
-    `center_reports`.
+    sgd_average: parameter averaging, the baseline server, as the same
+    pass-2 sum over the differences from worker 0.  Both check the reports
+    through `center_reports`, and theta_new once: NonFiniteReportError names
+    a non-finite report, NonFiniteInputError an overflow of finite ones.
     """
     rows = center_reports(reports)
     if aggregator == "sgd_average":
@@ -264,9 +265,7 @@ def run_experiment(cfg: ExperimentConfig, dataset=None, threads=1, round_observe
                 theta_new, stats = server_round(
                     reports, cfg.lam, cfg.server_tau, cfg.use_lr_cap, cfg.aggregator
                 )
-                if not np.all(np.isfinite(theta_new)):
-                    raise DivergedError("server produced non-finite parameters")
-            except DivergedError:
+            except (DivergedError, NonFiniteInputError):
                 diverged = True
                 break
             if round_observer is not None:

@@ -43,16 +43,6 @@ def as_matrix(x) -> np.ndarray:
     return np.asfortranarray(a)
 
 
-def fortran_matmul(a, b) -> np.ndarray:
-    """a @ b, laid out column-contiguous (Fortran order).
-
-    Computed as (b^T a^T)^T.  For a tall Fortran-order `a` that is one BLAS
-    call writing the n-by-r product column by column, which is faster than
-    `a @ b` (C-order result) and leaves each column a contiguous slice.
-    """
-    return (b.T @ a.T).T
-
-
 def gram(mat) -> np.ndarray:
     """M^T M, symmetrized so rounding noise cannot upset the eigensolver."""
     m = as_matrix(mat)
@@ -178,9 +168,9 @@ class ThinSvd:
     """Thin SVD of an n-by-m matrix, computed through its Gram matrix.
 
     `sigma` holds all m singular values, descending.  `u` holds unit-norm
-    u_k as the columns of one Fortran-order n-by-r matrix, for a leading
-    prefix of the spectrum only: k is included while sigma_k > 0,
-    sigma_k >= rank_tolerance * sigma_1 and M v_k has nonzero norm.
+    u_k as the columns of one n-by-r matrix, for a leading prefix of the
+    spectrum only: k is included while sigma_k > 0, sigma_k >=
+    rank_tolerance * sigma_1 and M v_k has nonzero norm.
     """
 
     sigma: np.ndarray
@@ -201,5 +191,5 @@ def thin_svd_via_gram(mat, rank_tolerance: float) -> ThinSvd:
     """
     g = as_matrix(mat)
     spec = gram_spectrum(lambda: (g,), np.eye(g.shape[1]), rank_tolerance)
-    u = unit_columns(fortran_matmul(g, spec.right[:, : spec.retained] / spec.scale))
+    u = unit_columns(g @ (spec.right[:, : spec.retained] / spec.scale))
     return ThinSvd(spec.sigma, spec.right, u)

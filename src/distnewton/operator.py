@@ -20,21 +20,18 @@ the coordinates of D.  The step is then
     theta_new = theta_bar - tau * (g_bar + (E - D) W Sigma^-2 W^T D^T g_bar),
 
 with theta_bar = theta_0 + E/m 1 and g_bar = g_0 + D/m 1, and D^T g_bar
-comes from the same Gram product as D^T D.  Expanded, for every j, it is
-theta_new = theta_0 - tau * g_0 + [D | E] c with c = [tau (a - cbar),
-cbar - tau a], cbar = 1/m and a = W Sigma^-2 W^T D^T g_bar: j = 0 is
-a = 0, c = [-tau cbar, cbar], and zero spread (D = E = 0) leaves exactly
-theta_0 - tau * g_0.  Reports reach the server by
-one path: `center_reports` checks their lengths and hands them out as
-row blocks of [D | g_0 | E | theta_0], about ROW_BLOCK_BYTES each, written
-into one reused scratch block.  A round reads those blocks in two passes:
-the first adds each block's Gram matrix of [D | g_0] into the m-by-m sum,
-the second takes each block's rows of theta_new with one matrix-vector
-product and adds worker 0's pair, so nothing of size n is written but
-theta_new and the one block.
-`build_operator`, for callers that apply the operator to other vectors,
-reads the same spectrum from the same blocks and writes U = D W Sigma^-1
-and Y = E W in one more pass.
+comes from the same Gram product as D^T D.  Expanded, it combines the
+stored pairs, the compact form of Byrd, Nocedal & Schnabel (1994):
+theta_new = theta_0 + [E | g_0 | D] c with c = [cbar - tau a, -tau,
+tau (a - cbar)], cbar = 1/m and a = W Sigma^-2 W^T D^T g_bar, for every j
+(j = 0 is a = 0).  Averaging is c = cbar over E alone.  Reports reach the
+server by one path: `center_reports` checks their lengths and hands them
+out as row blocks of [E | g_0 | D], about ROW_BLOCK_BYTES each, written
+into one reused scratch block; a pass writes only the columns it reads.
+A round reads them twice: to sum the Gram matrix of [g_0 | D], then to
+write theta_new as theta_0 plus one matrix-vector product per block.
+`build_operator` reads the same spectrum from the same blocks and writes
+U = D W Sigma^-1 and Y = E W in one more pass.
 """
 
 from __future__ import annotations
@@ -52,8 +49,8 @@ from .linalg import (
     unit_columns,
 )
 
-# Scratch bytes of one row block of [D | g_0 | E | theta_0]: small enough
-# to stay in cache between the write of a block and its read.
+# Scratch bytes of one row block of [E | g_0 | D]: small enough to stay
+# in cache between the write of a block and its read.
 ROW_BLOCK_BYTES = 1 << 20
 # Fewest rows in a block (it binds for m > 16): with fewer, the calls that
 # fill a block column by column cost more than the data they move.
@@ -78,40 +75,41 @@ class WorkerReport:
             )
 
 
-def _write_rows(vectors, lo: int, hi: int, out) -> None:
-    """Rows lo:hi of [D | g_0 | E | theta_0] into out, for as many of its
-    2m columns as out has: m gives [D | g_0] alone.  One subtraction per
-    column, D[:, k-1] = g_k - g_0 and E[:, k-1] = theta_k - theta_0."""
+def _write_rows(vectors, lo: int, hi: int, first: int, out) -> None:
+    """Rows lo:hi of the columns of [E | g_0 | D] from `first` on into out,
+    as many as out has.  Column c is vectors[c + 1], less theta_0 for
+    c < m - 1 (E) and less g_0 for c > m - 1 (D)."""
     m = len(vectors) // 2
-    for half in range(0, out.shape[1], m):
-        first = vectors[half][lo:hi]
-        out[:, half + m - 1] = first
-        for k in range(1, m):
-            np.subtract(vectors[half + k][lo:hi], first, out=out[:, half + k - 1])
+    theta_0, g_0 = vectors[0][lo:hi], vectors[m][lo:hi]
+    for col in range(first, first + out.shape[1]):
+        dest, vec = out[:, col - first], vectors[col + 1][lo:hi]
+        if col == m - 1:
+            dest[:] = vec
+        else:
+            np.subtract(vec, theta_0 if col < m else g_0, out=dest)
 
 
 class RowBlocks:
-    """[D | g_0 | E | theta_0] of one round, from the 2m report vectors
-    [g_0, ..., g_{m-1}, theta_0, ..., theta_{m-1}], handed out in row
-    blocks of one reused Fortran-order scratch.
-
-    A block has `block_rows(m)` rows, so the scratch takes ROW_BLOCK_BYTES
-    (up to m = 16) and the round's working set, beyond the reports, is that
-    scratch and the new n-vector."""
+    """[E | g_0 | D] of one round, from the 2m report vectors
+    [theta_0, ..., theta_{m-1}, g_0, ..., g_{m-1}], handed out in row
+    blocks of one reused Fortran-order scratch of 2m - 1 columns (there is
+    no theta_0 column).  A block has `block_rows(m)` rows, so the scratch
+    fits in ROW_BLOCK_BYTES (up to m = 16) and the round's working set,
+    beyond the reports, is that scratch and the new n-vector."""
 
     def __init__(self, vectors: list):
         self.vectors = vectors
         self.n, self.m = vectors[0].shape[0], len(vectors) // 2
-        self.scratch = np.empty((min(block_rows(self.m), max(self.n, 1)), 2 * self.m), order="F")
+        self.scratch = np.empty((min(block_rows(self.m), max(self.n, 1)), 2 * self.m - 1), order="F")
 
-    def blocks(self, width: int):
-        """One pass: yield (lo, hi, rows lo:hi of the first `width` columns).
-        An empty matrix still yields one block, with no rows."""
+    def blocks(self, first: int, stop: int):
+        """One pass: yield (lo, hi, rows lo:hi of columns first:stop), with
+        no other column written; an empty matrix yields one empty block."""
         rows = self.scratch.shape[0]
         for lo in range(0, max(self.n, 1), rows):
             hi = min(lo + rows, self.n)
-            block = self.scratch[: hi - lo, :width]
-            _write_rows(self.vectors, lo, hi, block)
+            block = self.scratch[: hi - lo, : stop - first]
+            _write_rows(self.vectors, lo, hi, first, block)
             yield lo, hi, block
 
 
@@ -133,18 +131,28 @@ def center_reports(reports) -> RowBlocks:
             raise DimensionMismatchError(
                 f"center_reports: report {k} has dimension {rep.theta.shape[0]}, expected {n}"
             )
-    return RowBlocks([r.grad for r in reports] + [r.theta for r in reports])
+    return RowBlocks([r.theta for r in reports] + [r.grad for r in reports])
+
+
+def _non_finite(rows: RowBlocks, overflow: str) -> NonFiniteInputError:
+    """NonFiniteReportError naming the first report with a NaN or an
+    infinity, or, if every report is finite, NonFiniteInputError(overflow)."""
+    for k in range(rows.m):
+        for name, vec in (("theta", rows.vectors[k]), ("gradient", rows.vectors[rows.m + k])):
+            if not np.all(np.isfinite(vec)):
+                return NonFiniteReportError(k, f"{name} has a NaN or infinite entry")
+    return NonFiniteInputError(overflow)
 
 
 def difference_spectrum(rows: RowBlocks, lam: float) -> GramSpectrum:
     """Spectrum of the centered gradients at retention threshold lam.
 
-    It is the spectrum of [D | g_0] B, with B = [S; 0]: the g_0 column
+    It is the spectrum of [g_0 | D] B, with B = [0; S]: the g_0 column
     only rides along so that the Gram matrix also holds D^T g_0.  H is the
     Householder basis that maps e_1 to -1/sqrt(m), whose S = H[1:, :] is
-    I - 11^T / (m + sqrt(m)).  `right` holds W = S V over the rows of D
-    and a zero last row; `sigma` has the m - 1 singular values of D S.
-    The Gram matrix is summed over the row blocks of [D | g_0], one read
+    I - 11^T / (m + sqrt(m)).  `right` holds W = S V over the rows of D,
+    below a zero first row; `sigma` has the m - 1 singular values of D S.
+    The Gram matrix is summed over the row blocks of [g_0 | D], one read
     pass over the m gradients.  With m = 1, D has no columns and the
     spectrum is empty: no pass, no Gram matrix and no eigensolve, and
     `gram` is a 1-by-1 zero, which `newton_step` reads like any other.
@@ -158,9 +166,10 @@ def difference_spectrum(rows: RowBlocks, lam: float) -> GramSpectrum:
     vector, the null right vector that centering adds, has no column in
     this basis, so j <= m - 1 by construction.
 
-    A gradient with a NaN or an infinity raises NonFiniteReportError, which
-    names the first such report.  The reports are only searched for it
-    once the Gram sum has come out non-finite, so finite rounds pay nothing.
+    A NaN or an infinity in a report raises NonFiniteReportError, which
+    names the first such report, and finite gradients whose differences
+    overflow raise NonFiniteInputError.  The reports are only searched once
+    the Gram sum has come out non-finite, so finite rounds pay nothing.
     """
     if lam <= 0.0:
         raise ValueError("lam must be positive")
@@ -169,54 +178,56 @@ def difference_spectrum(rows: RowBlocks, lam: float) -> GramSpectrum:
         return GramSpectrum(np.empty(0), np.empty((1, 0)), 0, np.zeros((1, 1)), 1.0)
     floor = np.sqrt(m * np.finfo(np.float64).eps)
     basis = np.zeros((m, m - 1))
-    basis[:-1] = np.eye(m - 1) - 1.0 / (m + np.sqrt(m))
+    basis[1:] = np.eye(m - 1) - 1.0 / (m + np.sqrt(m))
     try:
-        return gram_spectrum(lambda: (b for _, _, b in rows.blocks(m)), basis, max(lam, floor))
+        return gram_spectrum(
+            lambda: (b for _, _, b in rows.blocks(m - 1, 2 * m - 1)), basis, max(lam, floor)
+        )
     except NonFiniteInputError:
-        bad = [k for k, g in enumerate(rows.vectors[:m]) if not np.all(np.isfinite(g))]
-        if not bad:
-            raise
-        raise NonFiniteReportError(bad[0], "gradient has a NaN or infinite entry") from None
+        overflow = "difference_spectrum: the gradient differences from worker 0 overflow"
+        raise _non_finite(rows, overflow) from None
+
+
+def _combine(rows: RowBlocks, coef: np.ndarray) -> np.ndarray:
+    """theta_0 + [E | g_0 | D] c over the first len(coef) columns, theta_0
+    added after the product so that zero spread is exact: the one loop that
+    writes theta_new.  A non-finite result raises `_non_finite`'s error."""
+    theta_0, theta_new = rows.vectors[0], np.empty(rows.n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo, hi, block in rows.blocks(0, coef.shape[0]):
+            out = theta_new[lo:hi]
+            if coef.shape[0] == 1:  # matmul takes a slow non-BLAS loop for one column
+                np.multiply(block[:, 0], coef[0], out=out)
+            else:
+                np.matmul(block, coef, out=out)
+            out += theta_0[lo:hi]
+        # a finite sum proves every entry finite without an n-sized mask
+        finite = np.isfinite(theta_new.sum()) or np.all(np.isfinite(theta_new))
+    if not finite:
+        raise _non_finite(rows, "theta_new: the differences from worker 0 or the step overflowed")
+    return theta_new
 
 
 def parameter_average(rows: RowBlocks) -> np.ndarray:
-    """theta_0 + (1/m) sum_k (theta_k - theta_0), the averaging baseline's
-    step.  Summed in this difference form, identical reports (E = 0) give
-    back theta_0 bit for bit."""
-    thetas = rows.vectors[rows.m :]
-    total, diff = np.zeros(rows.n), np.empty(rows.n)
-    for theta in thetas[1:]:
-        total += np.subtract(theta, thetas[0], out=diff)
-    total /= rows.m
-    total += thetas[0]
-    return total
+    """theta_0 + E cbar, the averaging baseline's step: the quasi-Newton
+    step's sum with c = 1/m over the E columns alone.  In this difference
+    form identical reports (E = 0) give back theta_0 bit for bit."""
+    return _combine(rows, np.full(rows.m - 1, 1.0 / rows.m))
 
 
 def newton_step(rows: RowBlocks, spec: GramSpectrum, tau: float) -> np.ndarray:
     """theta_bar - tau * op(g_bar), taken in factored form from the
-    difference spectrum: one read pass over all 2m report vectors, one
-    matrix-vector product per row block.
-
-    Each block's rows are theta_0 - tau * g_0 + [D | E] c for every m and
-    j, with j = 0 as c = [-tau cbar, cbar], the averaged gradient step.
-    Worker 0's pair is added after the product, so identical reports
-    (D = E = 0) step exactly to theta - tau * g.
+    difference spectrum as theta_0 + [E | g_0 | D] c, with
+    c = [cbar - tau a, -tau, tau (a - cbar)] for every m and j (j = 0 is
+    a = 0, the averaged gradient step): one read pass over the 2m report
+    vectors.  Identical reports (D = E = 0) step exactly to theta - tau * g.
     """
     m, j = rows.m, spec.retained
     cbar = np.full(m - 1, 1.0 / m)
-    w = spec.right[:-1, :j]
-    dtg = spec.gram[:-1] @ np.append(cbar, 1.0)  # D^T g_bar / scale^2
+    w = spec.right[1:, :j]
+    dtg = spec.gram[1:] @ np.append(1.0, cbar)  # D^T g_bar / scale^2
     a = w @ ((w.T @ dtg) / (spec.sigma[:j] / spec.scale) ** 2)
-    # zero on worker 0's columns, which are added after the product
-    coef = np.concatenate([tau * (a - cbar), [0.0], cbar - tau * a, [0.0]])
-    theta_new = np.empty(rows.n)
-    for lo, hi, block in rows.blocks(2 * m):
-        out = theta_new[lo:hi]
-        np.matmul(block, coef, out=out)
-        block[:, m - 1] *= tau  # the scratch's g_0 column: the next block rewrites it
-        out -= block[:, m - 1]
-        out += block[:, -1]
-    return theta_new
+    return _combine(rows, np.concatenate([cbar - tau * a, [-tau], tau * (a - cbar)]))
 
 
 @dataclass(frozen=True)
@@ -248,13 +259,13 @@ def build_operator(rows: RowBlocks, lam: float) -> InverseHessianOperator:
     ||D w_k|| = 0 are dropped.
     """
     spec = difference_spectrum(rows, lam)
-    m, w = rows.m, spec.right[:-1, : spec.retained]
+    m, w = rows.m, spec.right[1:, : spec.retained]
     wu = w / spec.scale
     us = np.empty((rows.n, spec.retained), order="F")
     ys = np.empty((rows.n, spec.retained), order="F")
-    for lo, hi, block in rows.blocks(2 * m):
-        us[lo:hi] = block[:, : m - 1] @ wu
-        ys[lo:hi] = block[:, m:-1] @ w
+    for lo, hi, block in rows.blocks(0, 2 * m - 1):
+        us[lo:hi] = block[:, m:] @ wu
+        ys[lo:hi] = block[:, : m - 1] @ w
     us = unit_columns(us)
     j = us.shape[1]
     return InverseHessianOperator(spec.sigma[:j], us, ys[:, :j])

@@ -1,5 +1,6 @@
+import itertools
 import struct
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -194,6 +195,28 @@ def test_run_divergence_exit_code_and_flag_row(tmp_path):
     rows = read_history_csv(out / "distnewton-2.csv")
     assert 0 < len(rows) < 8  # truncated
     assert np.isnan(rows[-1]["train_nll"])  # flag row, still well-formed CSV
+
+
+@pytest.mark.parametrize("field", ["theta", "grad"])
+def test_run_whose_report_differences_overflow_exits_diverged(tmp_path, monkeypatch, field):
+    # finite reports whose differences from worker 0 overflow float64 end
+    # the run as diverged, not as an internal error
+    from distnewton import harness
+
+    real, count = harness.worker_round, itertools.count()
+
+    def overflowing(*args):
+        rep = real(*args)
+        vec = getattr(rep, field).copy()
+        vec[0] = 1e308 * (-1) ** next(count)
+        return replace(rep, **{field: vec})
+
+    monkeypatch.setattr(harness, "worker_round", overflowing)
+    cfg = write_cfg(tmp_path, BLOB_CFG)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_DIVERGED
+    rows = read_history_csv(out / "distnewton-2.csv")
+    assert len(rows) == 1 and np.isnan(rows[0]["train_nll"])
 
 
 def test_run_csv_round_trip_numerics(tmp_path):

@@ -125,17 +125,20 @@ def test_server_round_average_of_identical_reports_is_exact(m):
     assert np.array_equal(theta_new, theta)
 
 
+@pytest.mark.parametrize("aggregator", ["distnewton", "sgd_average"])
 @pytest.mark.parametrize("m", [2, 5, 9])
-def test_server_round_sgd_mode_matches_reference(m):
-    # n spans more than one row block, so the j = 0 step crosses block edges
+def test_server_round_sgd_mode_matches_reference(m, aggregator):
+    # n spans more than one row block, so the j = 0 step and the average
+    # cross block edges
     n = 70_000
     assert n > block_rows(m)
     rng = np.random.default_rng(2)
     reports = [WorkerReport(rng.standard_normal(n), rng.standard_normal(n)) for _ in range(m)]
-    theta, stats = server_round(reports, 2.0, 0.3, False, "distnewton")
+    theta, stats = server_round(reports, 2.0, 0.3, False, aggregator)
     thetas = np.column_stack([r.theta for r in reports])
     grads = np.column_stack([r.grad for r in reports])
-    want = thetas.mean(axis=1) - 0.3 * grads.mean(axis=1)
+    step = 0.3 * grads.mean(axis=1) if aggregator == "distnewton" else 0.0
+    want = thetas.mean(axis=1) - step
     assert np.max(np.abs(theta - want)) <= 1e-12
     assert stats.j == 0
 

@@ -41,8 +41,8 @@ def random_batch(rng, n, m):
 
 
 def stacked(rows):
-    """One pass of row blocks stacked into the n x 2m matrix [D | g_0 | E | theta_0]."""
-    return np.vstack([block.copy() for _, _, block in rows.blocks(2 * rows.m)])
+    """One pass of row blocks stacked into the n x (2m - 1) matrix [E | g_0 | D]."""
+    return np.vstack([block.copy() for _, _, block in rows.blocks(0, 2 * rows.m - 1)])
 
 
 def batch_centered(rows):
@@ -51,7 +51,7 @@ def batch_centered(rows):
     cols, m = stacked(rows), rows.m
     p = np.eye(m) - 1.0 / m
     zero = np.zeros((rows.n, 1))
-    return np.hstack([zero, cols[:, m:-1]]) @ p, np.hstack([zero, cols[:, : m - 1]]) @ p
+    return np.hstack([zero, cols[:, : m - 1]]) @ p, np.hstack([zero, cols[:, m:]]) @ p
 
 
 # -------------------------------------------------------- center_reports
@@ -78,9 +78,10 @@ def test_center_three_reports_hand_oracle():
     reports = [WorkerReport(t, [0.0, 0.0]) for t in thetas]
     batch = center_reports(reports)
     cols = stacked(batch)
-    assert np.array_equal(cols[:, -1], [1.0, 0.0])
-    assert np.array_equal(cols[:, 3:-1], [[-1.0, 1.0], [1.0, 2.0]])
-    assert all(block.flags.f_contiguous for _, _, block in batch.blocks(6))
+    assert cols.shape == (2, 5)
+    assert np.array_equal(cols[:, :2], [[-1.0, 1.0], [1.0, 2.0]])
+    assert not cols[:, 2:].any()  # g_0 and D: every gradient is zero
+    assert all(block.flags.f_contiguous for _, _, block in batch.blocks(0, 5))
     want = np.array([[0.0, -1.0, 1.0], [-1.0, 0.0, 1.0]])
     assert np.allclose(batch_centered(batch)[0], want)
     assert np.allclose(centered(reports)[0], want)
@@ -309,11 +310,11 @@ def test_server_round_allocates_no_n_by_m_buffer(aggregator):
 
 def test_single_worker_round_allocates_one_block_and_the_step():
     # at m = 1 and the train_m1 size, one block holds all n rows: the round
-    # writes that block (2n) and theta_new (n), and no mean vectors
+    # writes that one-column block (g_0) and theta_new, and no copy of theta_0
     n = 25_450
     reports = large_reports(n, 1, 15)
     _, peak = traced_peak(lambda: server_round(reports, 0.1, 0.01, False, "distnewton"))
-    assert peak <= 4.1 * 8 * n, f"peak {peak / (8 * n):.2f} x 8n"
+    assert peak <= 2.1 * 8 * n, f"peak {peak / (8 * n):.2f} x 8n"
 
 
 def test_build_operator_allocates_only_its_vectors():
@@ -350,6 +351,29 @@ def test_multi_block_round_agrees_with_explicit_operator(m):
     theta_c, stats_c = server_round(scaled, 0.1, 0.7, False, "distnewton")
     assert stats_c.j == stats.j
     assert np.linalg.norm(theta_c / c - theta_new) <= 1e-12 * np.linalg.norm(theta_new)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 9), st.integers(0, 2), st.integers(-1, 1), st.data())
+def test_blocks_hand_out_rows_of_the_stacked_layout(m, full, edge, data):
+    # n sits on, just below or just above a block edge; any column range of
+    # any pass holds the same rows as [E | g_0 | D] stacked whole, and no
+    # other scratch column is written
+    n = max(full * block_rows(m) + edge, 0)
+    first = data.draw(st.integers(0, 2 * m - 1))
+    stop = data.draw(st.integers(first, 2 * m - 1))
+    thetas, grads = np.random.default_rng(n + m).standard_normal((2, m, n))
+    want = np.hstack([(thetas[1:] - thetas[0]).T, grads[:1].T, (grads[1:] - grads[0]).T])
+    rows = center_reports([WorkerReport(t, g) for t, g in zip(thetas, grads)])
+    rows.scratch[:] = np.nan
+    seen = 0
+    for lo, hi, block in rows.blocks(first, stop):
+        assert lo == seen and block.shape == (hi - lo, stop - first)
+        assert np.array_equal(block, want[lo:hi, first:stop])
+        seen = hi
+    assert seen == n
+    assert rows.scratch.shape[1] == 2 * m - 1
+    assert np.all(np.isnan(rows.scratch[:, stop - first :]))
 
 
 def test_wrong_length_report_rejected_before_any_pass(monkeypatch):
@@ -394,6 +418,35 @@ def test_non_finite_gradient_report_is_named(worker, bad):
         with pytest.raises(NonFiniteReportError, match=f"report {worker}") as exc:
             call()
         assert exc.value.report == worker
+
+
+@pytest.mark.parametrize("aggregator", ["distnewton", "sgd_average"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("worker", [0, 3])
+def test_non_finite_theta_report_is_named(worker, bad, aggregator):
+    rng = np.random.default_rng(18)
+    reports = [WorkerReport(rng.standard_normal(40), rng.standard_normal(40)) for _ in range(5)]
+    reports[worker].theta[7] = bad
+    with pytest.raises(NonFiniteReportError, match=f"report {worker}: theta") as exc:
+        server_round(reports, 0.1, 0.5, False, aggregator)
+    assert exc.value.report == worker
+
+
+OVERFLOWING = {  # finite reports whose differences from worker 0 pass 1.8e308
+    "grad": [WorkerReport([0.0, 0.0, 0.0], [1e308, 1.0, 2.0]),
+             WorkerReport([1.0, 0.0, 0.0], [-1e308, 3.0, 1.0])],
+    "theta": [WorkerReport([1e308, 0.0, 0.0], [1.0, 1.0, 2.0]),
+              WorkerReport([-1e308, 0.0, 0.0], [2.0, 3.0, 1.0])],
+}
+
+
+@pytest.mark.parametrize(
+    "aggregator, field", [("distnewton", "grad"), ("distnewton", "theta"), ("sgd_average", "theta")]
+)
+def test_overflowing_differences_of_finite_reports_are_named(aggregator, field):
+    with pytest.raises(NonFiniteInputError, match="differences from worker 0") as exc:
+        server_round(OVERFLOWING[field], 0.1, 0.5, False, aggregator)
+    assert not isinstance(exc.value, NonFiniteReportError)
 
 
 def test_non_finite_input_to_thin_svd_is_named():
