@@ -1,7 +1,9 @@
 """Command-line driver: single runs, worker-count sweeps, gradient checks.
 
 Exit codes: 0 success, 1 config or usage error, 2 diverged (or a failed
-gradient check), 3 internal error.  Output CSVs have the header
+gradient check), 3 internal error.  `run` is a sweep of one cell: a cell
+that hits an internal error is written, with status failed, and the other
+cells still run.  Output CSVs have the header
 `epoch,train_nll,sigma_max,retained_j,wall_time_s` with one row per
 epoch and at least 12 significant digits per number; a diverged run keeps
 its truncated CSV, whose last row carries a NaN loss as the flag.
@@ -34,6 +36,9 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_DIVERGED = 2
 EXIT_INTERNAL = 3
+
+# status of a cell whose run raised an internal error
+STATUS_FAILED = "failed"
 
 OUTPUT_DIR_ENV = "DISTNEWTON_OUT"
 CSV_HEADER = "epoch,train_nll,sigma_max,retained_j,wall_time_s"
@@ -70,16 +75,16 @@ def read_history_csv(path) -> list[dict]:
 
 
 def _summary_lines(results) -> list[str]:
-    # results: list of (label, history); ranked by final loss, ascending,
-    # diverged runs at the bottom.
+    # results: list of (label, cfg, history); ranked by final loss,
+    # ascending, diverged and failed runs at the bottom.
     def sort_key(item):
-        label, hist = item
+        label, _, hist = item
         nll = hist.final_nll
         broken = hist.status != STATUS_COMPLETED or not np.isfinite(nll)
         return (1 if broken else 0, nll if np.isfinite(nll) else float("inf"), label)
 
     lines = []
-    for label, hist in sorted(results, key=sort_key):
+    for label, _, hist in sorted(results, key=sort_key):
         lines.append(
             f"{label}: status={hist.status} epochs={len(hist.records)} "
             f"final_train_nll={_fmt(hist.final_nll)}"
@@ -87,16 +92,16 @@ def _summary_lines(results) -> list[str]:
     return lines
 
 
-def _write_outputs(out_dir: Path, results, base_cfg: ExperimentConfig, cell_cfgs: dict):
+def _write_outputs(out_dir: Path, results, base_cfg: ExperimentConfig):
     written = []
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-        for label, hist in results:
+        for label, cfg, hist in results:
             csv_path = out_dir / f"{label}.csv"
             write_history_csv(hist, csv_path)
             written.append(csv_path)
             cfg_path = out_dir / f"{label}.cfg"
-            cfg_path.write_text(emit_config(cell_cfgs[label]), encoding="utf-8")
+            cfg_path.write_text(emit_config(cfg), encoding="utf-8")
             written.append(cfg_path)
         resolved = out_dir / "resolved.cfg"
         resolved.write_text(emit_config(base_cfg), encoding="utf-8")
@@ -121,14 +126,37 @@ def _load_and_override(args) -> ExperimentConfig:
     return cfg
 
 
+def _run_cells(cells, base: ExperimentConfig, out_dir: Path) -> int:
+    """Run every config in `cells` on one dataset, write their outputs and
+    summary, and return the exit code.  A config error ends the command;
+    any other failure is printed with its traceback and marks its cell
+    failed, and the other cells still run."""
+    # one dataset for every cell; each cell checks it against its own harness.m
+    dataset = load_dataset(replace(base, m=1))
+    results = []
+    for cfg in cells:
+        label = run_label(cfg)
+        try:
+            hist = run_experiment(cfg, dataset=dataset)
+        except ConfigError:
+            raise
+        except Exception:
+            print(f"{label}: failed", file=sys.stderr)
+            traceback.print_exc()
+            hist = RunHistory([], STATUS_FAILED)
+        results.append((label, cfg, hist))
+    _write_outputs(out_dir, results, base)
+    for line in _summary_lines(results):
+        print(line)
+    statuses = {hist.status for _, _, hist in results}
+    if STATUS_FAILED in statuses:
+        return EXIT_INTERNAL
+    return EXIT_OK if statuses == {STATUS_COMPLETED} else EXIT_DIVERGED
+
+
 def cmd_run(args) -> int:
     cfg = _load_and_override(args)
-    hist = run_experiment(cfg)
-    label = run_label(cfg)
-    _write_outputs(Path(args.out), [(label, hist)], cfg, {label: cfg})
-    for line in _summary_lines([(label, hist)]):
-        print(line)
-    return EXIT_OK if hist.status == STATUS_COMPLETED else EXIT_DIVERGED
+    return _run_cells([cfg], cfg, Path(args.out))
 
 
 def cmd_sweep(args) -> int:
@@ -141,30 +169,7 @@ def cmd_sweep(args) -> int:
         raise ConfigError("workers", "worker counts must be >= 1")
     cells = [replace(base, m=w, aggregator="distnewton") for w in workers]
     cells.append(replace(base, m=1, aggregator="sgd_average"))
-    # one dataset for every cell; each cell checks it against its own harness.m
-    dataset = load_dataset(replace(base, m=1))
-    results = []
-    cell_cfgs = {}
-    internal_failure = False
-    for cfg in cells:
-        label = run_label(cfg)
-        cell_cfgs[label] = cfg
-        try:
-            results.append((label, run_experiment(cfg, dataset=dataset)))
-        except ConfigError:
-            raise
-        except Exception as exc:  # one failing cell must not kill the sweep
-            print(f"{label}: failed ({exc})", file=sys.stderr)
-            results.append((label, RunHistory([], "failed")))
-            internal_failure = True
-    _write_outputs(Path(args.out), results, base, cell_cfgs)
-    for line in _summary_lines(results):
-        print(line)
-    if internal_failure:
-        return EXIT_INTERNAL
-    if any(h.status != STATUS_COMPLETED for _, h in results):
-        return EXIT_DIVERGED
-    return EXIT_OK
+    return _run_cells(cells, base, Path(args.out))
 
 
 def _grad_check_points(cfg: ExperimentConfig, inner, dataset, count=10):

@@ -18,7 +18,6 @@ DEFAULT_LAMBDA = 0.1
 
 AGGREGATORS = ("distnewton", "sgd_average")
 OBJECTIVES = ("quadratic", "rosenbrock", "mlp")
-DATA_KINDS = ("synthetic", "mnist")
 
 
 # rule name -> (test of a value against the rule's bound, message): an
@@ -45,7 +44,6 @@ class ExperimentConfig:
     objective_dim: int = setting("objective.dim", 8, ge=1)
     quad_condition: float = setting("objective.condition", 100.0, ge=1)
     objective_seed: int = setting("objective.seed", 0, ge=0)
-    data_kind: str = setting("data.kind", "synthetic", choices=DATA_KINDS)
     data_images: str = setting("data.images", "")
     data_labels: str = setting("data.labels", "")
     data_samples: int = setting("data.samples", 5000, ge=1)
@@ -77,8 +75,9 @@ class ExperimentConfig:
             raise ConfigError("objective.layers", "need >= 2 positive layer sizes")
         if self.objective_kind == "rosenbrock" and self.objective_dim % 2:
             raise ConfigError("objective.dim", "rosenbrock needs an even dimension")
-        if self.data_kind == "mnist" and (not self.data_images or not self.data_labels):
-            raise ConfigError("data.images", "mnist data needs both image and label paths")
+        if bool(self.data_images) != bool(self.data_labels):
+            missing = "data.labels" if self.data_images else "data.images"
+            raise ConfigError(missing, "set both IDX paths or neither")
         if self.global_batch < self.m:
             raise ConfigError("harness.global_batch", "must be >= harness.m")
         return self

@@ -91,27 +91,6 @@ def load_idx(images_path, labels_path) -> Batch:
     return Batch(inputs, labels.astype(np.int64))
 
 
-def write_idx(dataset: Batch, images_path, labels_path, rows: int | None = None, cols: int | None = None):
-    """Write a Batch back out as an IDX pair.
-
-    Inputs are quantized to unsigned bytes (round of value*255), so a
-    dataset that came from IDX files round-trips exactly.  The image shape
-    defaults to features-by-1 unless rows/cols are given.
-    """
-    if rows is None or cols is None:
-        rows, cols = dataset.feature_count, 1
-    if rows * cols != dataset.feature_count:
-        raise ValueError(f"rows*cols = {rows * cols} != feature count {dataset.feature_count}")
-    count = dataset.sample_count
-    pixels = np.clip(np.rint(dataset.inputs * 255.0), 0, 255).astype(np.uint8)
-    with open(images_path, "wb") as f:
-        f.write(struct.pack(">4I", IMAGE_MAGIC, count, rows, cols))
-        f.write(pixels.T.tobytes())
-    with open(labels_path, "wb") as f:
-        f.write(struct.pack(">2I", LABEL_MAGIC, count))
-        f.write(dataset.labels.astype(np.uint8).tobytes())
-
-
 def synthetic_blobs(
     n_features: int,
     n_classes: int,

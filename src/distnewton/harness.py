@@ -36,10 +36,6 @@ STATUS_COMPLETED = "completed"
 STATUS_DIVERGED = "diverged"
 
 
-class DivergedError(RuntimeError):
-    """A worker or the server produced non-finite numbers."""
-
-
 @dataclass(frozen=True)
 class RoundStats:
     sigma: np.ndarray  # the round's m - 1 singular values of D S (empty for averaging)
@@ -125,7 +121,7 @@ def worker_round(theta_read, objective, batches, local_steps, local_lr, rng, jit
             theta -= local_lr * objective.gradient(theta, batches[step])
         grad = objective.gradient(theta, batches[local_steps])
     if not (np.all(np.isfinite(theta)) and np.all(np.isfinite(grad))):
-        raise DivergedError("worker produced non-finite parameters or gradient")
+        raise NonFiniteInputError("worker produced non-finite parameters or gradient")
     return WorkerReport(theta, grad)
 
 
@@ -177,10 +173,11 @@ def _check_dataset(cfg: ExperimentConfig, dataset: Batch):
 
 def load_dataset(cfg: ExperimentConfig) -> Batch | None:
     """The run's samples, checked against the model; None unless the objective
-    is the MLP.  Synthetic samples take their shape from the model's layers."""
+    is the MLP.  They come from the IDX files when data.images and data.labels
+    are set, and are otherwise synthetic, shaped by the model's layers."""
     if cfg.objective_kind != "mlp":
         return None
-    if cfg.data_kind == "mnist":
+    if cfg.data_images:  # validate() holds the two paths to both or neither
         try:
             ds = load_idx(cfg.data_images, cfg.data_labels)
         except (IdxFormatError, OSError) as exc:  # malformed, missing, a directory, unreadable
@@ -265,7 +262,7 @@ def run_experiment(cfg: ExperimentConfig, dataset=None, threads=1, round_observe
                 theta_new, stats = server_round(
                     reports, cfg.lam, cfg.server_tau, cfg.use_lr_cap, cfg.aggregator
                 )
-            except (DivergedError, NonFiniteInputError):
+            except NonFiniteInputError:
                 diverged = True
                 break
             if round_observer is not None:

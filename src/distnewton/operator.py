@@ -188,6 +188,12 @@ def difference_spectrum(rows: RowBlocks, lam: float) -> GramSpectrum:
         raise _non_finite(rows, overflow) from None
 
 
+def _all_finite(x: np.ndarray) -> bool:
+    """Whether every entry is finite: a finite sum proves it without an
+    n-sized mask, which is only taken when the sum is not finite."""
+    return bool(np.isfinite(x.sum()) or np.all(np.isfinite(x)))
+
+
 def _combine(rows: RowBlocks, coef: np.ndarray) -> np.ndarray:
     """theta_0 + [E | g_0 | D] c over the first len(coef) columns, theta_0
     added after the product so that zero spread is exact: the one loop that
@@ -201,8 +207,7 @@ def _combine(rows: RowBlocks, coef: np.ndarray) -> np.ndarray:
             else:
                 np.matmul(block, coef, out=out)
             out += theta_0[lo:hi]
-        # a finite sum proves every entry finite without an n-sized mask
-        finite = np.isfinite(theta_new.sum()) or np.all(np.isfinite(theta_new))
+        finite = _all_finite(theta_new)
     if not finite:
         raise _non_finite(rows, "theta_new: the differences from worker 0 or the step overflowed")
     return theta_new
@@ -256,16 +261,21 @@ def build_operator(rows: RowBlocks, lam: float) -> InverseHessianOperator:
     us holds u_k = D w_k / ||D w_k|| and ys holds y_k = E w_k, which is
     Theta v_k for the right vector v_k = H V[:, k] of G; both are written
     block by block in one more pass.  Degenerate directions with
-    ||D w_k|| = 0 are dropped.
+    ||D w_k|| = 0 are dropped.  A non-finite ys raises `_non_finite`'s
+    error, as a non-finite theta_new does in the round.
     """
     spec = difference_spectrum(rows, lam)
     m, w = rows.m, spec.right[1:, : spec.retained]
     wu = w / spec.scale
     us = np.empty((rows.n, spec.retained), order="F")
     ys = np.empty((rows.n, spec.retained), order="F")
-    for lo, hi, block in rows.blocks(0, 2 * m - 1):
-        us[lo:hi] = block[:, m:] @ wu
-        ys[lo:hi] = block[:, : m - 1] @ w
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo, hi, block in rows.blocks(0, 2 * m - 1):
+            us[lo:hi] = block[:, m:] @ wu
+            ys[lo:hi] = block[:, : m - 1] @ w
+        finite = _all_finite(ys)
+    if not finite:
+        raise _non_finite(rows, "build_operator: the parameter differences from worker 0 overflow")
     us = unit_columns(us)
     j = us.shape[1]
     return InverseHessianOperator(spec.sigma[:j], us, ys[:, :j])

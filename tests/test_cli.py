@@ -9,6 +9,7 @@ import pytest
 from distnewton.cli import (
     EXIT_CONFIG,
     EXIT_DIVERGED,
+    EXIT_INTERNAL,
     EXIT_OK,
     main,
     read_history_csv,
@@ -35,7 +36,6 @@ BLOB_CFG = """
 objective.kind = mlp
 objective.layers = 12,8,4
 objective.activation = tanh
-data.kind = synthetic
 data.samples = 320
 data.seed = 9
 harness.m = 2
@@ -93,9 +93,24 @@ def test_run_rejects_zero_workers(tmp_path, capsys):
 
 
 def test_run_rejects_unknown_key(tmp_path, capsys):
-    cfg = write_cfg(tmp_path, "harness.bogus = 3\n")
-    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
-    assert "harness.bogus" in capsys.readouterr().err
+    # data.kind was removed: the IDX paths alone choose the data source
+    for key in ("harness.bogus", "data.kind"):
+        cfg = write_cfg(tmp_path, f"{key} = 3\n")
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert key in err
+        assert "unknown configuration key" in err
+
+
+@pytest.mark.parametrize("key, missing", [("data.images", "data.labels"), ("data.labels", "data.images")])
+def test_one_idx_path_exits_config_naming_the_other(tmp_path, capsys, key, missing):
+    cfg = write_cfg(tmp_path, BLOB_CFG + f"{key} = {tmp_path / 'file.idx'}\n")
+    for command in ("run", "sweep", "grad-check"):
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {missing}: ")
+        assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
 
 
 def idx_cfg(tmp_path, image_bytes, label_bytes, layers="4,3"):
@@ -103,7 +118,7 @@ def idx_cfg(tmp_path, image_bytes, label_bytes, layers="4,3"):
     (tmp_path / "images.idx").write_bytes(image_bytes)
     (tmp_path / "labels.idx").write_bytes(label_bytes)
     return write_cfg(tmp_path, (
-        f"objective.layers = {layers}\ndata.kind = mnist\nharness.m = 1\nharness.global_batch = 2\n"
+        f"objective.layers = {layers}\nharness.m = 1\nharness.global_batch = 2\n"
         f"data.images = {tmp_path / 'images.idx'}\ndata.labels = {tmp_path / 'labels.idx'}\n"
     ))
 
@@ -323,6 +338,34 @@ def test_sweep_builds_the_dataset_once(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_failing_cell_is_reported_and_written(tmp_path, capsys, monkeypatch, command):
+    import distnewton.cli
+
+    real = distnewton.cli.run_experiment
+
+    def fails_at_two_workers(cfg, **kwargs):
+        if cfg.m == 2 and cfg.aggregator == "distnewton":
+            raise RuntimeError("cell broke")
+        return real(cfg, **kwargs)
+
+    monkeypatch.setattr(distnewton.cli, "run_experiment", fails_at_two_workers)
+    cfg = write_cfg(tmp_path, BLOB_CFG)  # harness.m = 2
+    out = tmp_path / "out"
+    extra = ["--workers", "1,2"] if command == "sweep" else []
+    assert main([command, "--config", str(cfg), "--out", str(out)] + extra) == EXIT_INTERNAL
+    err = capsys.readouterr().err
+    assert "Traceback" in err and "RuntimeError: cell broke" in err
+    summary = (out / "summary.txt").read_text().splitlines()
+    assert summary[-1].startswith("distnewton-2: status=failed epochs=0 ")
+    assert read_history_csv(out / "distnewton-2.csv") == []
+    others = ["distnewton-1", "sgd"] if command == "sweep" else []
+    for label in others:
+        assert len(read_history_csv(out / f"{label}.csv")) == 2
+        assert any(line.startswith(f"{label}: status=completed") for line in summary)
+    assert len(summary) == 1 + len(others)
+
+
 def test_sweep_rejects_bad_worker_list(tmp_path, capsys):
     cfg = write_cfg(tmp_path, BLOB_CFG)
     for workers in ("0,2", "2,x"):
@@ -386,7 +429,6 @@ objective.activation = relu
 objective.dim = 6
 objective.condition = 12.5
 objective.seed = 3
-data.kind = mnist
 data.images = images.idx
 data.labels = labels.idx
 data.samples = 90
@@ -464,7 +506,6 @@ RULE_VIOLATIONS = [
     ("objective.dim", "ge", "0"),
     ("objective.condition", "ge", "0.5"),
     ("objective.seed", "ge", "-1"),
-    ("data.kind", "choices", "cifar"),
     ("data.samples", "ge", "0"),
     ("data.density", "gt", "0.0"),
     ("data.density", "le", "1.5"),

@@ -12,7 +12,6 @@ from distnewton.data import (
     load_idx,
     shard,
     synthetic_blobs,
-    write_idx,
 )
 from distnewton.errors import BadMagicError, CountMismatchError, TruncatedFileError
 from distnewton.objectives import MlpObjective, MlpSpec
@@ -78,8 +77,8 @@ def test_idx_round_trip_exact(tmp_path):
     rng = np.random.default_rng(0)
     raw = rng.integers(0, 256, size=(9, 6)).astype(np.uint8)
     ds = Batch(np.asfortranarray(raw.astype(np.float64) / 255.0), np.arange(6) % 3)
-    write_idx(ds, tmp_path / "i.idx", tmp_path / "l.idx", rows=3, cols=3)
-    back = load_idx(tmp_path / "i.idx", tmp_path / "l.idx")
+    ipath, lpath = make_idx_pair(tmp_path, raw.T.tobytes(), ds.labels.tolist(), 3, 3)
+    back = load_idx(ipath, lpath)
     assert np.array_equal(back.inputs, ds.inputs)
     assert np.array_equal(back.labels, ds.labels)
 
@@ -90,12 +89,6 @@ def test_loaded_pixels_in_unit_interval(tmp_path):
     ds = load_idx(ipath, lpath)
     assert ds.inputs.min() >= 0.0
     assert ds.inputs.max() <= 1.0
-
-
-def test_write_idx_rejects_bad_shape(tmp_path):
-    ds = synthetic_blobs(6, 2, 4, seed=0)
-    with pytest.raises(ValueError):
-        write_idx(ds, tmp_path / "i", tmp_path / "l", rows=4, cols=2)
 
 
 # ------------------------------------------------------- synthetic_blobs

@@ -7,11 +7,10 @@ import pytest
 
 from distnewton.config import ExperimentConfig, load_config
 from distnewton.data import shard, synthetic_blobs
-from distnewton.errors import DimensionMismatchError
+from distnewton.errors import DimensionMismatchError, NonFiniteInputError
 from distnewton.harness import (
     STATUS_COMPLETED,
     STATUS_DIVERGED,
-    DivergedError,
     per_worker_batch_sizes,
     rounds_per_epoch,
     run_experiment,
@@ -49,7 +48,6 @@ def blob_cfg(**kw):
         objective_kind="mlp",
         mlp_layers=(16, 8, 4),
         activation="tanh",
-        data_kind="synthetic",
         data_samples=640,
         synth_seed=5,
         m=4,
@@ -100,7 +98,7 @@ def test_worker_round_flags_divergence():
         def gradient(self, theta, batch=None):
             return np.array([np.inf, 0.0])
 
-    with pytest.raises(DivergedError):
+    with pytest.raises(NonFiniteInputError):
         worker_round([0.0, 0.0], Explodes(), [None, None], 1, 1.0, np.random.default_rng(0))
 
 

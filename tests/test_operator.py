@@ -420,6 +420,18 @@ def test_non_finite_gradient_report_is_named(worker, bad):
         assert exc.value.report == worker
 
 
+@pytest.mark.parametrize("field, name", [("theta", "theta"), ("grad", "gradient")])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("worker", [0, 3])
+def test_build_operator_names_a_non_finite_report(worker, bad, field, name):
+    rng = np.random.default_rng(19)
+    reports = [WorkerReport(rng.standard_normal(6), rng.standard_normal(6)) for _ in range(4)]
+    getattr(reports[worker], field)[2] = bad
+    with pytest.raises(NonFiniteReportError, match=f"report {worker}: {name}") as exc:
+        build_operator(center_reports(reports), 0.1)
+    assert exc.value.report == worker
+
+
 @pytest.mark.parametrize("aggregator", ["distnewton", "sgd_average"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("worker", [0, 3])
