@@ -10,9 +10,9 @@ Pixels are scaled by 1/255 on load so inputs always sit in [0, 1].
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -21,6 +21,9 @@ from .linalg import as_matrix
 
 IMAGE_MAGIC = 0x00000803
 LABEL_MAGIC = 0x00000801
+# Working bytes of one row chunk of `synthetic_blobs`: its noise draw and
+# its gathered class centers.
+CHUNK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -52,43 +55,45 @@ class Batch:
         return Batch(self.inputs[:, :count].copy(order="F"), self.labels[:count].copy())
 
 
-def _read_header(raw: bytes, words: int, path) -> tuple:
+def _read_header(f, words: int, path) -> tuple:
+    raw = f.read(4 * words)
     if len(raw) < 4 * words:
         raise TruncatedFileError(path, "header truncated")
-    return struct.unpack(f">{words}I", raw[: 4 * words])
+    return struct.unpack(f">{words}I", raw)
 
 
-def load_idx(images_path, labels_path) -> Batch:
-    """Load an image/label IDX pair into a Batch.
+def load_idx(images_path, labels_path, count: int | None = None) -> Batch:
+    """Load the first `count` samples (all of them if None or more than the
+    files hold) of an image/label IDX pair into a Batch.
 
-    Distinct failures raise distinct errors: wrong magic, truncated
-    payload, or an image/label count mismatch.
+    Only the kept samples are read and converted, each image straight
+    into its column of the Fortran-order result; the full files' lengths
+    are still checked from their sizes.  Distinct failures raise distinct
+    errors: wrong magic, truncated payload, or an image/label count
+    mismatch.
     """
-    img_raw = Path(images_path).read_bytes()
-    magic, count, rows, cols = _read_header(img_raw, 4, images_path)
-    if magic != IMAGE_MAGIC:
-        raise BadMagicError(images_path, f"bad magic 0x{magic:08x}")
-    expected = 16 + count * rows * cols
-    if len(img_raw) < expected:
-        raise TruncatedFileError(
-            images_path, f"expected {expected} bytes, file has {len(img_raw)}"
-        )
-    pixels = np.frombuffer(img_raw, dtype=np.uint8, count=count * rows * cols, offset=16)
+    with open(images_path, "rb") as img, open(labels_path, "rb") as lab:
+        magic, total, rows, cols = _read_header(img, 4, images_path)
+        if magic != IMAGE_MAGIC:
+            raise BadMagicError(images_path, f"bad magic 0x{magic:08x}")
+        size, expected = os.fstat(img.fileno()).st_size, 16 + total * rows * cols
+        if size < expected:
+            raise TruncatedFileError(images_path, f"expected {expected} bytes, file has {size}")
 
-    lab_raw = Path(labels_path).read_bytes()
-    lab_magic, lab_count = _read_header(lab_raw, 2, labels_path)
-    if lab_magic != LABEL_MAGIC:
-        raise BadMagicError(labels_path, f"bad magic 0x{lab_magic:08x}")
-    if len(lab_raw) < 8 + lab_count:
-        raise TruncatedFileError(labels_path, "label payload truncated")
-    if lab_count != count:
-        raise CountMismatchError(labels_path, f"{count} images but {lab_count} labels")
-    labels = np.frombuffer(lab_raw, dtype=np.uint8, count=lab_count, offset=8)
+        lab_magic, lab_count = _read_header(lab, 2, labels_path)
+        if lab_magic != LABEL_MAGIC:
+            raise BadMagicError(labels_path, f"bad magic 0x{lab_magic:08x}")
+        if os.fstat(lab.fileno()).st_size < 8 + lab_count:
+            raise TruncatedFileError(labels_path, "label payload truncated")
+        if lab_count != total:
+            raise CountMismatchError(labels_path, f"{total} images but {lab_count} labels")
 
-    inputs = np.asfortranarray(
-        pixels.reshape(count, rows * cols).T.astype(np.float64) / 255.0
-    )
-    return Batch(inputs, labels.astype(np.int64))
+        kept = total if count is None else min(count, total)
+        pixels = np.frombuffer(img.read(kept * rows * cols), dtype=np.uint8)
+        labels = np.frombuffer(lab.read(kept), dtype=np.uint8)
+    inputs = np.empty((rows * cols, kept), order="F")
+    np.divide(pixels.reshape(kept, rows * cols), 255.0, out=inputs.T)
+    return Batch(inputs, labels)
 
 
 def synthetic_blobs(
@@ -100,6 +105,10 @@ def synthetic_blobs(
     density: float = 1.0,
 ) -> Batch:
     """Gaussian class clusters with seeded centers, clipped to [0, 1].
+
+    The dataset is built in its final Fortran-order array, a chunk of
+    feature rows at a time, so that it needs about CHUNK_BYTES beyond
+    itself.
 
     Labels cycle through the classes so every class is (near) balanced;
     the same seed always reproduces the same dataset bit for bit.
@@ -113,9 +122,17 @@ def synthetic_blobs(
     support = rng.random((n_features, n_classes)) < density
     centers = rng.uniform(0.25, 0.75, size=(n_features, n_classes)) * support
     labels = np.arange(n_samples, dtype=np.int64) % n_classes
-    noise = spread * rng.standard_normal((n_features, n_samples)) * support[:, labels]
-    inputs = centers[:, labels] + noise
-    return Batch(np.asfortranarray(np.clip(inputs, 0.0, 1.0)), labels)
+    inputs = np.empty((n_features, n_samples), order="F")
+    step = max(1, CHUNK_BYTES // (16 * n_samples))
+    for lo in range(0, n_features, step):
+        rows = slice(lo, lo + step)
+        # Row chunks continue the one row-major draw of the whole matrix.
+        noise = rng.standard_normal((min(step, n_features - lo), n_samples))
+        noise *= spread
+        noise *= support[rows][:, labels]
+        noise += centers[rows][:, labels]
+        np.clip(noise, 0.0, 1.0, out=inputs[rows])
+    return Batch(inputs, labels)
 
 
 @dataclass(frozen=True)

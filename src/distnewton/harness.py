@@ -21,6 +21,7 @@ import numpy as np
 from .config import ExperimentConfig
 from .data import Batch, load_idx, shard, synthetic_blobs
 from .errors import ConfigError, IdxFormatError, NonFiniteInputError
+from .linalg import all_finite
 from .objectives import MlpObjective, MlpSpec, QuadraticObjective, RosenbrockObjective
 from .operator import (
     WorkerReport,
@@ -112,15 +113,19 @@ def worker_round(theta_read, objective, batches, local_steps, local_lr, rng, jit
     perturbs the starting point; it is what makes workers explore
     different regions when the objective itself has no stochasticity.
     """
-    theta = np.asarray(theta_read, dtype=np.float64).copy()
-    if jitter > 0.0:
-        theta += jitter * rng.standard_normal(theta.shape[0])
+    theta_read = np.asarray(theta_read, dtype=np.float64)
+    if jitter > 0.0:  # theta_read + jitter * z, drawn into the vector that becomes theta
+        theta = rng.standard_normal(theta_read.shape[0])
+        theta *= jitter
+        theta += theta_read
+    else:
+        theta = theta_read.copy()
     # overflow here is a detected outcome (divergence), not an anomaly
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(local_steps):
             theta -= local_lr * objective.gradient(theta, batches[step])
         grad = objective.gradient(theta, batches[local_steps])
-    if not (np.all(np.isfinite(theta)) and np.all(np.isfinite(grad))):
+    if not (all_finite(theta) and all_finite(grad)):
         raise NonFiniteInputError("worker produced non-finite parameters or gradient")
     return WorkerReport(theta, grad)
 
@@ -179,13 +184,11 @@ def load_dataset(cfg: ExperimentConfig) -> Batch | None:
         return None
     if cfg.data_images:  # validate() holds the two paths to both or neither
         try:
-            ds = load_idx(cfg.data_images, cfg.data_labels)
+            ds = load_idx(cfg.data_images, cfg.data_labels, cfg.data_samples)
         except (IdxFormatError, OSError) as exc:  # malformed, missing, a directory, unreadable
             path = exc.path if isinstance(exc, IdxFormatError) else exc.filename
             key = "data.images" if path == cfg.data_images else "data.labels"
             raise ConfigError(key, str(exc)) from None
-        if cfg.data_samples < ds.sample_count:
-            ds = ds.subset(cfg.data_samples)
     else:
         ds = synthetic_blobs(
             cfg.mlp_layers[0], cfg.mlp_layers[-1], cfg.data_samples, cfg.synth_seed,

@@ -43,6 +43,14 @@ def as_matrix(x) -> np.ndarray:
     return np.asfortranarray(a)
 
 
+def all_finite(x: np.ndarray) -> bool:
+    """Whether every entry is finite: a finite sum proves it without an
+    n-sized mask, which is only taken when the sum is not finite.  A sum
+    that overflows, or meets infinities of both signs, warns nothing."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return bool(np.isfinite(x.sum()) or np.all(np.isfinite(x)))
+
+
 def gram(mat) -> np.ndarray:
     """M^T M, symmetrized so rounding noise cannot upset the eigensolver."""
     m = as_matrix(mat)

@@ -43,6 +43,7 @@ import numpy as np
 from .errors import DimensionMismatchError, NonFiniteInputError, NonFiniteReportError
 from .linalg import (
     GramSpectrum,
+    all_finite,
     as_vector,
     gram_spectrum,
     thin_svd_via_gram,  # noqa: F401  (perfbench times the Gram route under this name)
@@ -188,12 +189,6 @@ def difference_spectrum(rows: RowBlocks, lam: float) -> GramSpectrum:
         raise _non_finite(rows, overflow) from None
 
 
-def _all_finite(x: np.ndarray) -> bool:
-    """Whether every entry is finite: a finite sum proves it without an
-    n-sized mask, which is only taken when the sum is not finite."""
-    return bool(np.isfinite(x.sum()) or np.all(np.isfinite(x)))
-
-
 def _combine(rows: RowBlocks, coef: np.ndarray) -> np.ndarray:
     """theta_0 + [E | g_0 | D] c over the first len(coef) columns, theta_0
     added after the product so that zero spread is exact: the one loop that
@@ -207,7 +202,7 @@ def _combine(rows: RowBlocks, coef: np.ndarray) -> np.ndarray:
             else:
                 np.matmul(block, coef, out=out)
             out += theta_0[lo:hi]
-        finite = _all_finite(theta_new)
+        finite = all_finite(theta_new)
     if not finite:
         raise _non_finite(rows, "theta_new: the differences from worker 0 or the step overflowed")
     return theta_new
@@ -273,7 +268,7 @@ def build_operator(rows: RowBlocks, lam: float) -> InverseHessianOperator:
         for lo, hi, block in rows.blocks(0, 2 * m - 1):
             us[lo:hi] = block[:, m:] @ wu
             ys[lo:hi] = block[:, : m - 1] @ w
-        finite = _all_finite(ys)
+        finite = all_finite(ys)
     if not finite:
         raise _non_finite(rows, "build_operator: the parameter differences from worker 0 overflow")
     us = unit_columns(us)

@@ -2,9 +2,13 @@
 
 Everything here deliberately avoids the package's own decomposition code:
 singular values come from power iteration with deflation on the small
-Gram matrix, and Newton steps come from a dense direct solve.  These are
-the second routes the fast paths are checked against.
+Gram matrix, Newton steps come from a dense direct solve, and synthetic
+datasets come from one whole-matrix formula.  These are the second routes
+the fast paths are checked against; `traced_peak` is the one measurement
+that memory bounds are checked with.
 """
+
+import tracemalloc
 
 import numpy as np
 
@@ -88,3 +92,26 @@ def random_spanning_reports(a, theta_star, around, m, seed, spread=1.0):
         theta = around + spread * rng.standard_normal(n)
         reports.append(WorkerReport(theta, a @ (theta - theta_star)))
     return reports
+
+
+def synthetic_blobs_oracle(n_features, n_classes, n_samples, seed, spread=0.08, density=1.0):
+    """`data.synthetic_blobs`'s (inputs, labels) from one draw of the whole
+    noise matrix, with every step a dataset-sized temporary."""
+    rng = np.random.default_rng(seed)
+    support = rng.random((n_features, n_classes)) < density
+    centers = rng.uniform(0.25, 0.75, size=(n_features, n_classes)) * support
+    labels = np.arange(n_samples, dtype=np.int64) % n_classes
+    noise = spread * rng.standard_normal((n_features, n_samples)) * support[:, labels]
+    return np.clip(centers[:, labels] + noise, 0.0, 1.0), labels
+
+
+def traced_peak(fn):
+    """fn() and the tracemalloc peak of the call, in bytes."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = fn()
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    return out, peak

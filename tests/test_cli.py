@@ -189,7 +189,8 @@ def test_unreadable_data_path_exits_config_naming_key(tmp_path, capsys, key):
     labels = struct.pack(">2I", LABEL_MAGIC, 2) + bytes(2)
     cfg = idx_cfg(tmp_path, images, labels)
     (tmp_path / "dir").mkdir()
-    for bad in (tmp_path / "dir", tmp_path / "missing.idx"):
+    # a directory, a missing file, and a path that runs through a file
+    for bad in (tmp_path / "dir", tmp_path / "missing.idx", tmp_path / "images.idx" / "idx"):
         write_cfg(tmp_path, cfg.read_text() + f"{key} = {bad}\n", name="bad.cfg")
         for command in ("run", "grad-check"):
             code = main([command, "--config", str(tmp_path / "bad.cfg"), "--out", str(tmp_path / "o")])

@@ -2,10 +2,11 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from distnewton.data import (
+    CHUNK_BYTES,
     IMAGE_MAGIC,
     LABEL_MAGIC,
     Batch,
@@ -15,6 +16,8 @@ from distnewton.data import (
 )
 from distnewton.errors import BadMagicError, CountMismatchError, TruncatedFileError
 from distnewton.objectives import MlpObjective, MlpSpec
+
+from oracles import synthetic_blobs_oracle, traced_peak
 
 
 def make_idx_pair(tmp_path, pixels, labels, rows, cols, image_magic=IMAGE_MAGIC,
@@ -91,6 +94,43 @@ def test_loaded_pixels_in_unit_interval(tmp_path):
     assert ds.inputs.max() <= 1.0
 
 
+def random_idx_pair(tmp_path, count, rows=3, cols=2, seed=0):
+    """An IDX pair of `count` random images and labels."""
+    rng = np.random.default_rng(seed)
+    pixels = rng.integers(0, 256, size=count * rows * cols, dtype=np.uint8).tobytes()
+    return make_idx_pair(tmp_path, pixels, (np.arange(count) % 10).tolist(), rows, cols)
+
+
+@pytest.mark.parametrize("count", [0, 1, 5, 6, 7, 50])
+def test_load_idx_count_keeps_the_first_samples(tmp_path, count):
+    ipath, lpath = random_idx_pair(tmp_path, 6)
+    whole = load_idx(ipath, lpath)
+    kept = load_idx(ipath, lpath, count)
+    ref = whole.subset(count)
+    assert kept.sample_count == min(count, 6)
+    assert kept.inputs.flags.f_contiguous
+    assert kept.inputs.tobytes(order="F") == ref.inputs.tobytes(order="F")
+    assert np.array_equal(kept.labels, ref.labels)
+
+
+@pytest.mark.parametrize("truncate", ["images", "labels"])
+def test_load_idx_truncated_past_the_kept_samples(tmp_path, truncate):
+    ipath, lpath = random_idx_pair(tmp_path, 5)
+    path = ipath if truncate == "images" else lpath
+    path.write_bytes(path.read_bytes()[:-1])
+    with pytest.raises(TruncatedFileError):
+        load_idx(ipath, lpath, 2)
+
+
+def test_load_idx_count_reads_only_the_kept_samples(tmp_path):
+    # the kept uint8 pixels and their float64 copy; the file holds 40x more
+    kept = 50
+    ipath, lpath = random_idx_pair(tmp_path, 2000, rows=28, cols=28)
+    ds, peak = traced_peak(lambda: load_idx(ipath, lpath, kept))
+    assert ds.sample_count == kept
+    assert peak <= 9 * 784 * kept + 2**20
+
+
 # ------------------------------------------------------- synthetic_blobs
 
 
@@ -131,6 +171,42 @@ def test_blobs_linearly_separable_enough():
     logits = layers_w @ ds.inputs + layers_b[:, None]
     accuracy = np.mean(np.argmax(logits, axis=0) == ds.labels)
     assert accuracy > 0.9
+
+
+def blob_cases():
+    """Shapes from one feature row to more than two row chunks, and sample
+    counts up to one whose chunk is a single row."""
+    def shaped(n_samples):
+        step = max(1, CHUNK_BYTES // (16 * n_samples))
+        return st.integers(1, 2 * step + 1).map(lambda f: (f, n_samples))
+
+    samples = st.one_of(st.integers(1, 300), st.just(CHUNK_BYTES // 16 + 3))
+    return samples.flatmap(shaped)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    blob_cases(),
+    st.integers(1, 12),
+    st.integers(0, 2**32 - 1),
+    st.floats(0.0, 1.0),
+    st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+)
+@example((CHUNK_BYTES // 160 + 1, 10), 3, 1, 0.15, 0.2)  # more than one chunk, 10 % 3 != 0
+@example((3, CHUNK_BYTES // 16 + 3), 2, 2, 0.08, 1.0)  # each chunk one row
+@example((5, 7), 1, 3, 0.5, 0.0)  # one class, no support
+def test_blobs_match_the_whole_matrix_oracle(shape, n_classes, seed, spread, density):
+    n_features, n_samples = shape
+    ds = synthetic_blobs(n_features, n_classes, n_samples, seed, spread=spread, density=density)
+    inputs, labels = synthetic_blobs_oracle(n_features, n_classes, n_samples, seed, spread, density)
+    assert ds.inputs.flags.f_contiguous
+    assert np.array_equal(ds.inputs, inputs)
+    assert np.array_equal(ds.labels, labels)
+
+
+def test_blobs_allocate_one_chunk_beyond_the_dataset():
+    ds, peak = traced_peak(lambda: synthetic_blobs(784, 10, 5000, seed=20260811, spread=0.15, density=0.2))
+    assert peak <= ds.inputs.nbytes + ds.labels.nbytes + 2 * 2**20
 
 
 def test_subset_keeps_column_major_layout():

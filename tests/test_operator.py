@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -20,7 +18,7 @@ from distnewton.operator import (
     newton_update,
 )
 
-from oracles import centered, newton_step_oracle, random_spanning_reports, report_means
+from oracles import centered, newton_step_oracle, random_spanning_reports, report_means, traced_peak
 
 
 def quadratic_reports(a, thetas, theta_star=None):
@@ -280,18 +278,6 @@ def test_single_worker_round_skips_gram_and_eigensolve(monkeypatch):
     assert np.array_equal(theta_new, theta - 0.7 * g)
     assert stats.sigma.size == 0 and stats.sigma_max == 0.0
     assert stats.j == 0
-
-
-def traced_peak(fn):
-    """fn() and the tracemalloc peak of the call, in bytes."""
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        out = fn()
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-    return out, peak
 
 
 def large_reports(n, m, seed):
