@@ -1,0 +1,76 @@
+#!/usr/bin/env python3
+"""Cost of one-shot `distnewton run`s of a preset, each in a fresh process.
+
+Each repetition starts a measuring process that runs `distnewton run` on
+the preset, with `harness.m` set, as its one child, and reads the child's
+wall time, minor page faults and max RSS from
+`resource.getrusage(RUSAGE_CHILDREN)`.  The medians over the repetitions
+are printed under a line naming the Python and numpy versions and the
+usable core count.  Wall time includes interpreter start-up and the
+dataset build, which is what a one-shot run pays.
+
+Usage: python scripts/one_shot_run.py [--config configs/mnist_tanh.cfg] [--m 1] [--repeats 5]
+"""
+
+import argparse
+import json
+import os
+import platform
+import resource
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+import numpy as np
+
+REPO = Path(__file__).resolve().parent.parent
+
+
+def one_run(config: Path, m: int) -> dict:
+    """One `distnewton run` in a child process, and what it cost."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")])))
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "run.cfg"
+        cfg.write_text(f"{config.read_text()}\nharness.m = {m}\n")
+        t0 = time.perf_counter()
+        subprocess.run(
+            [sys.executable, "-m", "distnewton.cli", "run", "--config", str(cfg), "--out", str(Path(tmp) / "out")],
+            env=env, check=True, stdout=subprocess.DEVNULL,
+        )
+        wall = time.perf_counter() - t0
+    usage = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return {"wall_s": wall, "minor_faults": usage.ru_minflt, "max_rss_mb": usage.ru_maxrss / 1024.0}
+
+
+def main(argv) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--config", type=Path, default=REPO / "configs" / "mnist_tanh.cfg")
+    parser.add_argument("--m", type=int, default=1, help="harness.m for the runs")
+    parser.add_argument("--repeats", type=int, default=5)
+    parser.add_argument("--one", action="store_true", help=argparse.SUPPRESS)  # measuring process
+    args = parser.parse_args(argv)
+    if args.one:
+        print(json.dumps(one_run(args.config, args.m)))
+        return 0
+    runs = []
+    for _ in range(args.repeats):
+        out = subprocess.run(
+            [sys.executable, __file__, "--one", "--config", str(args.config), "--m", str(args.m)],
+            capture_output=True, text=True, check=True,
+        )
+        runs.append(json.loads(out.stdout))
+    print(
+        f"python {platform.python_version()}, numpy {np.__version__}, "
+        f"{len(os.sched_getaffinity(0))} cores; {args.config.name} at harness.m = {args.m}, "
+        f"median of {args.repeats} fresh processes"
+    )
+    for key in ("wall_s", "minor_faults", "max_rss_mb"):
+        print(f"{key} {statistics.median(r[key] for r in runs):.6g}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -50,10 +50,6 @@ class Batch:
     def feature_count(self) -> int:
         return int(self.inputs.shape[0])
 
-    def subset(self, count: int) -> "Batch":
-        """First `count` samples (all of them if there are fewer), in file order."""
-        return Batch(self.inputs[:, :count].copy(order="F"), self.labels[:count].copy())
-
 
 def _read_header(f, words: int, path) -> tuple:
     raw = f.read(4 * words)

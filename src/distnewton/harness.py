@@ -89,29 +89,48 @@ class _WorkerFeed:
 
     The worker's shard (in permutation order) is cut into consecutive
     chunks of its per-worker batch size, tiling the shard if the round
-    count needs more chunks than one pass provides.
+    count needs more chunks than one pass provides.  Each chunk's columns
+    are gathered into `buffer`, the worker's Fortran-order (features,
+    batch size) array that the run keeps for all its epochs, so a Batch
+    from `batch` is valid until this feed's next gather.
     """
 
-    def __init__(self, dataset: Batch, indices: np.ndarray, batch_size: int, chunks: int):
+    def __init__(self, dataset: Batch, indices: np.ndarray, batch_size: int, chunks: int, buffer):
         needed = chunks * batch_size
         reps = -(-needed // indices.shape[0])  # ceil
         self.indices = np.tile(indices, reps)[:needed] if reps > 1 else indices[:needed]
         self.dataset = dataset
         self.batch_size = batch_size
+        self.buffer = buffer
 
     def batch(self, chunk: int) -> Batch:
         sel = self.indices[chunk * self.batch_size : (chunk + 1) * self.batch_size]
-        return Batch(self.dataset.inputs[:, sel], self.dataset.labels[sel])
+        # sel comes from the shard, so "clip" never clips; "raise" would copy out first
+        np.take(self.dataset.inputs.T, sel, axis=0, out=self.buffer.T, mode="clip")
+        return Batch(self.buffer, self.dataset.labels[sel])
+
+
+class _RoundBatches:
+    """One worker's batches of one round, gathered when indexed: [t] is the
+    feed's chunk first + t."""
+
+    def __init__(self, feed: _WorkerFeed, first: int):
+        self.feed, self.first = feed, first
+
+    def __getitem__(self, t: int) -> Batch:
+        return self.feed.batch(self.first + t)
 
 
 def worker_round(theta_read, objective, batches, local_steps, local_lr, rng, jitter=0.0):
     """One worker's round: s local SGD steps, then the report gradient.
 
-    `batches` supplies local_steps + 1 minibatches (None entries for
-    deterministic objectives).  The reported gradient is evaluated at the
-    updated parameters on the final, fresh batch.  Optional jitter
-    perturbs the starting point; it is what makes workers explore
-    different regions when the objective itself has no stochasticity.
+    `batches[t]` supplies minibatch t of local_steps + 1 (None for
+    deterministic objectives).  Each is indexed once, when step t starts,
+    so a lazy sequence may gather every batch into the same buffer.  The
+    reported gradient is evaluated at the updated parameters on the final,
+    fresh batch.  Optional jitter perturbs the starting point; it is what
+    makes workers explore different regions when the objective itself has
+    no stochasticity.
     """
     theta_read = np.asarray(theta_read, dtype=np.float64)
     if jitter > 0.0:  # theta_read + jitter * z, drawn into the vector that becomes theta
@@ -214,9 +233,11 @@ def run_experiment(cfg: ExperimentConfig, dataset=None, threads=1, round_observe
 
     Per epoch the dataset is resharded with a fresh seeded permutation and
     rounds run until the epoch's sample budget is spent; the full-train
-    NLL is recorded after each epoch.  Any non-finite parameter, gradient,
-    or loss stops the run with status 'diverged' (a flag record with NaN
-    loss marks the broken epoch).  `round_observer`, when given, is called
+    NLL is recorded after each epoch.  Each worker gathers its batches,
+    one at a time, into one buffer that the run keeps, so that beyond the
+    dataset the run's inputs take one global batch.  Any non-finite
+    parameter, gradient, or loss stops the run with status 'diverged' (a
+    flag record with NaN loss marks the broken epoch).  `round_observer`, when given, is called
     after every server aggregation with (epoch, round, theta_read,
     reports, theta_new, stats).  `threads` is accepted for compatibility
     and has no effect: workers always run serially, in worker order.
@@ -235,6 +256,7 @@ def run_experiment(cfg: ExperimentConfig, dataset=None, threads=1, round_observe
     if stochastic:
         n_rounds = rounds_per_epoch(dataset.sample_count, cfg.global_batch, s)
         sizes = per_worker_batch_sizes(cfg.global_batch, cfg.m)
+        buffers = [np.empty((dataset.feature_count, size), order="F") for size in sizes]
     else:
         n_rounds = 1
         batches = [None] * (s + 1)
@@ -247,7 +269,7 @@ def run_experiment(cfg: ExperimentConfig, dataset=None, threads=1, round_observe
         if stochastic:
             plan = shard(dataset, cfg.m, _epoch_seed(cfg.seed, epoch))
             feeds = [
-                _WorkerFeed(dataset, plan.worker_indices(k), sizes[k], n_rounds * (s + 1))
+                _WorkerFeed(dataset, plan.worker_indices(k), sizes[k], n_rounds * (s + 1), buffers[k])
                 for k in range(cfg.m)
             ]
         diverged = False
@@ -258,7 +280,7 @@ def run_experiment(cfg: ExperimentConfig, dataset=None, threads=1, round_observe
                 for k in range(cfg.m):
                     rng = np.random.default_rng([cfg.seed, k, global_round])
                     if stochastic:
-                        batches = [feeds[k].batch(rnd * (s + 1) + t) for t in range(s + 1)]
+                        batches = _RoundBatches(feeds[k], rnd * (s + 1))
                     reports.append(worker_round(
                         theta, objective, batches, s, cfg.local_lr, rng, cfg.worker_jitter
                     ))

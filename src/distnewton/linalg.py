@@ -193,11 +193,12 @@ class ThinSvd:
 def thin_svd_via_gram(mat, rank_tolerance: float) -> ThinSvd:
     """Thin SVD from the m-by-m Gram eigendecomposition (`gram_spectrum`
     with B = I, and M summed as one block).  Left vectors are formed only
-    for the retained prefix, with the right vectors divided by the Gram's
-    scale, so that their norms cannot overflow.  A zero matrix yields an
-    all-zero sigma and no left vectors.
+    for the retained prefix, from the matrix divided by the Gram's scale,
+    so that their norms cannot overflow (the right vectors divided by a
+    subnormal scale would).  A zero matrix yields an all-zero sigma and no
+    left vectors.
     """
     g = as_matrix(mat)
     spec = gram_spectrum(lambda: (g,), np.eye(g.shape[1]), rank_tolerance)
-    u = unit_columns(g @ (spec.right[:, : spec.retained] / spec.scale))
+    u = unit_columns((g / spec.scale) @ spec.right[:, : spec.retained])
     return ThinSvd(spec.sigma, spec.right, u)

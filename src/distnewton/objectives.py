@@ -178,32 +178,36 @@ class MlpObjective:
         pre = []
         a = batch.inputs
         for i, (w, b) in enumerate(layers):
-            z = w @ a + b[:, None]
+            z = w @ a
+            z += b[:, None]
             pre.append(z)
             if i < len(layers) - 1:
-                a = np.tanh(z) if self.spec.activation == "tanh" else np.maximum(z, 0.0)
+                # tanh overwrites its pre-activation: backprop reads only its output
+                a = np.tanh(z, out=z) if self.spec.activation == "tanh" else np.maximum(z, 0.0)
                 acts.append(a)
         return acts, pre
 
-    def _nll(self, logits, labels):
-        shifted = logits - logits.max(axis=0)
-        lse = np.log(np.exp(shifted).sum(axis=0))
-        picked = shifted[labels, np.arange(labels.shape[0])]
-        return float(np.mean(lse - picked)), shifted, lse
+    def _nll(self, logits, labels, out=None):
+        """Mean NLL and each column's log-sum-exp.  The logits are shifted in
+        place by their column max; their exponentials go to `out`, which
+        may be the logits themselves."""
+        logits -= logits.max(axis=0)
+        picked = logits[labels, np.arange(labels.shape[0])]
+        lse = np.log(np.exp(logits, out=out).sum(axis=0))
+        return float(np.mean(lse - picked)), lse
 
     def value(self, theta, batch: Batch) -> float:
-        layers = self._layers(theta)
-        _, pre = self._forward(layers, batch)
-        nll, _, _ = self._nll(pre[-1], batch.labels)
-        return nll
+        _, pre = self._forward(self._layers(theta), batch)
+        return self._nll(pre[-1], batch.labels, out=pre[-1])[0]
 
     def value_and_grad(self, theta, batch: Batch):
         layers = self._layers(theta)
         acts, pre = self._forward(layers, batch)
-        nll, shifted, lse = self._nll(pre[-1], batch.labels)
+        nll, lse = self._nll(pre[-1], batch.labels)
         b = batch.sample_count
-        probs = np.exp(shifted - lse)
-        delta = probs
+        delta = pre[-1]  # the shifted logits, made the probabilities in place
+        delta -= lse
+        np.exp(delta, out=delta)
         delta[batch.labels, np.arange(b)] -= 1.0
         delta /= b
         grads = [None] * len(layers)
@@ -224,7 +228,8 @@ class MlpObjective:
 
     def preactivation_signs(self, theta, batch: Batch) -> np.ndarray:
         """Signs of all hidden pre-activations; used to screen finite
-        differences away from ReLU kinks."""
+        differences away from ReLU kinks.  (Under tanh they are read off
+        the outputs that overwrote them, which have the same signs.)"""
         layers = self._layers(theta)
         _, pre = self._forward(layers, batch)
         if len(pre) < 2:

@@ -261,12 +261,12 @@ def build_operator(rows: RowBlocks, lam: float) -> InverseHessianOperator:
     """
     spec = difference_spectrum(rows, lam)
     m, w = rows.m, spec.right[1:, : spec.retained]
-    wu = w / spec.scale
     us = np.empty((rows.n, spec.retained), order="F")
     ys = np.empty((rows.n, spec.retained), order="F")
     with np.errstate(over="ignore", invalid="ignore"):
         for lo, hi, block in rows.blocks(0, 2 * m - 1):
-            us[lo:hi] = block[:, m:] @ wu
+            # D / scale, not w / scale: w over a subnormal scale overflows
+            us[lo:hi] = (block[:, m:] / spec.scale) @ w
             ys[lo:hi] = block[:, : m - 1] @ w
         finite = all_finite(ys)
     if not finite:

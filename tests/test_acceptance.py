@@ -20,7 +20,6 @@ from distnewton.config import DEFAULT_LAMBDA, ExperimentConfig
 from distnewton.data import load_idx, synthetic_blobs
 from distnewton.harness import (
     STATUS_COMPLETED,
-    _WorkerFeed,
     _epoch_seed,
     per_worker_batch_sizes,
     rounds_per_epoch,
@@ -122,16 +121,18 @@ def _reference_trajectory(cfg):
     trace = []
     for epoch in range(cfg.epochs):
         plan = shard(dataset, cfg.m, _epoch_seed(cfg.seed, epoch))
-        feeds = [
-            _WorkerFeed(dataset, plan.worker_indices(k), sizes[k], n_rounds * (s + 1))
-            for k in range(cfg.m)
+        # each worker's shard, tiled to the epoch's chunks and cut into its
+        # batches, gathered here as fresh arrays rather than by the harness
+        chunks = [
+            np.resize(plan.worker_indices(k), (n_rounds * (s + 1), sizes[k])) for k in range(cfg.m)
         ]
         for rnd in range(n_rounds):
             rid = epoch * n_rounds + rnd
             reports = []
             for k in range(cfg.m):
                 rng = np.random.default_rng([cfg.seed, k, rid])
-                batches = [feeds[k].batch(rnd * (s + 1) + t) for t in range(s + 1)]
+                sels = chunks[k][rnd * (s + 1) : (rnd + 1) * (s + 1)]
+                batches = [Batch(dataset.inputs[:, sel], dataset.labels[sel]) for sel in sels]
                 reports.append(
                     worker_round(theta, objective, batches, s, cfg.local_lr, rng, 0.0)
                 )
@@ -332,8 +333,8 @@ def _comparison_dataset():
     mnist_dir = os.environ.get(MNIST_ENV)
     if mnist_dir:
         root = Path(mnist_dir)
-        ds = load_idx(root / "train-images-idx3-ubyte", root / "train-labels-idx1-ubyte")
-        return ds.subset(5000), "mnist"
+        ds = load_idx(root / "train-images-idx3-ubyte", root / "train-labels-idx1-ubyte", 5000)
+        return ds, "mnist"
     ds = synthetic_blobs(784, 10, 5000, seed=20260811, spread=0.15, density=0.2)
     return ds, "surrogate"
 

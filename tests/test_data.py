@@ -106,11 +106,10 @@ def test_load_idx_count_keeps_the_first_samples(tmp_path, count):
     ipath, lpath = random_idx_pair(tmp_path, 6)
     whole = load_idx(ipath, lpath)
     kept = load_idx(ipath, lpath, count)
-    ref = whole.subset(count)
     assert kept.sample_count == min(count, 6)
     assert kept.inputs.flags.f_contiguous
-    assert kept.inputs.tobytes(order="F") == ref.inputs.tobytes(order="F")
-    assert np.array_equal(kept.labels, ref.labels)
+    assert kept.inputs.tobytes(order="F") == whole.inputs[:, :count].tobytes(order="F")
+    assert np.array_equal(kept.labels, whole.labels[:count])
 
 
 @pytest.mark.parametrize("truncate", ["images", "labels"])
@@ -207,15 +206,6 @@ def test_blobs_match_the_whole_matrix_oracle(shape, n_classes, seed, spread, den
 def test_blobs_allocate_one_chunk_beyond_the_dataset():
     ds, peak = traced_peak(lambda: synthetic_blobs(784, 10, 5000, seed=20260811, spread=0.15, density=0.2))
     assert peak <= ds.inputs.nbytes + ds.labels.nbytes + 2 * 2**20
-
-
-def test_subset_keeps_column_major_layout():
-    # minibatches gather columns, which is a contiguous read only in F order
-    ds = synthetic_blobs(6, 3, 40, seed=8)
-    sub = ds.subset(25)
-    assert sub.inputs.flags.f_contiguous
-    assert np.array_equal(sub.inputs, ds.inputs[:, :25])
-    assert np.array_equal(sub.labels, ds.labels[:25])
 
 
 # ------------------------------------------------------------------ shard

@@ -6,11 +6,16 @@ import numpy as np
 import pytest
 
 from distnewton.config import ExperimentConfig, load_config
-from distnewton.data import shard, synthetic_blobs
+from distnewton.data import Batch, shard, synthetic_blobs
 from distnewton.errors import DimensionMismatchError, NonFiniteInputError
 from distnewton.harness import (
     STATUS_COMPLETED,
     STATUS_DIVERGED,
+    _RoundBatches,
+    _WorkerFeed,
+    build_objective,
+    initial_theta,
+    load_dataset,
     per_worker_batch_sizes,
     rounds_per_epoch,
     run_experiment,
@@ -19,6 +24,8 @@ from distnewton.harness import (
 )
 from distnewton.objectives import QuadraticObjective
 from distnewton.operator import WorkerReport, block_rows
+
+from oracles import traced_peak
 
 PRESETS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.cfg"))
 
@@ -100,6 +107,29 @@ def test_worker_round_flags_divergence():
 
     with pytest.raises(NonFiniteInputError):
         worker_round([0.0, 0.0], Explodes(), [None, None], 1, 1.0, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("m", [1, 3])
+def test_lazy_batches_report_as_eager_batches(m):
+    # batches gathered into the feed's buffer as each step starts give the
+    # report of fresh column gathers, bit for bit; at m = 3 the shards are
+    # tiled to fill the chunks
+    cfg = blob_cfg(m=m)
+    ds = load_dataset(cfg)
+    objective = build_objective(cfg)
+    theta = initial_theta(cfg, objective)
+    plan, s, chunks = shard(ds, m, 9), 2, 12
+    for k, size in enumerate(per_worker_batch_sizes(cfg.global_batch, m)):
+        feed = _WorkerFeed(ds, plan.worker_indices(k), size, chunks, np.empty((16, size), order="F"))
+        sels = feed.indices.reshape(chunks, size)
+        for first in range(0, chunks, s + 1):
+            eager = [Batch(ds.inputs[:, sel], ds.labels[sel]) for sel in sels[first : first + s + 1]]
+            reports = [
+                worker_round(theta, objective, batches, s, 0.05, np.random.default_rng([k, first]), 0.01)
+                for batches in (_RoundBatches(feed, first), eager)
+            ]
+            assert reports[0].theta.tobytes() == reports[1].theta.tobytes()
+            assert reports[0].grad.tobytes() == reports[1].grad.tobytes()
 
 
 # ----------------------------------------------------------- server_round
@@ -299,6 +329,20 @@ def test_preset_runs_one_epoch(path):
     expected = STATUS_DIVERGED if path.stem == "relu_divergence" else STATUS_COMPLETED
     assert hist.status == expected
     assert len(hist.records) == 1
+
+
+def test_epoch_allocates_one_batch_and_one_activation():
+    # beyond the dataset, an m = 1 epoch of the mnist_tanh preset allocates
+    # one global batch of inputs, the worker's buffer, and one (hidden,
+    # samples) activation for the full NLL; the margin holds the logits and
+    # a few parameter vectors
+    cfg = replace(load_config(PRESETS[0].with_name("mnist_tanh.cfg")), m=1, epochs=1)
+    ds = load_dataset(cfg)
+    hist, peak = traced_peak(lambda: run_experiment(cfg, dataset=ds))
+    assert hist.status == STATUS_COMPLETED
+    batch = 8 * cfg.mlp_layers[0] * cfg.global_batch
+    activation = 8 * cfg.mlp_layers[1] * ds.sample_count
+    assert peak <= batch + activation + 3 * 2**19
 
 
 def test_run_sgd_average_baseline_completes():

@@ -393,6 +393,24 @@ def test_server_round_is_scale_equivariant(m, extra, seed):
         assert err <= 1e-12 * np.linalg.norm(theta_new)
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 8), st.integers(0, 40), st.integers(0, 2**31 - 1))
+def test_build_operator_is_scale_equivariant(m, extra, seed):
+    # reports scaled by c leave j alone and give finite unit u_k, also at
+    # the subnormal 1e-310, where the Gram's scale is subnormal too and the
+    # right vectors divided by it would overflow
+    rng = np.random.default_rng(seed)
+    n = m + extra
+    reports = [WorkerReport(rng.standard_normal(n), rng.standard_normal(n)) for _ in range(m)]
+    op = build_operator(center_reports(reports), 0.1)
+    for c in (1e-310, 1e-300, 1e-150, 1e155):
+        scaled = [WorkerReport(c * r.theta, c * r.grad) for r in reports]
+        op_c = build_operator(center_reports(scaled), 0.1)
+        assert op_c.j == op.j
+        assert np.all(np.isfinite(op_c.us))
+        assert np.allclose(np.linalg.norm(op_c.us, axis=0), 1.0, rtol=1e-12, atol=0.0)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("worker", [0, 3])
 def test_non_finite_gradient_report_is_named(worker, bad):
