@@ -95,7 +95,6 @@ def _summary_lines(results) -> list[str]:
 def _write_outputs(out_dir: Path, results, base_cfg: ExperimentConfig):
     written = []
     try:
-        out_dir.mkdir(parents=True, exist_ok=True)
         for label, cfg, hist in results:
             csv_path = out_dir / f"{label}.csv"
             write_history_csv(hist, csv_path)
@@ -133,6 +132,10 @@ def _run_cells(cells, base: ExperimentConfig, out_dir: Path) -> int:
     failed, and the other cells still run."""
     # one dataset for every cell; each cell checks it against its own harness.m
     dataset = load_dataset(replace(base, m=1))
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # a regular file, under one, or not writable
+        raise ConfigError("--out", f"cannot create {out_dir}: {exc}") from None
     results = []
     for cfg in cells:
         label = run_label(cfg)
@@ -167,6 +170,8 @@ def cmd_sweep(args) -> int:
         raise ConfigError("workers", f"not a comma-separated list of integers: {args.workers!r}") from None
     if not workers or any(w < 1 for w in workers):
         raise ConfigError("workers", "worker counts must be >= 1")
+    if len(set(workers)) < len(workers):
+        raise ConfigError("workers", f"worker count {max(workers, key=workers.count)} is repeated")
     cells = [replace(base, m=w, aggregator="distnewton") for w in workers]
     cells.append(replace(base, m=1, aggregator="sgd_average"))
     return _run_cells(cells, base, Path(args.out))

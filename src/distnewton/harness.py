@@ -27,10 +27,10 @@ from .operator import (
     WorkerReport,
     build_operator,  # noqa: F401  (not called here; perfbench times it under this name)
     center_reports,
+    combine,
     difference_spectrum,
     lr_cap,
-    newton_step,
-    parameter_average,
+    step_coefficients,
 )
 
 STATUS_COMPLETED = "completed"
@@ -152,23 +152,23 @@ def worker_round(theta_read, objective, batches, local_steps, local_lr, rng, jit
 def server_round(reports, lam, tau, use_lr_cap, aggregator):
     """Aggregate one round of reports into the next shared parameters.
 
-    distnewton: take the reports as differences from worker 0, one row
-    block at a time: one pass over the gradients sums the Gram matrix that
-    gives the spectrum of the centered gradients, and one pass over all
-    reports takes the quasi-Newton step in factored form (optionally
-    capping tau at 1/sigma_max).  Nothing of size n is written but the
-    new parameters and one cache-sized block.
-    sgd_average: parameter averaging, the baseline server, as the same
-    pass-2 sum over the differences from worker 0.  Both check the reports
-    through `center_reports`, and theta_new once: NonFiniteReportError names
-    a non-finite report, NonFiniteInputError an overflow of finite ones.
+    Both servers write theta_new = theta_0 + [E | g_0 | D] c with `combine`,
+    in one pass over the row blocks of `center_reports`, and differ only in
+    c.  distnewton sums the Gram matrix of the gradient differences in one
+    more pass (`difference_spectrum`), optionally caps tau at 1/sigma_max,
+    and takes the quasi-Newton c from `step_coefficients`.  sgd_average,
+    the baseline, averages parameters: c = 1/m over E alone.  Nothing of
+    size n is written but theta_new and one cache-sized block.  The reports
+    are checked by `center_reports`, and theta_new once: NonFiniteReportError
+    names a non-finite report, NonFiniteInputError an overflow of finite ones.
     """
     rows = center_reports(reports)
     if aggregator == "sgd_average":
-        return parameter_average(rows), RoundStats(np.empty(0), 0, tau)
+        return combine(rows, np.full(rows.m - 1, 1.0 / rows.m)), RoundStats(np.empty(0), 0, tau)
     spec = difference_spectrum(rows, lam)
     tau_used = lr_cap(tau, float(np.max(spec.sigma, initial=0.0))) if use_lr_cap else tau
-    return newton_step(rows, spec, tau_used), RoundStats(spec.sigma, spec.retained, tau_used)
+    coef = step_coefficients(spec, rows.m, tau_used)
+    return combine(rows, coef), RoundStats(spec.sigma, spec.retained, tau_used)
 
 
 def build_objective(cfg: ExperimentConfig):

@@ -24,12 +24,15 @@ comes from the same Gram product as D^T D.  Expanded, it combines the
 stored pairs, the compact form of Byrd, Nocedal & Schnabel (1994):
 theta_new = theta_0 + [E | g_0 | D] c with c = [cbar - tau a, -tau,
 tau (a - cbar)], cbar = 1/m and a = W Sigma^-2 W^T D^T g_bar, for every j
-(j = 0 is a = 0).  Averaging is c = cbar over E alone.  Reports reach the
-server by one path: `center_reports` checks their lengths and hands them
-out as row blocks of [E | g_0 | D], about ROW_BLOCK_BYTES each, written
-into one reused scratch block; a pass writes only the columns it reads.
-A round reads them twice: to sum the Gram matrix of [g_0 | D], then to
-write theta_new as theta_0 plus one matrix-vector product per block.
+(j = 0 is a = 0).  Averaging is c = cbar over E alone.  So a step is
+`step_coefficients`, which picks c from the round's m-sized spectrum, and
+`combine`, the one loop that writes theta_new from the n-sized reports.
+Reports reach the server by one path: `center_reports` checks their
+lengths and hands them out as row blocks of [E | g_0 | D], about
+ROW_BLOCK_BYTES each, written into one reused scratch block; a pass
+writes only the columns it reads.  A round reads them twice: to sum the
+Gram matrix of [g_0 | D], then to write theta_new as theta_0 plus one
+matrix-vector product per block.
 `build_operator` reads the same spectrum from the same blocks and writes
 U = D W Sigma^-1 and Y = E W in one more pass.
 """
@@ -155,8 +158,8 @@ def difference_spectrum(rows: RowBlocks, lam: float) -> GramSpectrum:
     below a zero first row; `sigma` has the m - 1 singular values of D S.
     The Gram matrix is summed over the row blocks of [g_0 | D], one read
     pass over the m gradients.  With m = 1, D has no columns and the
-    spectrum is empty: no pass, no Gram matrix and no eigensolve, and
-    `gram` is a 1-by-1 zero, which `newton_step` reads like any other.
+    spectrum is empty: no pass, no Gram matrix, no eigensolve, and `gram`
+    is a 1-by-1 zero, which `step_coefficients` reads like any other.
 
     The leading sigma_k >= max(lam, sqrt(m * eps)) * sigma_1 with sigma_k
     > 0 are retained (closed inequality), so lam > 1 forces j = 0, which
@@ -189,10 +192,23 @@ def difference_spectrum(rows: RowBlocks, lam: float) -> GramSpectrum:
         raise _non_finite(rows, overflow) from None
 
 
-def _combine(rows: RowBlocks, coef: np.ndarray) -> np.ndarray:
+def step_coefficients(spec: GramSpectrum, m: int, tau: float) -> np.ndarray:
+    """The quasi-Newton c = [cbar - tau a, -tau, tau (a - cbar)], cbar = 1/m,
+    a = W Sigma^-2 W^T D^T g_bar, from the m-sized spectrum alone, for every
+    m and j: j = 0 is a = 0 (the averaged gradient step), m = 1 is [-tau]."""
+    j = spec.retained
+    cbar = np.full(m - 1, 1.0 / m)
+    w = spec.right[1:, :j]
+    dtg = spec.gram[1:] @ np.append(1.0, cbar)  # D^T g_bar / scale^2
+    a = w @ ((w.T @ dtg) / (spec.sigma[:j] / spec.scale) ** 2)
+    return np.concatenate([cbar - tau * a, [-tau], tau * (a - cbar)])
+
+
+def combine(rows: RowBlocks, coef: np.ndarray) -> np.ndarray:
     """theta_0 + [E | g_0 | D] c over the first len(coef) columns, theta_0
     added after the product so that zero spread is exact: the one loop that
-    writes theta_new.  A non-finite result raises `_non_finite`'s error."""
+    writes theta_new, in one read pass over those columns.  A non-finite
+    result raises `_non_finite`'s error."""
     theta_0, theta_new = rows.vectors[0], np.empty(rows.n)
     with np.errstate(over="ignore", invalid="ignore"):
         for lo, hi, block in rows.blocks(0, coef.shape[0]):
@@ -206,28 +222,6 @@ def _combine(rows: RowBlocks, coef: np.ndarray) -> np.ndarray:
     if not finite:
         raise _non_finite(rows, "theta_new: the differences from worker 0 or the step overflowed")
     return theta_new
-
-
-def parameter_average(rows: RowBlocks) -> np.ndarray:
-    """theta_0 + E cbar, the averaging baseline's step: the quasi-Newton
-    step's sum with c = 1/m over the E columns alone.  In this difference
-    form identical reports (E = 0) give back theta_0 bit for bit."""
-    return _combine(rows, np.full(rows.m - 1, 1.0 / rows.m))
-
-
-def newton_step(rows: RowBlocks, spec: GramSpectrum, tau: float) -> np.ndarray:
-    """theta_bar - tau * op(g_bar), taken in factored form from the
-    difference spectrum as theta_0 + [E | g_0 | D] c, with
-    c = [cbar - tau a, -tau, tau (a - cbar)] for every m and j (j = 0 is
-    a = 0, the averaged gradient step): one read pass over the 2m report
-    vectors.  Identical reports (D = E = 0) step exactly to theta - tau * g.
-    """
-    m, j = rows.m, spec.retained
-    cbar = np.full(m - 1, 1.0 / m)
-    w = spec.right[1:, :j]
-    dtg = spec.gram[1:] @ np.append(1.0, cbar)  # D^T g_bar / scale^2
-    a = w @ ((w.T @ dtg) / (spec.sigma[:j] / spec.scale) ** 2)
-    return _combine(rows, np.concatenate([cbar - tau * a, [-tau], tau * (a - cbar)]))
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,8 @@
 
 Everything here deliberately avoids the package's own decomposition code:
 singular values come from power iteration with deflation on the small
-Gram matrix, Newton steps come from a dense direct solve, and synthetic
+Gram matrix, Newton steps come from a dense direct solve, the quasi-Newton
+step comes from numpy's SVD of the centered matrices, and synthetic
 datasets come from one whole-matrix formula.  These are the second routes
 the fast paths are checked against; `traced_peak` is the one measurement
 that memory bounds are checked with.
@@ -11,6 +12,8 @@ that memory bounds are checked with.
 import tracemalloc
 
 import numpy as np
+
+from distnewton.operator import WorkerReport
 
 
 def power_iteration_eigs(sym, rtol=1e-13, max_iter=200_000, seed=12345):
@@ -80,11 +83,33 @@ def newton_step_oracle(a, theta_bar, g_bar):
     return theta_bar - np.linalg.solve(a, g_bar)
 
 
+def svd_reference_step(reports, lam, tau):
+    """The quasi-Newton step rebuilt from np.linalg.svd of the centered G."""
+    big_theta, big_g = centered(reports)
+    theta_bar, g_bar = report_means(reports)
+    u, s, vt = np.linalg.svd(big_g, full_matrices=False)
+    ratios = s / s[0] if s[0] > 0.0 else np.zeros_like(s)
+    j = int(np.count_nonzero(ratios >= lam))
+    u, s, v = u[:, :j], s[:j], vt[:j].T
+    alpha = u.T @ g_bar
+    direction = g_bar - u @ alpha + big_theta @ v @ (alpha / s)
+    return theta_bar - tau * direction, j, ratios
+
+
+def degenerate_reports(rng, m, distinct, n, collinear):
+    """m reports drawn from `distinct` pairs (duplicate workers when
+    distinct < m, identical reports when distinct == 1), or, if collinear,
+    spreads that are integer multiples of one pair of directions."""
+    if collinear:
+        theta, g, dt, dg = (rng.standard_normal(n) for _ in range(4))
+        return [WorkerReport(theta + c * dt, g + c * dg) for c in rng.integers(-2, 3, size=m)]
+    pool = [(rng.standard_normal(n), rng.standard_normal(n)) for _ in range(min(distinct, m))]
+    return [WorkerReport(*pool[i]) for i in rng.integers(0, len(pool), size=m)]
+
+
 def random_spanning_reports(a, theta_star, around, m, seed, spread=1.0):
     """m quadratic-exact reports near `around` whose centered parameter
     columns span the space almost surely (m > n helps)."""
-    from distnewton.operator import WorkerReport
-
     rng = np.random.default_rng(seed)
     n = theta_star.shape[0]
     reports = []

@@ -368,11 +368,29 @@ def test_failing_cell_is_reported_and_written(tmp_path, capsys, monkeypatch, com
 
 
 def test_sweep_rejects_bad_worker_list(tmp_path, capsys):
+    # a repeated count would run its cell twice and overwrite its CSV
     cfg = write_cfg(tmp_path, BLOB_CFG)
-    for workers in ("0,2", "2,x"):
+    for workers in ("0,2", "2,x", "2,2"):
         code = main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o"), "--workers", workers])
         assert code == EXIT_CONFIG
-        assert "Traceback" not in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert "config error: workers" in err
+    assert "worker count 2 is repeated" in err
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_bad_out_exits_config_before_any_cell_runs(tmp_path, capsys, monkeypatch, command):
+    import distnewton.cli
+
+    monkeypatch.setattr(distnewton.cli, "run_experiment", lambda *a, **k: pytest.fail("a cell ran"))
+    cfg = write_cfg(tmp_path, QUADRATIC_CFG)
+    blocker = write_cfg(tmp_path, "", name="a_file")
+    for out in (blocker, blocker / "under"):  # --out is a regular file, or lies under one
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config error: --out" in err
+        assert "Traceback" not in err
 
 
 # -------------------------------------------------------------- grad-check

@@ -13,12 +13,22 @@ from distnewton.operator import (
     block_rows,
     build_operator,
     center_reports,
+    combine,
     difference_spectrum,
     lr_cap,
     newton_update,
+    step_coefficients,
 )
 
-from oracles import centered, newton_step_oracle, random_spanning_reports, report_means, traced_peak
+from oracles import (
+    centered,
+    degenerate_reports,
+    newton_step_oracle,
+    random_spanning_reports,
+    report_means,
+    svd_reference_step,
+    traced_peak,
+)
 
 
 def quadratic_reports(a, thetas, theta_star=None):
@@ -26,10 +36,15 @@ def quadratic_reports(a, thetas, theta_star=None):
     return [WorkerReport(t, a @ (np.asarray(t, dtype=float) - theta_star)) for t in thetas]
 
 
-def diag_operator(lam=1e-6):
-    """The diag(2, 0.5) quadratic probed by four axis workers."""
+def diag_reports(theta_star=None):
+    """The diag(2, 0.5) quadratic probed by four axis workers, and its Hessian."""
     a = np.diag([2.0, 0.5])
-    reports = quadratic_reports(a, [[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
+    return quadratic_reports(a, [[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]], theta_star), a
+
+
+def diag_operator(lam=1e-6):
+    """The explicit operator of `diag_reports`, and the Hessian."""
+    reports, a = diag_reports()
     return build_operator(center_reports(reports), lam), a
 
 
@@ -174,19 +189,6 @@ def test_retention_respects_threshold():
         assert sigma[op.j] < 0.3 * sigma[0]
 
 
-def svd_reference_step(reports, lam, tau):
-    """The quasi-Newton step rebuilt from np.linalg.svd of the centered G."""
-    big_theta, big_g = centered(reports)
-    theta_bar, g_bar = report_means(reports)
-    u, s, vt = np.linalg.svd(big_g, full_matrices=False)
-    ratios = s / s[0] if s[0] > 0.0 else np.zeros_like(s)
-    j = int(np.count_nonzero(ratios >= lam))
-    u, s, v = u[:, :j], s[:j], vt[:j].T
-    alpha = u.T @ g_bar
-    direction = g_bar - u @ alpha + big_theta @ v @ (alpha / s)
-    return theta_bar - tau * direction, j, ratios
-
-
 @settings(max_examples=60, deadline=None)
 @given(
     st.integers(1, 8),
@@ -216,17 +218,6 @@ def test_operator_contracts_on_degenerate_batches(m, distinct, n, lam, seed):
     assert np.linalg.norm(got - want) <= 1e-8 * step
 
 
-def degenerate_reports(rng, m, distinct, n, collinear):
-    """m reports drawn from `distinct` pairs (duplicate workers when
-    distinct < m, identical reports when distinct == 1), or, if collinear,
-    spreads that are integer multiples of one pair of directions."""
-    if collinear:
-        theta, g, dt, dg = (rng.standard_normal(n) for _ in range(4))
-        return [WorkerReport(theta + c * dt, g + c * dg) for c in rng.integers(-2, 3, size=m)]
-    pool = [(rng.standard_normal(n), rng.standard_normal(n)) for _ in range(min(distinct, m))]
-    return [WorkerReport(*pool[i]) for i in rng.integers(0, len(pool), size=m)]
-
-
 @settings(max_examples=80, deadline=None)
 @given(
     st.integers(1, 8),
@@ -248,6 +239,10 @@ def test_server_round_agrees_with_explicit_operator(m, distinct, collinear, n, l
     theta_bar, g_bar = report_means(reports)
     want = newton_update(op, theta_bar, g_bar, 0.7)
     assert np.linalg.norm(theta_new - want) <= 1e-10 * np.linalg.norm(want - theta_bar)
+    # and both are numpy's SVD step, where the retention rule is well defined
+    want, _, ratios = svd_reference_step(reports, lam, 0.7)
+    if not np.any((ratios > 0.8 * lam) & (ratios < 1.25 * lam)):
+        assert np.linalg.norm(theta_new - want) <= 1e-10 * np.linalg.norm(want - theta_bar)
 
 
 @pytest.mark.parametrize("m", range(1, 10))
@@ -260,6 +255,32 @@ def test_identical_reports_step_like_one_worker(m):
         theta_new, stats = server_round([WorkerReport(theta, g)] * m, lam, tau, False, "distnewton")
         assert stats.j == 0
         assert np.array_equal(theta_new, theta - tau * g)
+
+
+# ------------------------------------------------------ step_coefficients
+
+
+def test_step_coefficients_from_the_spectrum_alone():
+    # j = 0 is the averaged gradient step and m = 1 is theta - tau g, both
+    # exactly; at any j, combine takes the explicit operator's step
+    tau, rng = 0.7, np.random.default_rng(21)
+    cbar = np.full(4, 1.0 / 5)
+    c = step_coefficients(difference_spectrum(random_batch(rng, 6, 5), 2.0), 5, tau)
+    assert np.array_equal(c, np.concatenate([cbar, [-tau], -tau * cbar]))
+    c = step_coefficients(difference_spectrum(random_batch(rng, 6, 1), 0.1), 1, tau)
+    assert np.array_equal(c, [-tau])
+
+    # the minimizer moved off the workers' mean, so that g_bar != 0
+    theta_star = np.array([0.3, -0.4])
+    reports, _ = diag_reports(theta_star)
+    rows = center_reports(reports)
+    spec = difference_spectrum(rows, 1e-6)
+    assert spec.retained == 2
+    theta_bar, g_bar = report_means(reports)
+    want = newton_update(build_operator(rows, 1e-6), theta_bar, g_bar, 1.0)
+    got = combine(rows, step_coefficients(spec, rows.m, 1.0))
+    assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want - theta_bar)
+    assert np.linalg.norm(got - theta_star) <= 1e-14 * np.linalg.norm(theta_star)
 
 
 # --------------------------------------------------------- streamed round
