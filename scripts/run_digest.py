@@ -6,8 +6,10 @@ aggregators; the `mnist` presets run at m = 1 and m = 8, the others at
 their own `harness.m`.  Each run prints one line: the preset, m, the
 aggregator, the run's status and a sha256 over every round's `theta_new`
 bytes, `sigma`, `j` and `tau_used`, and over the epoch records (all but
-their wall time).  Run it on two checkouts and `diff` the outputs: a
-change that keeps every trajectory prints the same lines.
+their wall time).  Each preset that loads data first prints one line with
+the sha256 of its dataset: the Fortran-order `inputs` bytes and the
+`labels`.  Run it on two checkouts and `diff` the outputs: a change that
+keeps every dataset and trajectory prints the same lines.
 
 Usage: python scripts/run_digest.py
 """
@@ -49,6 +51,10 @@ def main():
         base = load_config(path)
         base = replace(base, epochs=min(base.epochs, MAX_EPOCHS))
         dataset = load_dataset(replace(base, m=1))
+        if dataset is not None:
+            h = hashlib.sha256(dataset.inputs.tobytes(order="F"))
+            h.update(dataset.labels.tobytes())
+            print(f"{path.stem} dataset {h.hexdigest()}", flush=True)
         for m in (1, 8) if path.stem.startswith("mnist") else (base.m,):
             for aggregator in ("distnewton", "sgd_average"):
                 status, sha = digest(replace(base, m=m, aggregator=aggregator), dataset)

@@ -21,8 +21,8 @@ from .linalg import as_matrix
 
 IMAGE_MAGIC = 0x00000803
 LABEL_MAGIC = 0x00000801
-# Working bytes of one row chunk of `synthetic_blobs`: its noise draw and
-# its gathered class centers.
+# Working bytes of `synthetic_blobs` beyond its dataset: its one reused
+# row chunk of noise draw is sized to half of them.
 CHUNK_BYTES = 1 << 20
 
 
@@ -103,11 +103,14 @@ def synthetic_blobs(
     """Gaussian class clusters with seeded centers, clipped to [0, 1].
 
     The dataset is built in its final Fortran-order array, a chunk of
-    feature rows at a time, so that it needs about CHUNK_BYTES beyond
-    itself.
+    feature rows at a time: each chunk is drawn into one C-order buffer
+    that is reused for every chunk, so the build needs about CHUNK_BYTES
+    beyond the dataset.
 
     Labels cycle through the classes so every class is (near) balanced;
-    the same seed always reproduces the same dataset bit for bit.
+    class supports and centers are therefore broadcast over the chunk's
+    full label cycles, and only the last partial cycle takes a slice.
+    The same seed always reproduces the same dataset bit for bit.
     `density` < 1 restricts each class to a random feature support and
     zeroes everything else, mimicking the mostly-blank layout of digit
     images.
@@ -115,19 +118,30 @@ def synthetic_blobs(
     if min(n_features, n_classes, n_samples) < 1:
         raise ValueError("all counts must be positive")
     rng = np.random.default_rng(seed)
-    support = rng.random((n_features, n_classes)) < density
+    # 0.0/1.0 in float64, so that the per-chunk product casts nothing
+    support = (rng.random((n_features, n_classes)) < density).astype(np.float64)
     centers = rng.uniform(0.25, 0.75, size=(n_features, n_classes)) * support
     labels = np.arange(n_samples, dtype=np.int64) % n_classes
     inputs = np.empty((n_features, n_samples), order="F")
     step = max(1, CHUNK_BYTES // (16 * n_samples))
+    cycles, tail = divmod(n_samples, n_classes)
+    head = n_samples - tail
+    buffer = np.empty((min(step, n_features), n_samples))
     for lo in range(0, n_features, step):
-        rows = slice(lo, lo + step)
+        hi = min(lo + step, n_features)
+        chunk = buffer[: hi - lo]
         # Row chunks continue the one row-major draw of the whole matrix.
-        noise = rng.standard_normal((min(step, n_features - lo), n_samples))
-        noise *= spread
-        noise *= support[rows][:, labels]
-        noise += centers[rows][:, labels]
-        np.clip(noise, 0.0, 1.0, out=inputs[rows])
+        rng.standard_normal(out=chunk)
+        chunk *= spread
+        # Column s has label s % n_classes, so the first `head` columns are
+        # whole label cycles; splitting only their last axis keeps a view.
+        cycled = np.reshape(chunk[:, :head], (hi - lo, cycles, n_classes), copy=False)
+        cycled *= support[lo:hi, None, :]
+        cycled += centers[lo:hi, None, :]
+        chunk[:, head:] *= support[lo:hi, :tail]
+        chunk[:, head:] += centers[lo:hi, :tail]
+        np.clip(chunk, 0.0, 1.0, out=chunk)
+        inputs[lo:hi] = chunk
     return Batch(inputs, labels)
 
 

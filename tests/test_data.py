@@ -194,12 +194,15 @@ def blob_cases():
 @example((CHUNK_BYTES // 160 + 1, 10), 3, 1, 0.15, 0.2)  # more than one chunk, 10 % 3 != 0
 @example((3, CHUNK_BYTES // 16 + 3), 2, 2, 0.08, 1.0)  # each chunk one row
 @example((5, 7), 1, 3, 0.5, 0.0)  # one class, no support
+@example((3, 4), 7, 4, 0.3, 0.5)  # fewer samples than classes: no full label cycle
+@example((CHUNK_BYTES // 160 + 1, 20), 10, 5, 0.15, 0.2)  # whole label cycles, more than one chunk
 def test_blobs_match_the_whole_matrix_oracle(shape, n_classes, seed, spread, density):
     n_features, n_samples = shape
     ds = synthetic_blobs(n_features, n_classes, n_samples, seed, spread=spread, density=density)
     inputs, labels = synthetic_blobs_oracle(n_features, n_classes, n_samples, seed, spread, density)
     assert ds.inputs.flags.f_contiguous
     assert np.array_equal(ds.inputs, inputs)
+    assert np.array_equal(np.signbit(ds.inputs), np.signbit(inputs))  # array_equal has -0.0 == 0.0
     assert np.array_equal(ds.labels, labels)
 
 
