@@ -298,7 +298,7 @@ def run_experiment(cfg: ExperimentConfig, dataset=None, threads=1, round_observe
 
         wall = time.perf_counter() - tic
         if diverged:
-            records.append(EpochRecord(epoch, float("nan"), sigma_max, j_total / n_rounds, wall))
+            records.append(EpochRecord(epoch, float("nan"), sigma_max, j_total / max(rnd, 1), wall))
             status = STATUS_DIVERGED
             break
         with np.errstate(over="ignore", invalid="ignore"):

@@ -142,14 +142,15 @@ class MlpObjective:
 
     def init_theta(self, rng) -> np.ndarray:
         """Seeded init: weights scaled by 1/sqrt(fan_in), zero biases."""
-        sizes = self.spec.layer_sizes
-        parts = []
-        for fi, fo in zip(sizes[:-1], sizes[1:]):
-            parts.append(rng.standard_normal((fo, fi)).ravel() / np.sqrt(fi))
-            parts.append(np.zeros(fo))
-        return np.concatenate(parts)
+        theta = np.empty(self.dim)
+        for w, b in self._layers(theta):
+            rng.standard_normal(out=w)  # the C-order stream of a (fan_out, fan_in) draw
+            w /= np.sqrt(w.shape[1])
+            b[:] = 0.0
+        return theta
 
     def _layers(self, theta):
+        """The one map from a flat vector to per-layer (W, b) views into it."""
         theta = as_vector(theta)
         if theta.shape[0] != self.dim:
             raise DimensionMismatchError(
@@ -210,17 +211,16 @@ class MlpObjective:
         np.exp(delta, out=delta)
         delta[batch.labels, np.arange(b)] -= 1.0
         delta /= b
-        grads = [None] * len(layers)
-        for i in range(len(layers) - 1, -1, -1):
-            w, _ = layers[i]
-            grads[i] = (delta @ acts[i].T, delta.sum(axis=1))
+        flat = np.empty(self.dim)
+        for i, (dw, db) in reversed(list(enumerate(self._layers(flat)))):
+            np.matmul(delta, acts[i].T, out=dw)
+            np.sum(delta, axis=1, out=db)
             if i > 0:
-                back = w.T @ delta
+                delta = layers[i][0].T @ delta
                 if self.spec.activation == "tanh":
-                    delta = back * (1.0 - acts[i] ** 2)
+                    delta *= 1.0 - acts[i] ** 2
                 else:
-                    delta = back * (pre[i - 1] > 0.0)
-        flat = np.concatenate([np.concatenate((dw.ravel(), db)) for dw, db in grads])
+                    delta *= pre[i - 1] > 0.0
         return nll, flat
 
     def gradient(self, theta, batch: Batch) -> np.ndarray:

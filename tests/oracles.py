@@ -4,7 +4,8 @@ Everything here deliberately avoids the package's own decomposition code:
 singular values come from power iteration with deflation on the small
 Gram matrix, Newton steps come from a dense direct solve, the quasi-Newton
 step comes from numpy's SVD of the centered matrices, and synthetic
-datasets come from one whole-matrix formula.  These are the second routes
+datasets come from one whole-matrix formula, and the MLP's initial draw
+is concatenated from per-layer pieces.  These are the second routes
 the fast paths are checked against; `traced_peak` is the one measurement
 that memory bounds are checked with.
 """
@@ -128,6 +129,17 @@ def synthetic_blobs_oracle(n_features, n_classes, n_samples, seed, spread=0.08, 
     labels = np.arange(n_samples, dtype=np.int64) % n_classes
     noise = spread * rng.standard_normal((n_features, n_samples)) * support[:, labels]
     return np.clip(centers[:, labels] + noise, 0.0, 1.0), labels
+
+
+def mlp_init_oracle(layer_sizes, rng):
+    """`MlpObjective.init_theta`'s draw assembled piece by piece: per layer a
+    (fan_out, fan_in) normal draw, raveled and divided by sqrt(fan_in), then
+    fan_out zero biases."""
+    parts = []
+    for fi, fo in zip(layer_sizes[:-1], layer_sizes[1:]):
+        parts.append(rng.standard_normal((fo, fi)).ravel() / np.sqrt(fi))
+        parts.append(np.zeros(fo))
+    return np.concatenate(parts)
 
 
 def traced_peak(fn):

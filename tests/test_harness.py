@@ -1,4 +1,5 @@
 import importlib
+import itertools
 from dataclasses import replace
 from pathlib import Path
 
@@ -304,6 +305,26 @@ def test_run_divergence_is_a_status_not_a_crash():
     assert hist.status == STATUS_DIVERGED
     assert len(hist.records) <= 10
     assert not np.isfinite(hist.records[-1].train_nll)
+
+
+def test_diverged_epoch_averages_j_over_completed_rounds(monkeypatch):
+    # the flag record's j counts the rounds that ran, not the epoch's budget
+    from distnewton import harness
+
+    cfg = blob_cfg(epochs=1)
+    failing_round, calls = 4, itertools.count()
+
+    def fails_in_round_four(*args):
+        if next(calls) == failing_round * cfg.m:
+            raise NonFiniteInputError("injected")
+        return worker_round(*args)
+
+    monkeypatch.setattr(harness, "worker_round", fails_in_round_four)
+    js = []
+    hist = run_experiment(cfg, round_observer=lambda *a: js.append(a[-1].j))
+    assert hist.status == STATUS_DIVERGED
+    assert len(js) == failing_round < rounds_per_epoch(640, 64, 1) and max(js) > 0
+    assert hist.records[-1].retained_j == np.mean(js)
 
 
 def test_run_with_lr_cap_enabled():

@@ -12,6 +12,8 @@ from distnewton.objectives import (
     max_relative_gradient_error,
 )
 
+from oracles import mlp_init_oracle, traced_peak
+
 
 def balanced_batch(rng, features, classes, size):
     inputs = rng.uniform(0.0, 1.0, size=(features, size))
@@ -121,9 +123,16 @@ def test_mlp_uniform_prediction_nll_is_log_classes():
     assert val == pytest.approx(np.log(10.0), abs=1e-12)
 
 
-def test_mlp_tanh_finite_difference():
+# no hidden layer, one, and two: every depth the backward loop distinguishes
+DEPTHS = pytest.mark.parametrize(
+    "sizes", [(20, 5), (20, 16, 5), (20, 16, 12, 5)], ids=lambda s: "-".join(map(str, s))
+)
+
+
+@DEPTHS
+def test_mlp_tanh_finite_difference(sizes):
     rng = np.random.default_rng(5)
-    mlp = MlpObjective(MlpSpec((20, 16, 5), "tanh"))
+    mlp = MlpObjective(MlpSpec(sizes, "tanh"))
     for trial in range(3):
         theta = mlp.init_theta(rng)
         batch = balanced_batch(rng, 20, 5, 16)
@@ -132,9 +141,10 @@ def test_mlp_tanh_finite_difference():
         assert err <= 1e-6
 
 
-def test_mlp_relu_finite_difference_away_from_kinks():
+@DEPTHS
+def test_mlp_relu_finite_difference_away_from_kinks(sizes):
     rng = np.random.default_rng(6)
-    mlp = MlpObjective(MlpSpec((20, 16, 5), "relu"))
+    mlp = MlpObjective(MlpSpec(sizes, "relu"))
     theta = mlp.init_theta(rng)
     batch = balanced_batch(rng, 20, 5, 16)
     h = 1e-5
@@ -152,6 +162,29 @@ def test_mlp_relu_finite_difference_away_from_kinks():
     assert len(coords) == 20
     err, _ = max_relative_gradient_error(mlp, theta, batch, coords=coords, h=h)
     assert err <= 1e-5
+
+
+@pytest.mark.parametrize("sizes", [(7, 3), (7, 5, 3), (7, 6, 5, 3)])
+def test_mlp_init_theta_matches_the_piecewise_oracle(sizes):
+    mlp = MlpObjective(MlpSpec(sizes, "tanh"))
+    theta = mlp.init_theta(np.random.default_rng(21))
+    expect = mlp_init_oracle(sizes, np.random.default_rng(21))
+    assert np.array_equal(theta, expect)
+    assert np.array_equal(np.signbit(theta), np.signbit(expect))  # -0.0 == 0.0 above
+
+
+@pytest.mark.parametrize("activation", ["tanh", "relu"])
+def test_mlp_gradient_is_written_in_place(activation):
+    # beyond the batch: the flat gradient, the hidden pre-activation and
+    # activation with three backward temporaries of that shape, and the
+    # logits with their exponentials; no per-layer copies of the gradient
+    features, hidden, classes, b = 784, 32, 10, 256
+    mlp = MlpObjective(MlpSpec((features, hidden, classes), activation))
+    rng = np.random.default_rng(22)
+    theta = mlp.init_theta(rng)
+    batch = Batch(np.asfortranarray(rng.uniform(0.0, 1.0, size=(features, b))), np.arange(b) % classes)
+    _, peak = traced_peak(lambda: mlp.value_and_grad(theta, batch))
+    assert peak <= 8 * (mlp.dim + 5 * hidden * b + 2 * classes * b)
 
 
 def test_mlp_deterministic():
