@@ -8,8 +8,12 @@ aggregator, the run's status and a sha256 over every round's `theta_new`
 bytes, `sigma`, `j` and `tau_used`, and over the epoch records (all but
 their wall time).  Each preset that loads data first prints one line with
 the sha256 of its dataset: the Fortran-order `inputs` bytes and the
-`labels`.  Run it on two checkouts and `diff` the outputs: a change that
-keeps every dataset and trajectory prints the same lines.
+`labels`.  Then `mnist_tanh` at m = 1, 3 and 8 and `quadratic_newton` run
+once more at `harness.local_steps = 2`, under their own aggregator, and
+print the same line with an `s=2` tag: no preset takes more than one local
+step, so only these rounds read three batches (and, at m = 3, split the
+global batch unevenly).  Run it on two checkouts and `diff` the outputs: a
+change that keeps every dataset and trajectory prints the same lines.
 
 Usage: python scripts/run_digest.py
 """
@@ -29,6 +33,7 @@ from distnewton.config import load_config  # noqa: E402
 from distnewton.harness import load_dataset, run_experiment  # noqa: E402
 
 MAX_EPOCHS = 3
+MULTI_STEP = {"mnist_tanh": (1, 3, 8), "quadratic_newton": (None,)}  # None: the preset's m
 
 
 def digest(cfg, dataset) -> tuple[str, str]:
@@ -59,6 +64,10 @@ def main():
             for aggregator in ("distnewton", "sgd_average"):
                 status, sha = digest(replace(base, m=m, aggregator=aggregator), dataset)
                 print(f"{path.stem} m={m} {aggregator} {status} {sha}", flush=True)
+        for m in MULTI_STEP.get(path.stem, ()):
+            cfg = replace(base, m=m or base.m, local_steps=2)
+            status, sha = digest(cfg, dataset)
+            print(f"{path.stem} m={cfg.m} s=2 {cfg.aggregator} {status} {sha}", flush=True)
 
 
 if __name__ == "__main__":

@@ -87,52 +87,39 @@ def rounds_per_epoch(n_samples: int, global_batch: int, local_steps: int) -> int
 class _WorkerFeed:
     """Batch schedule for one worker and one epoch.
 
-    The worker's shard (in permutation order) is cut into consecutive
-    chunks of its per-worker batch size, tiling the shard if the round
-    count needs more chunks than one pass provides.  Each chunk's columns
-    are gathered into `buffer`, the worker's Fortran-order (features,
-    batch size) array that the run keeps for all its epochs, so a Batch
-    from `batch` is valid until this feed's next gather.
+    The worker's shard (in permutation order), tiled row by row into a
+    (chunks, batch size) schedule; the batch size is the width of `buffer`,
+    the worker's Fortran-order array that the run keeps.  `batch(c)`
+    gathers chunk c into it, so a Batch from `batch` is valid until this
+    feed's next gather.  np.resize fills an empty shard's schedule with
+    zeros, so `_check_dataset` (m <= samples) must have passed.
     """
 
-    def __init__(self, dataset: Batch, indices: np.ndarray, batch_size: int, chunks: int, buffer):
-        needed = chunks * batch_size
-        reps = -(-needed // indices.shape[0])  # ceil
-        self.indices = np.tile(indices, reps)[:needed] if reps > 1 else indices[:needed]
+    def __init__(self, dataset: Batch, indices: np.ndarray, chunks: int, buffer):
+        self.schedule = np.resize(indices, (chunks, buffer.shape[1]))
         self.dataset = dataset
-        self.batch_size = batch_size
         self.buffer = buffer
 
     def batch(self, chunk: int) -> Batch:
-        sel = self.indices[chunk * self.batch_size : (chunk + 1) * self.batch_size]
+        sel = self.schedule[chunk]
         # sel comes from the shard, so "clip" never clips; "raise" would copy out first
         np.take(self.dataset.inputs.T, sel, axis=0, out=self.buffer.T, mode="clip")
         return Batch(self.buffer, self.dataset.labels[sel])
 
 
-class _RoundBatches:
-    """One worker's batches of one round, gathered when indexed: [t] is the
-    feed's chunk first + t."""
-
-    def __init__(self, feed: _WorkerFeed, first: int):
-        self.feed, self.first = feed, first
-
-    def __getitem__(self, t: int) -> Batch:
-        return self.feed.batch(self.first + t)
-
-
 def worker_round(theta_read, objective, batches, local_steps, local_lr, rng, jitter=0.0):
     """One worker's round: s local SGD steps, then the report gradient.
 
-    `batches[t]` supplies minibatch t of local_steps + 1 (None for
-    deterministic objectives).  Each is indexed once, when step t starts,
-    so a lazy sequence may gather every batch into the same buffer.  The
-    reported gradient is evaluated at the updated parameters on the final,
-    fresh batch.  Optional jitter perturbs the starting point; it is what
-    makes workers explore different regions when the objective itself has
-    no stochasticity.
+    `batches` yields the round's local_steps + 1 minibatches (None for
+    deterministic objectives).  Exactly that many are taken, each by next()
+    as its step starts, so a generator may gather each into the same
+    buffer.  The reported gradient is evaluated at the updated parameters
+    on the final, fresh batch.  Optional jitter perturbs the starting
+    point; it is what makes workers explore different regions when the
+    objective itself has no stochasticity.
     """
     theta_read = np.asarray(theta_read, dtype=np.float64)
+    batches = iter(batches)
     if jitter > 0.0:  # theta_read + jitter * z, drawn into the vector that becomes theta
         theta = rng.standard_normal(theta_read.shape[0])
         theta *= jitter
@@ -141,9 +128,9 @@ def worker_round(theta_read, objective, batches, local_steps, local_lr, rng, jit
         theta = theta_read.copy()
     # overflow here is a detected outcome (divergence), not an anomaly
     with np.errstate(over="ignore", invalid="ignore"):
-        for step in range(local_steps):
-            theta -= local_lr * objective.gradient(theta, batches[step])
-        grad = objective.gradient(theta, batches[local_steps])
+        for _ in range(local_steps):
+            theta -= local_lr * objective.gradient(theta, next(batches))
+        grad = objective.gradient(theta, next(batches))
     if not (all_finite(theta) and all_finite(grad)):
         raise NonFiniteInputError("worker produced non-finite parameters or gradient")
     return WorkerReport(theta, grad)
@@ -269,7 +256,7 @@ def run_experiment(cfg: ExperimentConfig, dataset=None, threads=1, round_observe
         if stochastic:
             plan = shard(dataset, cfg.m, _epoch_seed(cfg.seed, epoch))
             feeds = [
-                _WorkerFeed(dataset, plan.worker_indices(k), sizes[k], n_rounds * (s + 1), buffers[k])
+                _WorkerFeed(dataset, plan.worker_indices(k), n_rounds * (s + 1), buffers[k])
                 for k in range(cfg.m)
             ]
         diverged = False
@@ -279,8 +266,9 @@ def run_experiment(cfg: ExperimentConfig, dataset=None, threads=1, round_observe
                 reports = []
                 for k in range(cfg.m):
                     rng = np.random.default_rng([cfg.seed, k, global_round])
-                    if stochastic:
-                        batches = _RoundBatches(feeds[k], rnd * (s + 1))
+                    if stochastic:  # gathered one at a time, as worker_round takes them
+                        first = rnd * (s + 1)
+                        batches = (feeds[k].batch(c) for c in range(first, first + s + 1))
                     reports.append(worker_round(
                         theta, objective, batches, s, cfg.local_lr, rng, cfg.worker_jitter
                     ))

@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from distnewton.config import ExperimentConfig, load_config
 from distnewton.data import Batch, shard, synthetic_blobs
@@ -12,7 +14,6 @@ from distnewton.errors import DimensionMismatchError, NonFiniteInputError
 from distnewton.harness import (
     STATUS_COMPLETED,
     STATUS_DIVERGED,
-    _RoundBatches,
     _WorkerFeed,
     build_objective,
     initial_theta,
@@ -110,6 +111,33 @@ def test_worker_round_flags_divergence():
         worker_round([0.0, 0.0], Explodes(), [None, None], 1, 1.0, np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("s", [1, 3])
+def test_worker_round_takes_each_batch_as_its_step_starts(s):
+    # s + 1 batches, the t-th taken by next() after exactly t gradient calls,
+    # so a feed may gather each into the buffer the previous step has read
+    quad = QuadraticObjective.seeded(4, seed=1)
+    calls = []
+
+    class Counting:
+        dim = 4
+
+        def gradient(self, theta, batch=None):
+            calls.append(batch)
+            return quad.gradient(theta)
+
+    taken = []
+
+    def batches():
+        for _ in range(s + 2):
+            taken.append(len(calls))
+            yield None
+
+    it = batches()
+    worker_round(np.ones(4), Counting(), it, s, 0.1, np.random.default_rng(0))
+    assert taken == list(range(s + 1))
+    assert len(list(it)) == 1
+
+
 @pytest.mark.parametrize("m", [1, 3])
 def test_lazy_batches_report_as_eager_batches(m):
     # batches gathered into the feed's buffer as each step starts give the
@@ -121,16 +149,31 @@ def test_lazy_batches_report_as_eager_batches(m):
     theta = initial_theta(cfg, objective)
     plan, s, chunks = shard(ds, m, 9), 2, 12
     for k, size in enumerate(per_worker_batch_sizes(cfg.global_batch, m)):
-        feed = _WorkerFeed(ds, plan.worker_indices(k), size, chunks, np.empty((16, size), order="F"))
-        sels = feed.indices.reshape(chunks, size)
+        feed = _WorkerFeed(ds, plan.worker_indices(k), chunks, np.empty((16, size), order="F"))
         for first in range(0, chunks, s + 1):
-            eager = [Batch(ds.inputs[:, sel], ds.labels[sel]) for sel in sels[first : first + s + 1]]
+            sels = feed.schedule[first : first + s + 1]
+            eager = [Batch(ds.inputs[:, sel], ds.labels[sel]) for sel in sels]
             reports = [
                 worker_round(theta, objective, batches, s, 0.05, np.random.default_rng([k, first]), 0.01)
-                for batches in (_RoundBatches(feed, first), eager)
+                for batches in ((feed.batch(c) for c in range(first, first + s + 1)), eager)
             ]
             assert reports[0].theta.tobytes() == reports[1].theta.tobytes()
             assert reports[0].grad.tobytes() == reports[1].grad.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 50), st.integers(1, 20), st.integers(1, 12), st.integers(0, 2**31 - 1))
+def test_feed_tiles_the_shard_row_by_row(shard_len, b, chunks, seed):
+    # chunk c is the shard read cyclically from position c * b
+    rng = np.random.default_rng(seed)
+    ds = Batch(np.asfortranarray(rng.standard_normal((3, 60))), rng.integers(0, 7, 60))
+    indices = rng.permutation(60)[:shard_len]
+    feed = _WorkerFeed(ds, indices, chunks, np.empty((3, b), order="F"))
+    for c in range(chunks):
+        sel = np.array([indices[(c * b + i) % shard_len] for i in range(b)])
+        got = feed.batch(c)
+        assert got.inputs.tobytes(order="F") == ds.inputs[:, sel].tobytes(order="F")
+        assert np.array_equal(got.labels, ds.labels[sel])
 
 
 # ----------------------------------------------------------- server_round
