@@ -1,12 +1,12 @@
 #!/usr/bin/env python3
 """Cost of one-shot `distnewton run`s of a preset, each in a fresh process.
 
-Each repetition starts a measuring process that runs `distnewton run` on
-the preset, with `harness.m` set, as its one child, and reads the child's
-wall time, minor page faults and max RSS from
-`resource.getrusage(RUSAGE_CHILDREN)`.  The medians over the repetitions
-are printed under a line naming the Python and numpy versions and the
-usable core count.  Wall time includes interpreter start-up and the
+Each repetition starts a measuring process that writes the preset out
+again with `harness.m` replaced, runs `distnewton run` on it as its one
+child, and reads the child's wall time, minor page faults and max RSS
+from `resource.getrusage(RUSAGE_CHILDREN)`.  The medians over the
+repetitions are printed under a line naming the Python and numpy versions
+and the usable core count.  Wall time includes interpreter start-up and the
 dataset build, which is what a one-shot run pays.
 
 Usage: python scripts/one_shot_run.py [--config configs/mnist_tanh.cfg] [--m 1] [--repeats 5]
@@ -22,11 +22,15 @@ import subprocess
 import sys
 import tempfile
 import time
+from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
 REPO = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(REPO / "src"))  # configure this checkout's code, not an installed copy
+
+import numpy as np  # noqa: E402
+
+from distnewton.config import emit_config, load_config  # noqa: E402
 
 
 def one_run(config: Path, m: int) -> dict:
@@ -34,7 +38,7 @@ def one_run(config: Path, m: int) -> dict:
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")])))
     with tempfile.TemporaryDirectory() as tmp:
         cfg = Path(tmp) / "run.cfg"
-        cfg.write_text(f"{config.read_text()}\nharness.m = {m}\n")
+        cfg.write_text(emit_config(replace(load_config(config), m=m)))
         t0 = time.perf_counter()
         subprocess.run(
             [sys.executable, "-m", "distnewton.cli", "run", "--config", str(cfg), "--out", str(Path(tmp) / "out")],

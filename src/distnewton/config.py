@@ -1,10 +1,11 @@
 """Experiment configuration: a flat dotted-key text format and the typed
 config object it populates.
 
-One file fully determines a run.  Lines are `section.key = value`, blank
-lines and `#` comments ignored.  `emit_config` writes the fully-resolved
-form back out (defaults materialized), and parsing that output recovers
-the same config, which is how runs echo their exact settings.
+One file fully determines a run.  Lines are `section.key = value`, each
+key at most once, blank lines and `#` comments ignored.  `emit_config`
+writes the fully-resolved form back out (defaults materialized), and
+parsing that output recovers the same config, which is how runs echo
+their exact settings.
 """
 
 from __future__ import annotations
@@ -112,7 +113,7 @@ _FIELDS = {f.metadata["key"]: f for f in fields(ExperimentConfig)}
 
 def parse_config_text(text: str) -> ExperimentConfig:
     """Parse the flat key=value format; errors carry the offending key."""
-    values = {}
+    values, first_line = {}, {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -124,6 +125,9 @@ def parse_config_text(text: str) -> ExperimentConfig:
         val = val.strip()
         if key not in _FIELDS:
             raise ConfigError(key, "unknown configuration key")
+        if key in first_line:
+            raise ConfigError(key, f"set again on line {lineno} (first on line {first_line[key]})")
+        first_line[key] = lineno
         f = _FIELDS[key]
         parse, _ = _CODECS[type(f.default)]
         try:

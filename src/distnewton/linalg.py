@@ -29,10 +29,14 @@ SYMMETRY_RTOL = 1e-12
 GRAM_UNDERFLOW = np.finfo(np.float64).tiny / np.finfo(np.float64).eps
 
 
-def as_vector(x) -> np.ndarray:
+def as_vector(x, length: int | None = None, name: str = "vector") -> np.ndarray:
+    """x as a 1-d float64 array; with `length` given, one of that length,
+    or DimensionMismatchError naming `name` and both lengths."""
     v = np.asarray(x, dtype=np.float64)
     if v.ndim != 1:
         raise DimensionMismatchError(f"expected a 1-d vector, got shape {v.shape}")
+    if length is not None and v.shape[0] != length:
+        raise DimensionMismatchError(f"{name} has length {v.shape[0]}, expected {length}")
     return v
 
 

@@ -58,12 +58,7 @@ class QuadraticObjective:
         return int(self.theta_star.shape[0])
 
     def _diff(self, theta) -> np.ndarray:
-        t = as_vector(theta)
-        if t.shape[0] != self.dim:
-            raise DimensionMismatchError(
-                f"quadratic: theta has length {t.shape[0]}, expected {self.dim}"
-            )
-        return t - self.theta_star
+        return as_vector(theta, self.dim, "quadratic: theta") - self.theta_star
 
     def value(self, theta, batch=None) -> float:
         d = self._diff(theta)
@@ -83,27 +78,19 @@ class RosenbrockObjective:
         self.dim = dim
 
     def value(self, theta, batch=None) -> float:
-        t = as_vector(theta)
-        self._check_dim(t)
+        t = as_vector(theta, self.dim, "rosenbrock: theta")
         a = t[0::2]
         b = t[1::2]
         return float(np.sum(100.0 * (b - a**2) ** 2 + (1.0 - a) ** 2))
 
     def gradient(self, theta, batch=None) -> np.ndarray:
-        t = as_vector(theta)
-        self._check_dim(t)
+        t = as_vector(theta, self.dim, "rosenbrock: theta")
         a = t[0::2]
         b = t[1::2]
         g = np.empty_like(t)
         g[0::2] = -400.0 * a * (b - a**2) - 2.0 * (1.0 - a)
         g[1::2] = 200.0 * (b - a**2)
         return g
-
-    def _check_dim(self, t):
-        if t.shape[0] != self.dim:
-            raise DimensionMismatchError(
-                f"rosenbrock: expected dimension {self.dim}, got {t.shape[0]}"
-            )
 
 
 @dataclass(frozen=True)
@@ -151,11 +138,7 @@ class MlpObjective:
 
     def _layers(self, theta):
         """The one map from a flat vector to per-layer (W, b) views into it."""
-        theta = as_vector(theta)
-        if theta.shape[0] != self.dim:
-            raise DimensionMismatchError(
-                f"mlp: parameter vector has length {theta.shape[0]}, expected {self.dim}"
-            )
+        theta = as_vector(theta, self.dim, "mlp: parameter vector")
         sizes = self.spec.layer_sizes
         out = []
         pos = 0

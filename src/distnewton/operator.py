@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, NonFiniteInputError, NonFiniteReportError
+from .errors import NonFiniteInputError, NonFiniteReportError
 from .linalg import (
     GramSpectrum,
     all_finite,
@@ -71,12 +71,7 @@ class WorkerReport:
 
     def __post_init__(self):
         object.__setattr__(self, "theta", as_vector(self.theta))
-        object.__setattr__(self, "grad", as_vector(self.grad))
-        if self.theta.shape != self.grad.shape:
-            raise DimensionMismatchError(
-                f"report: theta has length {self.theta.shape[0]} "
-                f"but grad has length {self.grad.shape[0]}"
-            )
+        object.__setattr__(self, "grad", as_vector(self.grad, self.theta.shape[0], "report: grad"))
 
 
 def _write_rows(vectors, lo: int, hi: int, first: int, out) -> None:
@@ -131,10 +126,7 @@ def center_reports(reports) -> RowBlocks:
         raise ValueError("center_reports: empty report list")
     n = reports[0].theta.shape[0]
     for k, rep in enumerate(reports):
-        if rep.theta.shape[0] != n:
-            raise DimensionMismatchError(
-                f"center_reports: report {k} has dimension {rep.theta.shape[0]}, expected {n}"
-            )
+        as_vector(rep.theta, n, f"center_reports: report {k}")
     return RowBlocks([r.theta for r in reports] + [r.grad for r in reports])
 
 
@@ -272,11 +264,7 @@ def build_operator(rows: RowBlocks, lam: float) -> InverseHessianOperator:
 
 def apply(op: InverseHessianOperator, z) -> np.ndarray:
     """Apply the operator: identity off span{u_k}, sigma_k^-1 y_k along u_k."""
-    z = as_vector(z)
-    if z.shape[0] != op.us.shape[0]:
-        raise DimensionMismatchError(
-            f"apply: vector has length {z.shape[0]}, operator expects {op.us.shape[0]}"
-        )
+    z = as_vector(z, op.us.shape[0], "apply: vector")
     alpha = op.us.T @ z
     return z - op.us @ alpha + op.ys @ (alpha / op.sigmas)
 
@@ -284,9 +272,7 @@ def apply(op: InverseHessianOperator, z) -> np.ndarray:
 def newton_update(op: InverseHessianOperator, theta_bar, g_bar, tau: float) -> np.ndarray:
     """Quasi-Newton step from the report means: theta_bar - tau * op(g_bar)."""
     theta_bar = as_vector(theta_bar)
-    g_bar = as_vector(g_bar)
-    if theta_bar.shape != g_bar.shape:
-        raise DimensionMismatchError("newton_update: theta_bar and g_bar lengths differ")
+    g_bar = as_vector(g_bar, theta_bar.shape[0], "newton_update: g_bar")
     return theta_bar - tau * apply(op, g_bar)
 
 

@@ -54,6 +54,13 @@ def write_cfg(tmp_path, text, name="run.cfg"):
     return path
 
 
+def with_setting(text, key, value):
+    """text with any line that sets `key` dropped and `key = value` appended:
+    a config may set a key only once."""
+    kept = [line for line in text.splitlines() if line.partition("=")[0].strip() != key]
+    return "\n".join(kept) + f"\n{key} = {value}\n"
+
+
 def strip_wall_time(csv_text: str) -> str:
     """Timing column varies run to run; everything else must not."""
     lines = []
@@ -86,7 +93,7 @@ def test_run_writes_resolved_config_echo(tmp_path):
 
 
 def test_run_rejects_zero_workers(tmp_path, capsys):
-    cfg = write_cfg(tmp_path, QUADRATIC_CFG + "harness.m = 0\n")
+    cfg = write_cfg(tmp_path, with_setting(QUADRATIC_CFG, "harness.m", 0))
     code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")])
     assert code == EXIT_CONFIG
     assert "harness.m" in capsys.readouterr().err
@@ -191,7 +198,7 @@ def test_unreadable_data_path_exits_config_naming_key(tmp_path, capsys, key):
     (tmp_path / "dir").mkdir()
     # a directory, a missing file, and a path that runs through a file
     for bad in (tmp_path / "dir", tmp_path / "missing.idx", tmp_path / "images.idx" / "idx"):
-        write_cfg(tmp_path, cfg.read_text() + f"{key} = {bad}\n", name="bad.cfg")
+        write_cfg(tmp_path, with_setting(cfg.read_text(), key, bad), name="bad.cfg")
         for command in ("run", "grad-check"):
             code = main([command, "--config", str(tmp_path / "bad.cfg"), "--out", str(tmp_path / "o")])
             assert code == EXIT_CONFIG
@@ -499,7 +506,7 @@ def test_non_finite_setting_exits_config_naming_key(tmp_path, capsys, key, value
     from distnewton.config import ExperimentConfig
     from distnewton.errors import ConfigError
 
-    cfg = write_cfg(tmp_path, QUADRATIC_CFG + f"{key} = {value}\n")
+    cfg = write_cfg(tmp_path, with_setting(QUADRATIC_CFG, key, value))
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {key}: ")
@@ -550,7 +557,7 @@ def test_rule_violations_cover_every_declared_rule():
 
 @pytest.mark.parametrize("key,rule,value", RULE_VIOLATIONS, ids=[f"{k}-{r}" for k, r, _ in RULE_VIOLATIONS])
 def test_rule_violation_exits_config_naming_key(tmp_path, capsys, key, rule, value):
-    cfg = write_cfg(tmp_path, QUADRATIC_CFG + f"{key} = {value}\n")
+    cfg = write_cfg(tmp_path, with_setting(QUADRATIC_CFG, key, value))
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {key}: must be ")
@@ -564,6 +571,15 @@ def test_config_rejects_bad_value():
     with pytest.raises(ConfigError) as err:
         parse_config_text("harness.m = banana\n")
     assert err.value.field == "harness.m"
+
+
+def test_key_set_twice_exits_config_naming_key_and_lines(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, QUADRATIC_CFG + "harness.m = 2\n")  # line 5 sets m = 7, line 12 this
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: harness.m: set again on line 12 (first on line 5)")
+    assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_config_rejects_garbage_line():

@@ -4,14 +4,62 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from distnewton.data import Batch
 from distnewton.errors import AsymmetricMatrixError, DimensionMismatchError
-from distnewton.linalg import gram, sym_eig, thin_svd_via_gram
+from distnewton.linalg import as_vector, gram, sym_eig, thin_svd_via_gram
+from distnewton.objectives import MlpObjective, MlpSpec, QuadraticObjective, RosenbrockObjective
+from distnewton.operator import InverseHessianOperator, WorkerReport, apply, center_reports, newton_update
 
 from oracles import power_iteration_eigs, singular_values_oracle
 
 
 def random_tall(rng, n, m):
     return rng.standard_normal((n, m))
+
+
+# ------------------------------------------------------------- as_vector
+
+
+@pytest.mark.parametrize("x", [[], [1.0], np.arange(7), (2, 3.5)])
+def test_as_vector_without_length_accepts_any_1d_input(x):
+    v = as_vector(x)
+    assert v.dtype == np.float64
+    assert v.shape == (len(x),)
+
+
+@pytest.mark.parametrize("length", [None, 4])
+def test_as_vector_rejects_2d_input(length):
+    with pytest.raises(DimensionMismatchError, match="expected a 1-d vector"):
+        as_vector(np.ones((2, 2)), length)
+
+
+MLP = MlpObjective(MlpSpec((4, 3), "tanh"))  # 15 parameters
+MLP_BATCH = Batch(np.ones((4, 2)), [0, 2])
+OPERATOR = InverseHessianOperator(np.array([2.0]), np.eye(5, 1, order="F"), np.ones((5, 1), order="F"))
+
+# case -> (entry point, call with one vector of the wrong length, that length, the expected one)
+WRONG_LENGTH_CALLS = {
+    "quadratic.value": ("quadratic", lambda: QuadraticObjective.seeded(4).value(np.zeros(3)), 3, 4),
+    "quadratic.gradient": ("quadratic", lambda: QuadraticObjective.seeded(4).gradient(np.zeros(5)), 5, 4),
+    "rosenbrock.value": ("rosenbrock", lambda: RosenbrockObjective(4).value(np.zeros(6)), 6, 4),
+    "rosenbrock.gradient": ("rosenbrock", lambda: RosenbrockObjective(4).gradient(np.zeros(2)), 2, 4),
+    "mlp.value": ("mlp", lambda: MLP.value(np.zeros(14), MLP_BATCH), 14, 15),
+    "mlp.gradient": ("mlp", lambda: MLP.gradient(np.zeros(16), MLP_BATCH), 16, 15),
+    "WorkerReport": ("report", lambda: WorkerReport(np.zeros(3), np.zeros(2)), 2, 3),
+    "center_reports": ("center_reports", lambda: center_reports([WorkerReport(np.zeros(3), np.zeros(3)),
+                                                                 WorkerReport(np.zeros(7), np.zeros(7))]), 7, 3),
+    "apply": ("apply", lambda: apply(OPERATOR, np.zeros(6)), 6, 5),
+    "newton_update": ("newton_update", lambda: newton_update(OPERATOR, np.zeros(5), np.zeros(4), 0.1), 4, 5),
+}
+
+
+@pytest.mark.parametrize("entry, call, got, want", WRONG_LENGTH_CALLS.values(), ids=WRONG_LENGTH_CALLS.keys())
+def test_every_vector_entry_point_rejects_a_wrong_length(entry, call, got, want):
+    with pytest.raises(DimensionMismatchError) as exc:
+        call()
+    message = str(exc.value)
+    assert message.startswith(f"{entry}: ")
+    assert message.endswith(f"has length {got}, expected {want}")
 
 
 # ------------------------------------------------------------------ gram
