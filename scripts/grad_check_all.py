@@ -12,8 +12,6 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 def main():
     worst = 0
     for cfg in sorted(CONFIGS.glob("*.cfg")):
-        if "divergence" in cfg.name:
-            continue
         print(f"== {cfg.name}")
         worst = max(worst, cli_main(["grad-check", "--config", str(cfg)]))
     return worst

@@ -27,6 +27,7 @@ from .harness import (
     STATUS_COMPLETED,
     RunHistory,
     build_objective,
+    check_dataset,
     load_dataset,
     run_experiment,
 )
@@ -127,11 +128,16 @@ def _load_and_override(args) -> ExperimentConfig:
 
 def _run_cells(cells, base: ExperimentConfig, out_dir: Path) -> int:
     """Run every config in `cells` on one dataset, write their outputs and
-    summary, and return the exit code.  A config error ends the command;
-    any other failure is printed with its traceback and marks its cell
-    failed, and the other cells still run."""
-    # one dataset for every cell; each cell checks it against its own harness.m
+    summary, and return the exit code.  A config error ends the command,
+    and every cell is checked before any runs or `out_dir` is made; any
+    other failure is printed with its traceback and marks its cell failed,
+    and the other cells still run."""
+    # one dataset for every cell, checked against the model at m = 1 first
     dataset = load_dataset(replace(base, m=1))
+    for cfg in cells:
+        cfg.validate()
+        if dataset is not None:
+            check_dataset(cfg, dataset)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:  # a regular file, under one, or not writable

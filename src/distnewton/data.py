@@ -145,21 +145,11 @@ def synthetic_blobs(
     return Batch(inputs, labels)
 
 
-@dataclass(frozen=True)
-class ShardPlan:
-    """Disjoint round-robin split of a permuted dataset across m workers."""
-
-    m: int
-    order: np.ndarray  # the permutation the workers take turns through
-
-    def worker_indices(self, k: int) -> np.ndarray:
-        """Sample indices for worker k, in permutation order."""
-        return self.order[k :: self.m]
-
-
-def shard(dataset: Batch, m: int, epoch_seed: int) -> ShardPlan:
-    """Seeded permutation, round-robin assignment; sizes differ by <= 1."""
+def shard(dataset: Batch, m: int, epoch_seed: int) -> list[np.ndarray]:
+    """Seeded permutation, dealt round-robin: worker k's sample indices are
+    order[k::m], in permutation order, so the m shards are disjoint, cover
+    the dataset and differ in size by <= 1."""
     if m < 1:
         raise ValueError("m must be >= 1")
     order = np.random.default_rng(epoch_seed).permutation(dataset.sample_count)
-    return ShardPlan(m, order)
+    return [order[k::m] for k in range(m)]

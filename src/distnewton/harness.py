@@ -1,10 +1,12 @@
 """Synchronous distributed training loop, simulated in-process.
 
 Each round every worker reads the same parameter snapshot, runs its local
-SGD steps on its own shard batches, and reports (theta_k, grad at
-theta_k).  Workers run one after another, in worker order, on the calling
-thread; only when all m reports are in does the server aggregate, so the
-barrier is the end of the worker loop itself.
+SGD steps, and reports (theta_k, grad at theta_k).  A worker reads an
+epoch's batches from one iterator: a `_WorkerFeed` over its shard, or
+None forever for an objective that reads no samples.  Workers run one
+after another, in worker order, on the calling thread; only when all m
+reports are in does the server aggregate, so the barrier is the end of
+the worker loop itself.
 
 Worker randomness comes from independent streams keyed by
 (seed, worker_id, global_round), so no worker's draw depends on any
@@ -13,6 +15,7 @@ other's, and a fixed seed pins the whole trajectory.
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass
 
@@ -85,20 +88,28 @@ def rounds_per_epoch(n_samples: int, global_batch: int, local_steps: int) -> int
 
 
 class _WorkerFeed:
-    """Batch schedule for one worker and one epoch.
+    """One worker's batches for one epoch, as an iterator.
 
     The worker's shard (in permutation order), tiled row by row into a
     (chunks, batch size) schedule; the batch size is the width of `buffer`,
-    the worker's Fortran-order array that the run keeps.  `batch(c)`
-    gathers chunk c into it, so a Batch from `batch` is valid until this
-    feed's next gather.  np.resize fills an empty shard's schedule with
-    zeros, so `_check_dataset` (m <= samples) must have passed.
+    the worker's Fortran-order array that the run keeps.  `batch(c)` gathers
+    chunk c into it and next() the schedule's next chunk, so round r reads
+    chunks r(s+1) onward; a Batch is valid until this feed's next gather.
+    np.resize fills an empty shard's schedule with zeros, so
+    `check_dataset` (m <= samples) must have passed.
     """
 
     def __init__(self, dataset: Batch, indices: np.ndarray, chunks: int, buffer):
         self.schedule = np.resize(indices, (chunks, buffer.shape[1]))
         self.dataset = dataset
         self.buffer = buffer
+        self._chunks = iter(range(chunks))
+
+    def __iter__(self):
+        return self
+
+    def __next__(self) -> Batch:
+        return self.batch(next(self._chunks))
 
     def batch(self, chunk: int) -> Batch:
         sel = self.schedule[chunk]
@@ -166,7 +177,7 @@ def build_objective(cfg: ExperimentConfig):
     return MlpObjective(MlpSpec(tuple(cfg.mlp_layers), cfg.activation))
 
 
-def _check_dataset(cfg: ExperimentConfig, dataset: Batch):
+def check_dataset(cfg: ExperimentConfig, dataset: Batch):
     """Reject a dataset that the configured model and workers cannot run."""
     if dataset.sample_count < cfg.m:
         raise ConfigError(
@@ -200,7 +211,7 @@ def load_dataset(cfg: ExperimentConfig) -> Batch | None:
             cfg.mlp_layers[0], cfg.mlp_layers[-1], cfg.data_samples, cfg.synth_seed,
             spread=cfg.synth_spread, density=cfg.synth_density,
         )
-    _check_dataset(cfg, ds)
+    check_dataset(cfg, ds)
     return ds
 
 
@@ -218,65 +229,57 @@ def _epoch_seed(seed: int, epoch: int) -> int:
 def run_experiment(cfg: ExperimentConfig, dataset=None, threads=1, round_observer=None) -> RunHistory:
     """Run the full synchronous experiment described by cfg.
 
-    Per epoch the dataset is resharded with a fresh seeded permutation and
-    rounds run until the epoch's sample budget is spent; the full-train
-    NLL is recorded after each epoch.  Each worker gathers its batches,
-    one at a time, into one buffer that the run keeps, so that beyond the
-    dataset the run's inputs take one global batch.  Any non-finite
-    parameter, gradient, or loss stops the run with status 'diverged' (a
-    flag record with NaN loss marks the broken epoch).  `round_observer`, when given, is called
-    after every server aggregation with (epoch, round, theta_read,
-    reports, theta_new, stats).  `threads` is accepted for compatibility
-    and has no effect: workers always run serially, in worker order.
+    Per epoch the dataset is resharded with a fresh seeded permutation, and
+    each worker's `_WorkerFeed` gathers its batches, one at a time, into one
+    buffer that the run keeps (so the run's inputs take one global batch
+    beyond the dataset); an objective without samples runs one round per
+    epoch on None batches.  The full-train NLL is recorded after each epoch.
+    Any non-finite parameter, gradient, or loss stops the run with status
+    'diverged' (a round that overflows records a NaN loss).  `round_observer`,
+    when given, is called after every server aggregation with (epoch, round,
+    theta_read, reports, theta_new, stats).  `threads` is accepted for
+    compatibility and has no effect: workers always run serially, in order.
     """
     cfg.validate()
     objective = build_objective(cfg)
     if dataset is None or cfg.objective_kind != "mlp":
         dataset = load_dataset(cfg)  # None unless the objective reads samples
     else:
-        _check_dataset(cfg, dataset)
+        check_dataset(cfg, dataset)
 
     theta = initial_theta(cfg, objective)
     records: list[EpochRecord] = []
-    stochastic = dataset is not None
     s = cfg.local_steps
-    if stochastic:
+    if dataset is None:
+        n_rounds, feeds = 1, [itertools.repeat(None)] * cfg.m
+    else:
         n_rounds = rounds_per_epoch(dataset.sample_count, cfg.global_batch, s)
+        chunks = n_rounds * (s + 1)
         sizes = per_worker_batch_sizes(cfg.global_batch, cfg.m)
         buffers = [np.empty((dataset.feature_count, size), order="F") for size in sizes]
-    else:
-        n_rounds = 1
-        batches = [None] * (s + 1)
 
     status = STATUS_COMPLETED
     for epoch in range(cfg.epochs):
         tic = time.perf_counter()
         sigma_max = 0.0
         j_total = 0.0
-        if stochastic:
-            plan = shard(dataset, cfg.m, _epoch_seed(cfg.seed, epoch))
-            feeds = [
-                _WorkerFeed(dataset, plan.worker_indices(k), n_rounds * (s + 1), buffers[k])
-                for k in range(cfg.m)
-            ]
-        diverged = False
+        if dataset is not None:
+            shards = shard(dataset, cfg.m, _epoch_seed(cfg.seed, epoch))
+            feeds = [_WorkerFeed(dataset, shards[k], chunks, buffers[k]) for k in range(cfg.m)]
+        done = n_rounds
         for rnd in range(n_rounds):
             global_round = epoch * n_rounds + rnd
             try:
-                reports = []
-                for k in range(cfg.m):
-                    rng = np.random.default_rng([cfg.seed, k, global_round])
-                    if stochastic:  # gathered one at a time, as worker_round takes them
-                        first = rnd * (s + 1)
-                        batches = (feeds[k].batch(c) for c in range(first, first + s + 1))
-                    reports.append(worker_round(
-                        theta, objective, batches, s, cfg.local_lr, rng, cfg.worker_jitter
-                    ))
+                rngs = (np.random.default_rng([cfg.seed, k, global_round]) for k in range(cfg.m))
+                reports = [
+                    worker_round(theta, objective, feed, s, cfg.local_lr, rng, cfg.worker_jitter)
+                    for feed, rng in zip(feeds, rngs)
+                ]
                 theta_new, stats = server_round(
                     reports, cfg.lam, cfg.server_tau, cfg.use_lr_cap, cfg.aggregator
                 )
             except NonFiniteInputError:
-                diverged = True
+                done = rnd
                 break
             if round_observer is not None:
                 round_observer(epoch, rnd, theta, reports, theta_new, stats)
@@ -285,13 +288,9 @@ def run_experiment(cfg: ExperimentConfig, dataset=None, threads=1, round_observe
             j_total += stats.j
 
         wall = time.perf_counter() - tic
-        if diverged:
-            records.append(EpochRecord(epoch, float("nan"), sigma_max, j_total / max(rnd, 1), wall))
-            status = STATUS_DIVERGED
-            break
         with np.errstate(over="ignore", invalid="ignore"):
-            nll = objective.value(theta, dataset)
-        records.append(EpochRecord(epoch, nll, sigma_max, j_total / n_rounds, wall))
+            nll = objective.value(theta, dataset) if done == n_rounds else float("nan")
+        records.append(EpochRecord(epoch, nll, sigma_max, j_total / max(done, 1), wall))
         if not np.isfinite(nll):
             status = STATUS_DIVERGED
             break

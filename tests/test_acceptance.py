@@ -120,11 +120,11 @@ def _reference_trajectory(cfg):
 
     trace = []
     for epoch in range(cfg.epochs):
-        plan = shard(dataset, cfg.m, _epoch_seed(cfg.seed, epoch))
+        shards = shard(dataset, cfg.m, _epoch_seed(cfg.seed, epoch))
         # each worker's shard, tiled to the epoch's chunks and cut into its
         # batches, gathered here as fresh arrays rather than by the harness
         chunks = [
-            np.resize(plan.worker_indices(k), (n_rounds * (s + 1), sizes[k])) for k in range(cfg.m)
+            np.resize(shards[k], (n_rounds * (s + 1), sizes[k])) for k in range(cfg.m)
         ]
         for rnd in range(n_rounds):
             rid = epoch * n_rounds + rnd

@@ -400,6 +400,27 @@ def test_bad_out_exits_config_before_any_cell_runs(tmp_path, capsys, monkeypatch
         assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "samples, workers, key",
+    [
+        (320, "1,33", "harness.global_batch"),  # a global batch of 32 for 33 workers
+        (6, "1,7", "harness.m"),  # 7 workers for 6 samples
+    ],
+)
+def test_sweep_checks_every_cell_before_any_runs(tmp_path, capsys, monkeypatch, samples, workers, key):
+    # the last count breaks the rule: no cell runs and --out is not made
+    import distnewton.cli
+
+    monkeypatch.setattr(distnewton.cli, "run_experiment", lambda *a, **k: pytest.fail("a cell ran"))
+    cfg = write_cfg(tmp_path, with_setting(BLOB_CFG, "data.samples", samples))
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out), "--workers", workers]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"config error: {key}: " in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 # -------------------------------------------------------------- grad-check
 
 

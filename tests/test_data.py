@@ -216,36 +216,35 @@ def test_blobs_allocate_one_chunk_beyond_the_dataset():
 
 def test_shard_single_worker():
     ds = synthetic_blobs(3, 2, 10, seed=3)
-    plan = shard(ds, 1, epoch_seed=0)
-    assert np.array_equal(np.sort(plan.worker_indices(0)), np.arange(10))
+    shards = shard(ds, 1, epoch_seed=0)
+    assert np.array_equal(np.sort(shards[0]), np.arange(10))
 
 
 def test_shard_divisible_sizes():
     ds = synthetic_blobs(3, 2, 100, seed=4)
-    plan = shard(ds, 4, epoch_seed=1)
-    assert [plan.worker_indices(k).shape[0] for k in range(4)] == [25, 25, 25, 25]
+    shards = shard(ds, 4, epoch_seed=1)
+    assert [shards[k].shape[0] for k in range(4)] == [25, 25, 25, 25]
 
 
 def test_shard_deterministic():
     ds = synthetic_blobs(3, 2, 37, seed=5)
     p1 = shard(ds, 3, epoch_seed=9)
     p2 = shard(ds, 3, epoch_seed=9)
-    assert np.array_equal(p1.order, p2.order)
+    assert all(np.array_equal(a, b) for a, b in zip(p1, p2))
 
 
 def test_shard_new_permutation_per_epoch_seed():
     ds = synthetic_blobs(3, 2, 64, seed=6)
     p1 = shard(ds, 2, epoch_seed=0)
     p2 = shard(ds, 2, epoch_seed=1)
-    assert not np.array_equal(p1.order, p2.order)
+    assert not np.array_equal(np.concatenate(p1), np.concatenate(p2))
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(1, 200), st.integers(1, 9), st.integers(0, 2**31 - 1))
 def test_shard_partition_property(n, m, epoch_seed):
     ds = Batch(np.zeros((2, n), order="F"), np.zeros(n, dtype=np.int64))
-    plan = shard(ds, m, epoch_seed)
-    pieces = [plan.worker_indices(k) for k in range(m)]
+    pieces = shard(ds, m, epoch_seed)
     sizes = [p.shape[0] for p in pieces]
     assert max(sizes) - min(sizes) <= 1
     everything = np.concatenate(pieces)

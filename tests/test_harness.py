@@ -24,7 +24,7 @@ from distnewton.harness import (
     server_round,
     worker_round,
 )
-from distnewton.objectives import QuadraticObjective
+from distnewton.objectives import MlpObjective, QuadraticObjective
 from distnewton.operator import WorkerReport, block_rows
 
 from oracles import traced_peak
@@ -140,25 +140,26 @@ def test_worker_round_takes_each_batch_as_its_step_starts(s):
 
 @pytest.mark.parametrize("m", [1, 3])
 def test_lazy_batches_report_as_eager_batches(m):
-    # batches gathered into the feed's buffer as each step starts give the
-    # report of fresh column gathers, bit for bit; at m = 3 the shards are
-    # tiled to fill the chunks
+    # the feed itself, gathering into its buffer as each step starts, gives
+    # the report of fresh column gathers, bit for bit, and each round takes
+    # the next s + 1 chunks; at m = 3 the shards are tiled to fill the chunks
     cfg = blob_cfg(m=m)
     ds = load_dataset(cfg)
     objective = build_objective(cfg)
     theta = initial_theta(cfg, objective)
-    plan, s, chunks = shard(ds, m, 9), 2, 12
+    shards, s, chunks = shard(ds, m, 9), 2, 12
     for k, size in enumerate(per_worker_batch_sizes(cfg.global_batch, m)):
-        feed = _WorkerFeed(ds, plan.worker_indices(k), chunks, np.empty((16, size), order="F"))
+        feed = _WorkerFeed(ds, shards[k], chunks, np.empty((16, size), order="F"))
         for first in range(0, chunks, s + 1):
             sels = feed.schedule[first : first + s + 1]
             eager = [Batch(ds.inputs[:, sel], ds.labels[sel]) for sel in sels]
             reports = [
                 worker_round(theta, objective, batches, s, 0.05, np.random.default_rng([k, first]), 0.01)
-                for batches in ((feed.batch(c) for c in range(first, first + s + 1)), eager)
+                for batches in (feed, eager)
             ]
             assert reports[0].theta.tobytes() == reports[1].theta.tobytes()
             assert reports[0].grad.tobytes() == reports[1].grad.tobytes()
+        assert next(feed, None) is None
 
 
 @settings(max_examples=60, deadline=None)
@@ -368,6 +369,48 @@ def test_diverged_epoch_averages_j_over_completed_rounds(monkeypatch):
     assert hist.status == STATUS_DIVERGED
     assert len(js) == failing_round < rounds_per_epoch(640, 64, 1) and max(js) > 0
     assert hist.records[-1].retained_j == np.mean(js)
+
+
+def test_run_reads_each_feed_chunk_once_in_schedule_order(monkeypatch):
+    # uneven shards (640 samples over 3 workers) and uneven batches (64 over
+    # 3), s = 2: every round, worker by worker, takes the next s + 1 chunks of
+    # its own epoch feed, and an epoch reads each feed's schedule exactly once
+    cfg = blob_cfg(m=3, local_steps=2, epochs=2)
+    read = []
+    gather = _WorkerFeed.batch
+
+    def recorded(feed, chunk):
+        read.append((feed, chunk))
+        return gather(feed, chunk)
+
+    monkeypatch.setattr(_WorkerFeed, "batch", recorded)
+    hist = run_experiment(cfg)
+    assert hist.status == STATUS_COMPLETED
+    feeds = list(dict.fromkeys(feed for feed, _ in read))
+    s, n_rounds = cfg.local_steps, rounds_per_epoch(640, 64, 2)
+    assert len(feeds) == cfg.epochs * cfg.m
+    assert [(feeds.index(feed), chunk) for feed, chunk in read] == [
+        (epoch * cfg.m + k, c)
+        for epoch in range(cfg.epochs)
+        for rnd in range(n_rounds)
+        for k in range(cfg.m)
+        for c in range(rnd * (s + 1), (rnd + 1) * (s + 1))
+    ]
+    assert all(feed.schedule.shape[0] == n_rounds * (s + 1) for feed in feeds)
+
+
+def test_non_finite_evaluation_keeps_its_loss_and_stops(monkeypatch):
+    # every round stays finite but the full-train NLL overflows: the record
+    # keeps inf, not the NaN of a failed round, averages j over every round,
+    # and the run stops diverged after that epoch
+    cfg = blob_cfg(epochs=3)
+    monkeypatch.setattr(MlpObjective, "value", lambda self, theta, batch: float("inf"))
+    js = []
+    hist = run_experiment(cfg, round_observer=lambda *a: js.append(a[-1].j))
+    assert hist.status == STATUS_DIVERGED
+    assert len(hist.records) == 1 and hist.records[0].train_nll == float("inf")
+    assert len(js) == rounds_per_epoch(640, 64, 1) and max(js) > 0
+    assert hist.records[0].retained_j == np.mean(js)
 
 
 def test_run_with_lr_cap_enabled():

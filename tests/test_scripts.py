@@ -1,3 +1,4 @@
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -18,3 +19,15 @@ def test_one_shot_run_measures_a_preset_at_another_m():
     values = dict(line.split() for line in lines[1:])
     assert list(values) == ["wall_s", "minor_faults", "max_rss_mb"]
     assert all(float(v) > 0 for v in values.values())
+
+
+def test_grad_check_all_checks_every_preset():
+    # relu_divergence is the one ReLU preset, so it is the only one that runs the kink screen
+    out = subprocess.run(
+        [sys.executable, str(REPO / "scripts" / "grad_check_all.py")],
+        capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": str(REPO / "src")},
+    )
+    assert out.returncode == 0, out.stderr
+    checked = [line[3:] for line in out.stdout.splitlines() if line.startswith("== ")]
+    assert checked == sorted(p.name for p in (REPO / "configs").glob("*.cfg"))
+    assert "relu_divergence.cfg" in checked
