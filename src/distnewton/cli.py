@@ -171,10 +171,10 @@ def cmd_run(args) -> int:
 def cmd_sweep(args) -> int:
     base = _load_and_override(args)
     try:
-        workers = [int(w) for w in args.workers.split(",") if w.strip()]
+        workers = [int(w) for w in args.workers.split(",")]
     except ValueError:
         raise ConfigError("workers", f"not a comma-separated list of integers: {args.workers!r}") from None
-    if not workers or any(w < 1 for w in workers):
+    if any(w < 1 for w in workers):
         raise ConfigError("workers", "worker counts must be >= 1")
     if len(set(workers)) < len(workers):
         raise ConfigError("workers", f"worker count {max(workers, key=workers.count)} is repeated")

@@ -93,10 +93,6 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
-def _parse_layers(text: str) -> tuple:
-    return tuple(int(p) for p in text.replace(" ", "").split(",") if p)
-
-
 # type of a field's default -> (parser, serializer); looked up by exact
 # type, because bool is a subclass of int
 _CODECS = {
@@ -104,7 +100,7 @@ _CODECS = {
     int: (int, str),
     float: (float, repr),
     bool: (_parse_bool, lambda v: str(v).lower()),
-    tuple: (_parse_layers, lambda v: ",".join(str(s) for s in v)),
+    tuple: (lambda text: tuple(map(int, text.split(","))), lambda v: ",".join(map(str, v))),
 }
 
 # dotted key -> dataclass field

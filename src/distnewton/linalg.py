@@ -62,24 +62,13 @@ def gram(mat) -> np.ndarray:
     return np.asfortranarray(0.5 * (g + g.T))
 
 
-@dataclass(frozen=True)
-class SymEigResult:
-    """Eigenpairs of a symmetric matrix, sorted by eigenvalue descending.
-
-    Column k of `eigenvectors` belongs to `eigenvalues[k]`.  Ties keep the
-    order in which the eigensolver produced them.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
-def sym_eig(mat) -> SymEigResult:
-    """Eigendecomposition of a small symmetric matrix via LAPACK `eigh`.
-
-    `eigh` reads only the lower triangle, so the input is checked for
-    symmetry first.  Intended for the small worker-count dimension, never
-    for the parameter dimension.
+def sym_eig(mat) -> tuple[np.ndarray, np.ndarray]:
+    """`(eigenvalues, eigenvectors)` of a small symmetric matrix, the pair
+    LAPACK's `np.linalg.eigh` returns but sorted descending: column k of
+    `eigenvectors` belongs to `eigenvalues[k]`, and ties keep the order in
+    which the eigensolver produced them.  `eigh` reads only the lower
+    triangle, so the input is checked for symmetry first.  Intended for
+    the small worker-count dimension, never for the parameter dimension.
     """
     s = as_matrix(mat)
     m, mc = s.shape
@@ -96,7 +85,7 @@ def sym_eig(mat) -> SymEigResult:
     # Pins the +-v ambiguity so identical subspaces always print the same.
     lead = np.argmax(np.abs(v), axis=0) if m else np.empty(0, dtype=np.intp)
     v *= np.where(v[lead, np.arange(m)] < 0.0, -1.0, 1.0)
-    return SymEigResult(eigvals[order], np.asfortranarray(v))
+    return eigvals[order], np.asfortranarray(v)
 
 
 @dataclass(frozen=True)
@@ -157,11 +146,11 @@ def gram_spectrum(blocks, basis, rank_tolerance: float) -> GramSpectrum:
     if rank_tolerance < 0:
         raise ValueError("rank_tolerance must be nonnegative")
     gm, scale = blocked_gram(blocks)
-    eig = sym_eig(basis.T @ gm @ basis)
-    sigma = scale * np.sqrt(np.clip(eig.eigenvalues, 0.0, None))
+    eigenvalues, eigenvectors = sym_eig(basis.T @ gm @ basis)
+    sigma = scale * np.sqrt(np.clip(eigenvalues, 0.0, None))
     lead = float(sigma[0]) if sigma.size else 0.0
     retained = int(np.count_nonzero((sigma > 0.0) & (sigma >= rank_tolerance * lead)))
-    return GramSpectrum(sigma, basis @ eig.eigenvectors, retained, gm, scale)
+    return GramSpectrum(sigma, basis @ eigenvectors, retained, gm, scale)
 
 
 def unit_columns(w) -> np.ndarray:
@@ -175,34 +164,21 @@ def unit_columns(w) -> np.ndarray:
     return w
 
 
-@dataclass(frozen=True)
-class ThinSvd:
-    """Thin SVD of an n-by-m matrix, computed through its Gram matrix.
+def thin_svd_via_gram(mat, rank_tolerance: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Thin SVD `(u, sigma, right)` of an n-by-m matrix M, in `np.linalg.svd`'s
+    order but with the right vectors as columns, from the m-by-m Gram
+    eigendecomposition (`gram_spectrum` with B = I, M as one block).
 
     `sigma` holds all m singular values, descending.  `u` holds unit-norm
-    u_k as the columns of one n-by-r matrix, for a leading prefix of the
-    spectrum only: k is included while sigma_k > 0, sigma_k >=
-    rank_tolerance * sigma_1 and M v_k has nonzero norm.
-    """
-
-    sigma: np.ndarray
-    right_vectors: np.ndarray
-    u: np.ndarray
-
-    @property
-    def retained(self) -> int:
-        return int(self.u.shape[1])
-
-
-def thin_svd_via_gram(mat, rank_tolerance: float) -> ThinSvd:
-    """Thin SVD from the m-by-m Gram eigendecomposition (`gram_spectrum`
-    with B = I, and M summed as one block).  Left vectors are formed only
-    for the retained prefix, from the matrix divided by the Gram's scale,
-    so that their norms cannot overflow (the right vectors divided by a
-    subnormal scale would).  A zero matrix yields an all-zero sigma and no
-    left vectors.
+    u_k as the columns of one n-by-r matrix, r = `u.shape[1]` the retained
+    count, for a leading prefix of the spectrum only: k is included while
+    sigma_k > 0, sigma_k >= rank_tolerance * sigma_1 and M v_k has nonzero
+    norm.  Left vectors are formed from the matrix divided by the Gram's
+    scale, so that their norms cannot overflow (the right vectors divided
+    by a subnormal scale would).  A zero matrix yields an all-zero sigma
+    and no left vectors.
     """
     g = as_matrix(mat)
     spec = gram_spectrum(lambda: (g,), np.eye(g.shape[1]), rank_tolerance)
     u = unit_columns((g / spec.scale) @ spec.right[:, : spec.retained])
-    return ThinSvd(spec.sigma, spec.right, u)
+    return u, spec.sigma, spec.right

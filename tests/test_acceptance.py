@@ -177,9 +177,9 @@ def _secant_outputs():
     for rng, reports in _secant_cases():
         op = build_operator(center_reports(reports), 1e-6)
         big_theta, big_g = centered(reports)
-        svd = thin_svd_via_gram(big_g, 0.0)
+        _, _, right = thin_svd_via_gram(big_g, 0.0)
         for k in range(op.j):
-            vk = svd.right_vectors[:, k]
+            vk = right[:, k]
             outs.append(("secant", apply(op, big_g @ vk), big_theta @ vk))
         z = rng.standard_normal(big_theta.shape[0])
         for _ in range(2):  # project out the retained span, twice for robustness
@@ -217,19 +217,19 @@ def _svd_cases():
 
 
 def _svd_sigmas():
-    return [thin_svd_via_gram(g, 0.0).sigma for g in _svd_cases()]
+    return [thin_svd_via_gram(g, 0.0)[1] for g in _svd_cases()]
 
 
 def test_criterion_4_svd_oracle():
     tic = time.perf_counter()
     for g in _svd_cases():
-        res = thin_svd_via_gram(g, 0.0)
+        u, sigma, right = thin_svd_via_gram(g, 0.0)
         approx = np.zeros_like(g)
-        for k in range(res.retained):
-            approx += res.sigma[k] * np.outer(res.u[:, k], res.right_vectors[:, k])
+        for k in range(u.shape[1]):
+            approx += sigma[k] * np.outer(u[:, k], right[:, k])
         assert np.linalg.norm(g - approx) <= 1e-10 * np.linalg.norm(g)
         want = singular_values_oracle(g)
-        assert np.allclose(res.sigma, want, rtol=1e-8, atol=1e-10 * want[0])
+        assert np.allclose(sigma, want, rtol=1e-8, atol=1e-10 * want[0])
     elapsed = time.perf_counter() - tic
     assert elapsed < 10.0
     report(4, "SVD reconstruction + power-iteration oracle", "100 seeded matrices", elapsed)
@@ -371,6 +371,14 @@ def _ordering_result(finals):
     return wins, median_gain
 
 
+def _ordering_margin(finals):
+    """The seeds where the ordering fails, and the smallest relative margin
+    min((f4 - f8) / f4, (b - f4) / b) among the seeds where it holds."""
+    failing = [seed for seed, (f8, f4, b) in finals.items() if not f8 < f4 < b]
+    margins = [min((f4 - f8) / f4, (b - f4) / b) for f8, f4, b in finals.values() if f8 < f4 < b]
+    return failing, min(margins, default=float("nan"))
+
+
 def test_criterion_7_worker_count_ordering():
     tic = time.perf_counter()
     dataset, source = _comparison_dataset()
@@ -392,10 +400,12 @@ def test_criterion_7_worker_count_ordering():
     assert chosen == DEFAULT_LAMBDA, (
         f"default lambda failed; {chosen} passed and must become the shipped default"
     )
+    failing, margin = _ordering_margin(finals)
     elapsed = time.perf_counter() - tic
     assert elapsed < 600.0
     report(7, f"worker-count ordering on {source}",
-           f"distnewton-8 < distnewton-4 < sgd on {wins}/5 seeds, median gain {median_gain:.0%}",
+           f"distnewton-8 < distnewton-4 < sgd on {wins}/5 seeds (fails on seeds {failing}), "
+           f"median gain {median_gain:.0%}, smallest margin of a passing seed {margin:.2%}",
            elapsed)
 
 

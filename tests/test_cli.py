@@ -377,7 +377,7 @@ def test_failing_cell_is_reported_and_written(tmp_path, capsys, monkeypatch, com
 def test_sweep_rejects_bad_worker_list(tmp_path, capsys):
     # a repeated count would run its cell twice and overwrite its CSV
     cfg = write_cfg(tmp_path, BLOB_CFG)
-    for workers in ("0,2", "2,x", "2,2"):
+    for workers in ("0,2", "2,x", "2,,4", "2,2"):
         code = main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o"), "--workers", workers])
         assert code == EXIT_CONFIG
         err = capsys.readouterr().err
@@ -592,6 +592,22 @@ def test_config_rejects_bad_value():
     with pytest.raises(ConfigError) as err:
         parse_config_text("harness.m = banana\n")
     assert err.value.field == "harness.m"
+
+
+@pytest.mark.parametrize("layers", ["7 84,32,10", "784,,32,10", "784,32,10,", ""])
+def test_malformed_layer_list_exits_config_naming_key(tmp_path, capsys, layers):
+    # an inner space or an empty entry is an error, not a different model
+    cfg = write_cfg(tmp_path, with_setting(QUADRATIC_CFG, "objective.layers", layers))
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: objective.layers: bad value ")
+    assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_layer_list_entries_may_have_surrounding_spaces():
+    cfg = parse_config_text("objective.layers = 784 , 32,10\n")
+    assert cfg.mlp_layers == (784, 32, 10)
 
 
 def test_key_set_twice_exits_config_naming_key_and_lines(tmp_path, capsys):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from distnewton import linalg, operator
 from distnewton.config import ExperimentConfig, load_config
 from distnewton.data import Batch, shard, synthetic_blobs
 from distnewton.errors import DimensionMismatchError, NonFiniteInputError
@@ -243,6 +244,23 @@ def test_benchmark_tracer_finds_every_target(monkeypatch):
     workloads = importlib.import_module("workloads")
     with workloads.layer_tracer().installed():
         pass
+
+
+def test_benchmark_tracer_passes_spectra_through(monkeypatch):
+    # the traced run wraps sym_eig and thin_svd_via_gram by name and must
+    # hand their numpy tuples back unchanged
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    rng = np.random.default_rng(31)
+    mat = rng.standard_normal((40, 5))
+    want = (linalg.sym_eig(mat.T @ mat), operator.thin_svd_via_gram(mat, 0.0))
+    with workloads.layer_tracer().installed() as tracer:
+        got = (linalg.sym_eig(mat.T @ mat), operator.thin_svd_via_gram(mat, 0.0))
+    assert [span[0] for span in tracer.spans] == ["linalg.eig", "linalg.thin_svd", "linalg.eig"]
+    assert [len(w) for w in want] == [len(g) for g in got] == [2, 3]
+    for w, g in zip(want, got):
+        assert type(g) is tuple
+        assert all(np.array_equal(a, b) for a, b in zip(w, g))
 
 
 # --------------------------------------------------------- epoch planning

@@ -90,21 +90,21 @@ def test_gram_symmetric_psd():
 
 
 def test_sym_eig_diagonal():
-    res = sym_eig(np.diag([2.0, 5.0]))
-    assert np.allclose(res.eigenvalues, [5.0, 2.0])
-    assert np.allclose(np.abs(res.eigenvectors), [[0.0, 1.0], [1.0, 0.0]], atol=1e-14)
+    vals, vecs = sym_eig(np.diag([2.0, 5.0]))
+    assert np.allclose(vals, [5.0, 2.0])
+    assert np.allclose(np.abs(vecs), [[0.0, 1.0], [1.0, 0.0]], atol=1e-14)
 
 
 def test_sym_eig_trace_det_oracle():
     # trace 25, determinant 0 pin the spectrum of this rank-1 matrix
-    res = sym_eig([[5.0, 10.0], [10.0, 20.0]])
-    assert np.allclose(res.eigenvalues, [25.0, 0.0], atol=1e-12)
+    vals, _ = sym_eig([[5.0, 10.0], [10.0, 20.0]])
+    assert np.allclose(vals, [25.0, 0.0], atol=1e-12)
 
 
 def test_sym_eig_identity():
-    res = sym_eig(np.eye(5))
-    assert np.allclose(res.eigenvalues, np.ones(5))
-    assert np.allclose(res.eigenvectors.T @ res.eigenvectors, np.eye(5), atol=1e-10)
+    vals, vecs = sym_eig(np.eye(5))
+    assert np.allclose(vals, np.ones(5))
+    assert np.allclose(vecs.T @ vecs, np.eye(5), atol=1e-10)
 
 
 def test_sym_eig_rejects_asymmetric():
@@ -125,29 +125,27 @@ def test_sym_eig_rejects_nonsquare():
 
 def test_sym_eig_accepts_size_1025():
     # m = 1025 workers is a valid run; LAPACK eigh has no size cap
-    res = sym_eig(np.eye(1025))
-    assert np.array_equal(res.eigenvalues, np.ones(1025))
+    vals, _ = sym_eig(np.eye(1025))
+    assert np.array_equal(vals, np.ones(1025))
 
 
 def test_sym_eig_residuals_and_orthonormality():
     rng = np.random.default_rng(7)
     for m in (2, 3, 5, 8, 16, 32):
         s = gram(random_tall(rng, m + 10, m))
-        res = sym_eig(s)
+        vals, vecs = sym_eig(s)
         fro = np.linalg.norm(s)
-        assert np.all(np.diff(res.eigenvalues) <= 1e-12 * fro)  # descending
-        assert np.allclose(
-            res.eigenvectors.T @ res.eigenvectors, np.eye(m), atol=1e-10
-        )
+        assert np.all(np.diff(vals) <= 1e-12 * fro)  # descending
+        assert np.allclose(vecs.T @ vecs, np.eye(m), atol=1e-10)
         for k in range(m):
-            resid = s @ res.eigenvectors[:, k] - res.eigenvalues[k] * res.eigenvectors[:, k]
+            resid = s @ vecs[:, k] - vals[k] * vecs[:, k]
             assert np.linalg.norm(resid) <= 1e-9 * fro
 
 
 def test_sym_eig_matches_power_iteration():
     rng = np.random.default_rng(21)
     s = gram(random_tall(rng, 40, 6))
-    got = sym_eig(s).eigenvalues
+    got, _ = sym_eig(s)
     want = np.sort(np.linalg.eigvalsh(s))[::-1]
     assert np.allclose(got, want, rtol=1e-10, atol=1e-10 * np.linalg.norm(s))
 
@@ -160,34 +158,33 @@ def test_sym_eig_matches_power_iteration_oracle(m):
     q, _ = np.linalg.qr(rng.standard_normal((m, m)))
     s = q @ np.diag(0.8 ** np.arange(m)) @ q.T
     s = 0.5 * (s + s.T)
-    res = sym_eig(s)
+    vals, v = sym_eig(s)
     want = power_iteration_eigs(s)
-    assert np.allclose(res.eigenvalues, want, rtol=1e-10, atol=1e-12 * np.linalg.norm(s))
-    v = res.eigenvectors
-    assert np.linalg.norm(s @ v - v * res.eigenvalues) <= 1e-12 * np.linalg.norm(s)
+    assert np.allclose(vals, want, rtol=1e-10, atol=1e-12 * np.linalg.norm(s))
+    assert np.linalg.norm(s @ v - v * vals) <= 1e-12 * np.linalg.norm(s)
 
 
 # --------------------------------------------------- thin_svd_via_gram
 
 
 def test_thin_svd_identity():
-    res = thin_svd_via_gram(np.eye(2), 1e-12)
-    assert np.allclose(res.sigma, [1.0, 1.0])
-    assert np.allclose(res.u.T @ res.u, np.eye(2), atol=1e-12)
+    u, sigma, _ = thin_svd_via_gram(np.eye(2), 1e-12)
+    assert np.allclose(sigma, [1.0, 1.0])
+    assert np.allclose(u.T @ u, np.eye(2), atol=1e-12)
 
 
 def test_thin_svd_rank_one():
-    res = thin_svd_via_gram(np.array([[1.0, 2.0], [2.0, 4.0]]), 1e-12)
-    assert np.allclose(res.sigma, [5.0, 0.0], atol=1e-12)
-    assert res.retained == 1
+    u, sigma, _ = thin_svd_via_gram(np.array([[1.0, 2.0], [2.0, 4.0]]), 1e-12)
+    assert np.allclose(sigma, [5.0, 0.0], atol=1e-12)
+    assert u.shape[1] == 1
     want = np.array([1.0, 2.0]) / np.sqrt(5.0)
-    assert np.allclose(res.u[:, 0], want, atol=1e-12)
+    assert np.allclose(u[:, 0], want, atol=1e-12)
 
 
 def test_thin_svd_zero_matrix():
-    res = thin_svd_via_gram(np.zeros((4, 3)), 1e-12)
-    assert np.array_equal(res.sigma, np.zeros(3))
-    assert res.retained == 0
+    u, sigma, _ = thin_svd_via_gram(np.zeros((4, 3)), 1e-12)
+    assert np.array_equal(sigma, np.zeros(3))
+    assert u.shape[1] == 0
 
 
 def test_thin_svd_rejects_negative_tolerance():
@@ -201,10 +198,10 @@ def test_thin_svd_reconstruction_random():
         n = int(rng.integers(5, 200))
         m = int(rng.integers(1, min(n, 16) + 1))
         g = random_tall(rng, n, m)
-        res = thin_svd_via_gram(g, 0.0)
+        u, sigma, right = thin_svd_via_gram(g, 0.0)
         approx = np.zeros_like(g)
-        for k in range(res.retained):
-            approx += res.sigma[k] * np.outer(res.u[:, k], res.right_vectors[:, k])
+        for k in range(u.shape[1]):
+            approx += sigma[k] * np.outer(u[:, k], right[:, k])
         assert np.linalg.norm(g - approx) <= 1e-10 * np.linalg.norm(g)
 
 
@@ -212,26 +209,26 @@ def test_thin_svd_left_orthonormality():
     rng = np.random.default_rng(4)
     for _ in range(10):
         g = random_tall(rng, 60, 8)
-        res = thin_svd_via_gram(g, 0.0)
-        assert np.max(np.abs(res.u.T @ res.u - np.eye(res.retained))) <= 1e-8
+        u, _, _ = thin_svd_via_gram(g, 0.0)
+        assert np.max(np.abs(u.T @ u - np.eye(u.shape[1]))) <= 1e-8
 
 
 def test_thin_svd_factor_identity_g_v_eq_sigma_u():
     rng = np.random.default_rng(5)
     g = random_tall(rng, 50, 7)
-    res = thin_svd_via_gram(g, 0.0)
-    for k in range(res.retained):
-        lhs = g @ res.right_vectors[:, k]
-        rhs = res.sigma[k] * res.u[:, k]
-        assert np.linalg.norm(lhs - rhs) <= 1e-8 * res.sigma[0]
+    u, sigma, right = thin_svd_via_gram(g, 0.0)
+    for k in range(u.shape[1]):
+        lhs = g @ right[:, k]
+        rhs = sigma[k] * u[:, k]
+        assert np.linalg.norm(lhs - rhs) <= 1e-8 * sigma[0]
 
 
 def test_thin_svd_matches_power_iteration_oracle():
     rng = np.random.default_rng(6)
     g = random_tall(rng, 80, 10)
-    res = thin_svd_via_gram(g, 0.0)
+    _, sigma, _ = thin_svd_via_gram(g, 0.0)
     want = singular_values_oracle(g)
-    assert np.allclose(res.sigma, want, rtol=1e-8, atol=1e-10 * want[0])
+    assert np.allclose(sigma, want, rtol=1e-8, atol=1e-10 * want[0])
 
 
 @settings(max_examples=30)
@@ -247,12 +244,12 @@ def test_thin_svd_permutation_leaves_sigma_unchanged(g, rnd):
     m = g.shape[1]
     perm = list(range(m))
     rnd.shuffle(perm)
-    base = thin_svd_via_gram(g, 1e-12)
-    shuffled = thin_svd_via_gram(g[:, perm], 1e-12)
+    _, base, _ = thin_svd_via_gram(g, 1e-12)
+    _, shuffled, _ = thin_svd_via_gram(g[:, perm], 1e-12)
     # near-zero singular values are only defined down to the Gram route's
     # noise floor of sqrt(eps) * sigma_1
-    atol = 3e-8 * (base.sigma[0] + 1.0)
-    assert np.allclose(base.sigma, shuffled.sigma, rtol=1e-9, atol=atol)
+    atol = 3e-8 * (base[0] + 1.0)
+    assert np.allclose(base, shuffled, rtol=1e-9, atol=atol)
 
 
 def test_thin_svd_permutation_equivariance_of_right_vectors():
@@ -261,9 +258,9 @@ def test_thin_svd_permutation_equivariance_of_right_vectors():
     rng = np.random.default_rng(8)
     g = random_tall(rng, 40, 6)
     perm = rng.permutation(6)
-    base = thin_svd_via_gram(g, 1e-12)
-    shuffled = thin_svd_via_gram(g[:, perm], 1e-12)
-    assert np.allclose(shuffled.right_vectors, base.right_vectors[perm, :], atol=1e-8)
+    _, _, base = thin_svd_via_gram(g, 1e-12)
+    _, _, shuffled = thin_svd_via_gram(g[:, perm], 1e-12)
+    assert np.allclose(shuffled, base[perm, :], atol=1e-8)
 
 
 @settings(max_examples=20)
@@ -271,8 +268,8 @@ def test_thin_svd_permutation_equivariance_of_right_vectors():
 def test_thin_svd_scale_property(c):
     rng = np.random.default_rng(9)
     g = random_tall(rng, 30, 5)
-    base = thin_svd_via_gram(g, 0.0)
-    scaled = thin_svd_via_gram(c * g, 0.0)
-    assert np.allclose(scaled.sigma, c * base.sigma, rtol=1e-10)
-    assert np.allclose(scaled.u, base.u, atol=1e-10)
-    assert np.allclose(scaled.right_vectors, base.right_vectors, atol=1e-10)
+    u, sigma, right = thin_svd_via_gram(g, 0.0)
+    u_c, sigma_c, right_c = thin_svd_via_gram(c * g, 0.0)
+    assert np.allclose(sigma_c, c * sigma, rtol=1e-10)
+    assert np.allclose(u_c, u, atol=1e-10)
+    assert np.allclose(right_c, right, atol=1e-10)

@@ -1,7 +1,11 @@
+import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
+
+from distnewton.config import load_config
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -31,3 +35,38 @@ def test_grad_check_all_checks_every_preset():
     checked = [line[3:] for line in out.stdout.splitlines() if line.startswith("== ")]
     assert checked == sorted(p.name for p in (REPO / "configs").glob("*.cfg"))
     assert "relu_divergence.cfg" in checked
+
+
+def test_run_digest_prints_a_digest_per_dataset_and_run():
+    out = subprocess.run(
+        [sys.executable, str(REPO / "scripts" / "run_digest.py")],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert out.returncode == 0, out.stderr
+    lines = out.stdout.splitlines()
+    assert all(re.fullmatch(r"\S+ .* [0-9a-f]{64}", line) for line in lines), lines
+    presets = sorted((REPO / "configs").glob("*.cfg"))
+    datasets = [line.split()[0] for line in lines if line.split()[1] == "dataset"]
+    assert datasets == [p.stem for p in presets if load_config(p).objective_kind == "mlp"]
+    runs, multi = [], []
+    for line in lines:
+        words = line.split()
+        if words[1] != "dataset":
+            (multi if words[2] == "s=2" else runs).append(words[:2] + words[-3:-2])
+    want = []
+    for p in presets:
+        for m in (1, 8) if p.stem.startswith("mnist") else (load_config(p).m,):
+            want += [[p.stem, f"m={m}", aggregator] for aggregator in ("distnewton", "sgd_average")]
+    assert sorted(runs) == sorted(want)
+    assert len(multi) == 4
+
+
+def test_server_round_sizes_times_one_size():
+    out = subprocess.run(
+        [sys.executable, str(REPO / "scripts" / "server_round_sizes.py"), "--one", "20000", "4"],
+        capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": str(REPO / "src")},
+    )
+    assert out.returncode == 0, out.stderr
+    r = json.loads(out.stdout)
+    assert r["cold_ms"] > 0 and r["warm_p50_ms"] > 0
+    assert r["j"] == 3
