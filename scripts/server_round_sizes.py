@@ -3,9 +3,11 @@
 
 For each (n, m) it prints the cold first call (the first server_round of
 a fresh process, page faults included) and the warm median of ROUNDS
-further rounds on the same reports, with the retained rank j.  The
-reports are seeded standard normals.  A header line gives the numpy
-version, the BLAS numpy was built against and the usable core count.
+further rounds, with the retained rank j.  The reports are seeded
+standard normals, redrawn in place before each round and outside its
+timer, so that every round reads freshly written reports, as in a
+training run.  A header line gives the numpy version, the BLAS numpy was
+built against and the usable core count.
 
 Usage: PYTHONPATH=src python scripts/server_round_sizes.py
 """
@@ -30,9 +32,12 @@ LAMBDA, TAU = 0.1, 0.01
 
 def time_size(n: int, m: int) -> dict:
     rng = np.random.default_rng([n, m])
-    reports = [WorkerReport(rng.standard_normal(n), rng.standard_normal(n)) for _ in range(m)]
+    reports = [WorkerReport(np.empty(n), np.empty(n)) for _ in range(m)]
     times = []
     for _ in range(ROUNDS + 1):
+        for rep in reports:
+            rng.standard_normal(out=rep.theta)
+            rng.standard_normal(out=rep.grad)
         t0 = time.perf_counter()
         _, stats = server_round(reports, LAMBDA, TAU, False, "distnewton")
         times.append(time.perf_counter() - t0)

@@ -151,12 +151,12 @@ def server_round(reports, lam, tau, use_lr_cap, aggregator):
     """Aggregate one round of reports into the next shared parameters.
 
     Both servers write theta_new = theta_0 + [E | g_0 | D] c with `combine`,
-    in one pass over the row blocks of `center_reports`, and differ only in
+    in one pass over the reports of `center_reports`, and differ only in
     c.  distnewton sums the Gram matrix of the gradient differences in one
     more pass (`difference_spectrum`), optionally caps tau at 1/sigma_max,
     and takes the quasi-Newton c from `step_coefficients`.  sgd_average,
     the baseline, averages parameters: c = 1/m over E alone.  Nothing of
-    size n is written but theta_new and one cache-sized block.  The reports
+    size n is written but theta_new and one cache-sized scratch.  The reports
     are checked by `center_reports`, and theta_new once: NonFiniteReportError
     names a non-finite report, NonFiniteInputError an overflow of finite ones.
     """

@@ -28,13 +28,15 @@ tau (a - cbar)], cbar = 1/m and a = W Sigma^-2 W^T D^T g_bar, for every j
 `step_coefficients`, which picks c from the round's m-sized spectrum, and
 `combine`, the one loop that writes theta_new from the n-sized reports.
 Reports reach the server by one path: `center_reports` checks their
-lengths and hands them out as row blocks of [E | g_0 | D], about
-ROW_BLOCK_BYTES each, written into one reused scratch block; a pass
-writes only the columns it reads.  A round reads them twice: to sum the
-Gram matrix of [g_0 | D], then to write theta_new as theta_0 plus one
-matrix-vector product per block.
+lengths and returns them as `RowBlocks`.  A round reads them twice.
+Pass 1 sums the Gram matrix of [g_0 | D] over row blocks of about
+ROW_BLOCK_BYTES, written into one reused scratch block; a pass writes
+only the columns it reads.  The step pass, `combine`, fills no block: it
+walks the report vectors in runs of RUN_ROWS rows and builds each run of
+theta_new from c_{m-1} g_0, each difference from worker 0 scaled by its
+c_k, and theta_0, with the scratch holding one difference at a time.
 `build_operator` reads the same spectrum from the same blocks and writes
-U = D W Sigma^-1 and Y = E W in one more pass.
+U = D W Sigma^-1 and Y = E W in one more pass of blocks.
 """
 
 from __future__ import annotations
@@ -53,9 +55,15 @@ from .linalg import (
     unit_columns,
 )
 
-# Scratch bytes of one row block of [E | g_0 | D]: small enough to stay
-# in cache between the write of a block and its read.
+# Scratch bytes of one row block of [E | g_0 | D], which pass 1 and
+# `build_operator` read: small enough to stay in cache between the write
+# of a block and its read.
 ROW_BLOCK_BYTES = 1 << 20
+# Rows in one run of the step pass (`combine`): 256 KiB of each report
+# vector, so that each is read in long stretches, while a run of theta_0,
+# g_0, theta_new and one difference (1 MiB) stays in cache.  The row
+# blocks' scratch always holds one run.
+RUN_ROWS = ROW_BLOCK_BYTES // 32
 # Fewest rows in a block (it binds for m > 16): with fewer, the calls that
 # fill a block column by column cost more than the data they move.
 MIN_BLOCK_ROWS = 4096
@@ -92,22 +100,25 @@ class RowBlocks:
     """[E | g_0 | D] of one round, from the 2m report vectors
     [theta_0, ..., theta_{m-1}, g_0, ..., g_{m-1}], handed out in row
     blocks of one reused Fortran-order scratch of 2m - 1 columns (there is
-    no theta_0 column).  A block has `block_rows(m)` rows, so the scratch
-    fits in ROW_BLOCK_BYTES (up to m = 16) and the round's working set,
-    beyond the reports, is that scratch and the new n-vector."""
+    no theta_0 column) to pass 1 and `build_operator`.  A block has
+    `block_rows(m)` rows, so the scratch fits in ROW_BLOCK_BYTES (up to
+    m = 16).  It always holds at least one run of RUN_ROWS (or all n)
+    entries, where `combine` forms each difference, so the round's working
+    set, beyond the reports, is that scratch and the new n-vector."""
 
     def __init__(self, vectors: list):
         self.vectors = vectors
         self.n, self.m = vectors[0].shape[0], len(vectors) // 2
         self.scratch = np.empty((min(block_rows(self.m), max(self.n, 1)), 2 * self.m - 1), order="F")
 
-    def blocks(self, first: int, stop: int):
-        """One pass: yield (lo, hi, rows lo:hi of columns first:stop), with
-        no other column written; an empty matrix yields one empty block."""
-        rows = self.scratch.shape[0]
+    def blocks(self, first: int):
+        """One pass: yield (lo, hi, rows lo:hi of the columns from `first`
+        on), with no other column written; an empty matrix yields one empty
+        block."""
+        rows, cols = self.scratch.shape
         for lo in range(0, max(self.n, 1), rows):
             hi = min(lo + rows, self.n)
-            block = self.scratch[: hi - lo, : stop - first]
+            block = self.scratch[: hi - lo, : cols - first]
             _write_rows(self.vectors, lo, hi, first, block)
             yield lo, hi, block
 
@@ -177,7 +188,7 @@ def difference_spectrum(rows: RowBlocks, lam: float) -> GramSpectrum:
     basis[1:] = np.eye(m - 1) - 1.0 / (m + np.sqrt(m))
     try:
         return gram_spectrum(
-            lambda: (b for _, _, b in rows.blocks(m - 1, 2 * m - 1)), basis, max(lam, floor)
+            lambda: (b for _, _, b in rows.blocks(m - 1)), basis, max(lam, floor)
         )
     except NonFiniteInputError:
         overflow = "difference_spectrum: the gradient differences from worker 0 overflow"
@@ -197,18 +208,33 @@ def step_coefficients(spec: GramSpectrum, m: int, tau: float) -> np.ndarray:
 
 
 def combine(rows: RowBlocks, coef: np.ndarray) -> np.ndarray:
-    """theta_0 + [E | g_0 | D] c over the first len(coef) columns, theta_0
-    added after the product so that zero spread is exact: the one loop that
-    writes theta_new, in one read pass over those columns.  A non-finite
+    """theta_0 + [E | g_0 | D] c over the first len(coef) columns: the one
+    loop that writes theta_new, in one read pass over those report vectors.
+
+    It walks the rows in runs of RUN_ROWS and builds each run of theta_new
+    in place: c_{m-1} g_0 (zero when c covers E alone), then each column
+    v_k - theta_0 or v_k - g_0, formed in the row blocks' scratch and
+    scaled by c_k, and theta_0 last.  Each difference is taken before it is
+    scaled, so zero spread and identical reports are exact.  A non-finite
     result raises `_non_finite`'s error."""
-    theta_0, theta_new = rows.vectors[0], np.empty(rows.n)
+    m, cols = rows.m, coef.shape[0]
+    theta_0, g_0 = rows.vectors[0], rows.vectors[m]
+    theta_new = np.empty(rows.n)
+    scratch = np.reshape(rows.scratch, -1, order="F", copy=False)
     with np.errstate(over="ignore", invalid="ignore"):
-        for lo, hi, block in rows.blocks(0, coef.shape[0]):
-            out = theta_new[lo:hi]
-            if coef.shape[0] == 1:  # matmul takes a slow non-BLAS loop for one column
-                np.multiply(block[:, 0], coef[0], out=out)
+        for lo in range(0, rows.n, RUN_ROWS):
+            hi = min(lo + RUN_ROWS, rows.n)
+            out, diff = theta_new[lo:hi], scratch[: hi - lo]
+            if cols > m - 1:
+                np.multiply(g_0[lo:hi], coef[m - 1], out=out)
             else:
-                np.matmul(block, coef, out=out)
+                out.fill(0.0)
+            for col in range(cols):
+                if col != m - 1:
+                    base = theta_0 if col < m - 1 else g_0
+                    np.subtract(rows.vectors[col + 1][lo:hi], base[lo:hi], out=diff)
+                    diff *= coef[col]
+                    out += diff
             out += theta_0[lo:hi]
         finite = all_finite(theta_new)
     if not finite:
@@ -250,7 +276,7 @@ def build_operator(rows: RowBlocks, lam: float) -> InverseHessianOperator:
     us = np.empty((rows.n, spec.retained), order="F")
     ys = np.empty((rows.n, spec.retained), order="F")
     with np.errstate(over="ignore", invalid="ignore"):
-        for lo, hi, block in rows.blocks(0, 2 * m - 1):
+        for lo, hi, block in rows.blocks(0):
             # D / scale, not w / scale: w over a subnormal scale overflows
             us[lo:hi] = (block[:, m:] / spec.scale) @ w
             ys[lo:hi] = block[:, : m - 1] @ w

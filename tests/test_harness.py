@@ -26,7 +26,7 @@ from distnewton.harness import (
     worker_round,
 )
 from distnewton.objectives import MlpObjective, QuadraticObjective
-from distnewton.operator import WorkerReport, block_rows
+from distnewton.operator import RUN_ROWS, WorkerReport, block_rows
 
 from oracles import traced_peak
 
@@ -191,12 +191,14 @@ def test_server_round_average_aggregator():
 
 @pytest.mark.parametrize("m", range(1, 10))
 def test_server_round_average_of_identical_reports_is_exact(m):
-    # summed as differences from worker 0, duplicates add exact zeros
+    # summed as differences from worker 0, duplicates add exact zeros; the
+    # larger n crosses two step runs into a ragged tail
     rng = np.random.default_rng(m)
-    theta = rng.standard_normal(1000)
-    reports = [WorkerReport(theta, rng.standard_normal(1000))] * m
-    theta_new, _ = server_round(reports, 0.1, 0.5, False, "sgd_average")
-    assert np.array_equal(theta_new, theta)
+    for n in (1000, 2 * RUN_ROWS + 123):
+        theta = rng.standard_normal(n)
+        reports = [WorkerReport(theta, rng.standard_normal(n))] * m
+        theta_new, _ = server_round(reports, 0.1, 0.5, False, "sgd_average")
+        assert np.array_equal(theta_new, theta)
 
 
 @pytest.mark.parametrize("aggregator", ["distnewton", "sgd_average"])

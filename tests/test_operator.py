@@ -3,11 +3,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from distnewton import linalg, operator
+from distnewton import harness, linalg
 from distnewton.errors import DimensionMismatchError, NonFiniteInputError, NonFiniteReportError
 from distnewton.harness import server_round
 from distnewton.objectives import QuadraticObjective
 from distnewton.operator import (
+    RUN_ROWS,
     WorkerReport,
     apply,
     block_rows,
@@ -55,7 +56,7 @@ def random_batch(rng, n, m):
 
 def stacked(rows):
     """One pass of row blocks stacked into the n x (2m - 1) matrix [E | g_0 | D]."""
-    return np.vstack([block.copy() for _, _, block in rows.blocks(0, 2 * rows.m - 1)])
+    return np.vstack([block.copy() for _, _, block in rows.blocks(0)])
 
 
 def batch_centered(rows):
@@ -94,7 +95,7 @@ def test_center_three_reports_hand_oracle():
     assert cols.shape == (2, 5)
     assert np.array_equal(cols[:, :2], [[-1.0, 1.0], [1.0, 2.0]])
     assert not cols[:, 2:].any()  # g_0 and D: every gradient is zero
-    assert all(block.flags.f_contiguous for _, _, block in batch.blocks(0, 5))
+    assert all(block.flags.f_contiguous for _, _, block in batch.blocks(0))
     want = np.array([[0.0, -1.0, 1.0], [-1.0, 0.0, 1.0]])
     assert np.allclose(batch_centered(batch)[0], want)
     assert np.allclose(centered(reports)[0], want)
@@ -248,13 +249,15 @@ def test_server_round_agrees_with_explicit_operator(m, distinct, collinear, n, l
 @pytest.mark.parametrize("m", range(1, 10))
 def test_identical_reports_step_like_one_worker(m):
     # zero spread leaves every difference from worker 0 an exact zero, so no
-    # rounding noise can pose as a curvature direction
+    # rounding noise can pose as a curvature direction; the larger n crosses
+    # two step runs into a ragged tail
     rng = np.random.default_rng(m)
-    theta, g = rng.standard_normal(30), rng.standard_normal(30)
-    for lam, tau in ((1e-8, 1.0), (0.1, 0.7)):
-        theta_new, stats = server_round([WorkerReport(theta, g)] * m, lam, tau, False, "distnewton")
-        assert stats.j == 0
-        assert np.array_equal(theta_new, theta - tau * g)
+    for n in (30, 2 * RUN_ROWS + 123):
+        theta, g = rng.standard_normal(n), rng.standard_normal(n)
+        for lam, tau in ((1e-8, 1.0), (0.1, 0.7)):
+            theta_new, stats = server_round([WorkerReport(theta, g)] * m, lam, tau, False, "distnewton")
+            assert stats.j == 0
+            assert np.array_equal(theta_new, theta - tau * g)
 
 
 # ------------------------------------------------------ step_coefficients
@@ -281,6 +284,27 @@ def test_step_coefficients_from_the_spectrum_alone():
     got = combine(rows, step_coefficients(spec, rows.m, 1.0))
     assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want - theta_bar)
     assert np.linalg.norm(got - theta_star) <= 1e-14 * np.linalg.norm(theta_star)
+
+
+# --------------------------------------------------------------- combine
+
+
+@pytest.mark.parametrize("averaging", [False, True])
+@pytest.mark.parametrize("edge", [-1, 0, 1])
+@pytest.mark.parametrize("m", [1, 2, 16, 33])
+def test_combine_matches_dense_oracle(m, edge, averaging):
+    # n sits on, one below or one above a run edge, past the first run; the
+    # coefficients are the step's 2m - 1, or sgd_average's m - 1 over E
+    n = 2 * RUN_ROWS + edge
+    rng = np.random.default_rng([m, n])
+    rows = random_batch(rng, n, m)
+    coef = rng.standard_normal(m - 1 if averaging else 2 * m - 1)
+    theta_0 = rows.vectors[0]
+    want = theta_0 + stacked(rows)[:, : coef.shape[0]] @ coef
+    got = combine(rows, coef)
+    assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want - theta_0)
+    if m == 1:  # theta_0 + c g_0, or theta_0 itself, exactly
+        assert np.array_equal(got, theta_0 + coef[0] * rows.vectors[1] if coef.size else theta_0)
 
 
 # --------------------------------------------------------- streamed round
@@ -316,8 +340,8 @@ def test_server_round_allocates_no_n_by_m_buffer(aggregator):
 
 
 def test_single_worker_round_allocates_one_block_and_the_step():
-    # at m = 1 and the train_m1 size, one block holds all n rows: the round
-    # writes that one-column block (g_0) and theta_new, and no copy of theta_0
+    # at m = 1 and the train_m1 size, the one-column scratch holds all n
+    # rows: the round allocates it and theta_new, and copies no report
     n = 25_450
     reports = large_reports(n, 1, 15)
     _, peak = traced_peak(lambda: server_round(reports, 0.1, 0.01, False, "distnewton"))
@@ -363,34 +387,35 @@ def test_multi_block_round_agrees_with_explicit_operator(m):
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 9), st.integers(0, 2), st.integers(-1, 1), st.data())
 def test_blocks_hand_out_rows_of_the_stacked_layout(m, full, edge, data):
-    # n sits on, just below or just above a block edge; any column range of
-    # any pass holds the same rows as [E | g_0 | D] stacked whole, and no
-    # other scratch column is written
+    # n sits on, just below or just above a block edge; the columns of any
+    # pass hold the same rows as [E | g_0 | D] stacked whole, and no other
+    # scratch column is written
     n = max(full * block_rows(m) + edge, 0)
     first = data.draw(st.integers(0, 2 * m - 1))
-    stop = data.draw(st.integers(first, 2 * m - 1))
     thetas, grads = np.random.default_rng(n + m).standard_normal((2, m, n))
     want = np.hstack([(thetas[1:] - thetas[0]).T, grads[:1].T, (grads[1:] - grads[0]).T])
     rows = center_reports([WorkerReport(t, g) for t, g in zip(thetas, grads)])
     rows.scratch[:] = np.nan
     seen = 0
-    for lo, hi, block in rows.blocks(first, stop):
-        assert lo == seen and block.shape == (hi - lo, stop - first)
-        assert np.array_equal(block, want[lo:hi, first:stop])
+    for lo, hi, block in rows.blocks(first):
+        assert lo == seen and block.shape == (hi - lo, 2 * m - 1 - first)
+        assert np.array_equal(block, want[lo:hi, first:])
         seen = hi
     assert seen == n
     assert rows.scratch.shape[1] == 2 * m - 1
-    assert np.all(np.isnan(rows.scratch[:, stop - first :]))
+    assert np.all(np.isnan(rows.scratch[:, 2 * m - 1 - first :]))
 
 
 def test_wrong_length_report_rejected_before_any_pass(monkeypatch):
     reports = multi_block_reports(3, 16)
     reports.append(WorkerReport(np.ones(5), np.ones(5)))
-    writes = []
-    monkeypatch.setattr(operator, "_write_rows", lambda *args: writes.append(args))
-    with pytest.raises(DimensionMismatchError, match="report 3"):
-        server_round(reports, 0.1, 0.7, False, "distnewton")
-    assert writes == []
+    passes = []
+    monkeypatch.setattr(harness, "difference_spectrum", lambda *args: passes.append("spectrum"))
+    monkeypatch.setattr(harness, "combine", lambda *args: passes.append("combine"))
+    for aggregator in ("distnewton", "sgd_average"):
+        with pytest.raises(DimensionMismatchError, match="report 3"):
+            server_round(reports, 0.1, 0.7, False, aggregator)
+    assert passes == []
 
 
 # ----------------------------------------------------------------- apply
