@@ -12,8 +12,14 @@ the sha256 of its dataset: the Fortran-order `inputs` bytes and the
 once more at `harness.local_steps = 2`, under their own aggregator, and
 print the same line with an `s=2` tag: no preset takes more than one local
 step, so only these rounds read three batches (and, at m = 3, split the
-global batch unevenly).  Run it on two checkouts and `diff` the outputs: a
-change that keeps every dataset and trajectory prints the same lines.
+global batch unevenly).  Last, one server round runs on seeded reports of
+n = 2 * RUN_ROWS + 123 entries, which no preset reaches, so that the step
+pass crosses two run edges, at m = 1, 2, 16 and 33 under both aggregators.
+Each prints `server n=<n> m=<m> <aggregator> <sha>`, a sha256 over
+`theta_new`, `sigma` and `j`, and under distnewton also over
+`build_operator`'s `us`, `ys` and `sigmas`.  Run it on two checkouts and
+`diff` the outputs: a change that keeps every dataset, trajectory and
+round prints the same lines.
 
 Usage: python scripts/run_digest.py
 """
@@ -30,10 +36,13 @@ sys.path.insert(0, str(REPO / "src"))  # digest this checkout's code, not an ins
 import numpy as np  # noqa: E402
 
 from distnewton.config import load_config  # noqa: E402
-from distnewton.harness import load_dataset, run_experiment  # noqa: E402
+from distnewton.harness import load_dataset, run_experiment, server_round  # noqa: E402
+from distnewton.operator import RUN_ROWS, WorkerReport, build_operator, center_reports  # noqa: E402
 
 MAX_EPOCHS = 3
 MULTI_STEP = {"mnist_tanh": (1, 3, 8), "quadratic_newton": (None,)}  # None: the preset's m
+SERVER_N, SERVER_MS = 2 * RUN_ROWS + 123, (1, 2, 16, 33)
+LAMBDA, TAU = 0.1, 0.01
 
 
 def digest(cfg, dataset) -> tuple[str, str]:
@@ -49,6 +58,22 @@ def digest(cfg, dataset) -> tuple[str, str]:
     for r in history.records:
         h.update(struct.pack("<qddd", r.epoch, r.train_nll, r.sigma_max, r.retained_j))
     return history.status, h.hexdigest()
+
+
+def server_digest(n: int, m: int, aggregator: str) -> str:
+    """The sha256 of one server round on seeded reports, and under
+    distnewton of the explicit operator built from the same reports."""
+    rng = np.random.default_rng([n, m])
+    reports = [WorkerReport(rng.standard_normal(n), rng.standard_normal(n)) for _ in range(m)]
+    theta_new, stats = server_round(reports, LAMBDA, TAU, False, aggregator)
+    h = hashlib.sha256(theta_new.tobytes())
+    h.update(stats.sigma.tobytes())
+    h.update(struct.pack("<q", stats.j))
+    if aggregator == "distnewton":
+        op = build_operator(center_reports(reports), LAMBDA)
+        for a in (op.us, op.ys, op.sigmas):
+            h.update(a.tobytes(order="F"))
+    return h.hexdigest()
 
 
 def main():
@@ -68,6 +93,9 @@ def main():
             cfg = replace(base, m=m or base.m, local_steps=2)
             status, sha = digest(cfg, dataset)
             print(f"{path.stem} m={cfg.m} s=2 {cfg.aggregator} {status} {sha}", flush=True)
+    for m in SERVER_MS:
+        for aggregator in ("distnewton", "sgd_average"):
+            print(f"server n={SERVER_N} m={m} {aggregator} {server_digest(SERVER_N, m, aggregator)}", flush=True)
 
 
 if __name__ == "__main__":

@@ -156,9 +156,11 @@ def server_round(reports, lam, tau, use_lr_cap, aggregator):
     more pass (`difference_spectrum`), optionally caps tau at 1/sigma_max,
     and takes the quasi-Newton c from `step_coefficients`.  sgd_average,
     the baseline, averages parameters: c = 1/m over E alone.  Nothing of
-    size n is written but theta_new and one cache-sized scratch.  The reports
-    are checked by `center_reports`, and theta_new once: NonFiniteReportError
-    names a non-finite report, NonFiniteInputError an overflow of finite ones.
+    size n is written but theta_new; beyond it, pass 1 allocates one row
+    block of m columns and `combine` one difference run of RUN_ROWS rows,
+    each freed with its pass.  The reports are checked by `center_reports`,
+    and theta_new once: NonFiniteReportError names a non-finite report,
+    NonFiniteInputError an overflow of finite ones.
     """
     rows = center_reports(reports)
     if aggregator == "sgd_average":

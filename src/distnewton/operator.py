@@ -28,15 +28,16 @@ tau (a - cbar)], cbar = 1/m and a = W Sigma^-2 W^T D^T g_bar, for every j
 `step_coefficients`, which picks c from the round's m-sized spectrum, and
 `combine`, the one loop that writes theta_new from the n-sized reports.
 Reports reach the server by one path: `center_reports` checks their
-lengths and returns them as `RowBlocks`.  A round reads them twice.
-Pass 1 sums the Gram matrix of [g_0 | D] over row blocks of about
-ROW_BLOCK_BYTES, written into one reused scratch block; a pass writes
-only the columns it reads.  The step pass, `combine`, fills no block: it
-walks the report vectors in runs of RUN_ROWS rows and builds each run of
-theta_new from c_{m-1} g_0, each difference from worker 0 scaled by its
-c_k, and theta_0, with the scratch holding one difference at a time.
-`build_operator` reads the same spectrum from the same blocks and writes
-U = D W Sigma^-1 and Y = E W in one more pass of blocks.
+lengths and returns them as `RowBlocks`.  A round reads them twice, and
+each pass allocates only the columns it writes.  Pass 1 sums the Gram
+matrix of [g_0 | D] over row blocks of its m columns (half of
+ROW_BLOCK_BYTES for m <= 16).  The step pass, `combine`, fills no block:
+it walks the report vectors in runs of RUN_ROWS rows and builds each run
+of theta_new from c_{m-1} g_0, each difference from worker 0 scaled by
+its c_k, and theta_0, forming one difference at a time in a run-sized
+buffer of its own.  `build_operator` reads the same spectrum and writes
+U = D W Sigma^-1 and Y = E W in one more pass, over blocks of all 2m - 1
+columns.
 """
 
 from __future__ import annotations
@@ -55,14 +56,13 @@ from .linalg import (
     unit_columns,
 )
 
-# Scratch bytes of one row block of [E | g_0 | D], which pass 1 and
-# `build_operator` read: small enough to stay in cache between the write
-# of a block and its read.
+# Bytes of one row block of all of [E | g_0 | D], which `build_operator`
+# reads (pass 1's block of [g_0 | D] is about half of it): small enough to
+# stay in cache between the write of a block and its read.
 ROW_BLOCK_BYTES = 1 << 20
 # Rows in one run of the step pass (`combine`): 256 KiB of each report
 # vector, so that each is read in long stretches, while a run of theta_0,
-# g_0, theta_new and one difference (1 MiB) stays in cache.  The row
-# blocks' scratch always holds one run.
+# g_0, theta_new and the one difference buffer (1 MiB) stays in cache.
 RUN_ROWS = ROW_BLOCK_BYTES // 32
 # Fewest rows in a block (it binds for m > 16): with fewer, the calls that
 # fill a block column by column cost more than the data they move.
@@ -82,44 +82,40 @@ class WorkerReport:
         object.__setattr__(self, "grad", as_vector(self.grad, self.theta.shape[0], "report: grad"))
 
 
-def _write_rows(vectors, lo: int, hi: int, first: int, out) -> None:
-    """Rows lo:hi of the columns of [E | g_0 | D] from `first` on into out,
-    as many as out has.  Column c is vectors[c + 1], less theta_0 for
-    c < m - 1 (E) and less g_0 for c > m - 1 (D)."""
+def _column(vectors, col: int, lo: int, hi: int, out) -> None:
+    """Rows lo:hi of column col of [E | g_0 | D] into out: vectors[col + 1]
+    less theta_0 for col < m - 1 (E), g_0 itself for col = m - 1, and
+    vectors[col + 1] less g_0 above that (D)."""
     m = len(vectors) // 2
-    theta_0, g_0 = vectors[0][lo:hi], vectors[m][lo:hi]
-    for col in range(first, first + out.shape[1]):
-        dest, vec = out[:, col - first], vectors[col + 1][lo:hi]
-        if col == m - 1:
-            dest[:] = vec
-        else:
-            np.subtract(vec, theta_0 if col < m else g_0, out=dest)
+    vec = vectors[col + 1][lo:hi]
+    if col == m - 1:
+        out[:] = vec
+    else:
+        np.subtract(vec, vectors[0 if col < m - 1 else m][lo:hi], out=out)
 
 
 class RowBlocks:
     """[E | g_0 | D] of one round, from the 2m report vectors
     [theta_0, ..., theta_{m-1}, g_0, ..., g_{m-1}], handed out in row
-    blocks of one reused Fortran-order scratch of 2m - 1 columns (there is
-    no theta_0 column) to pass 1 and `build_operator`.  A block has
-    `block_rows(m)` rows, so the scratch fits in ROW_BLOCK_BYTES (up to
-    m = 16).  It always holds at least one run of RUN_ROWS (or all n)
-    entries, where `combine` forms each difference, so the round's working
-    set, beyond the reports, is that scratch and the new n-vector."""
+    blocks to pass 1 and `build_operator`.  It holds only the vectors, n
+    and m: each pass allocates its own block, with `block_rows(m)` rows
+    and only the columns it reads, and frees it when the pass ends."""
 
     def __init__(self, vectors: list):
         self.vectors = vectors
         self.n, self.m = vectors[0].shape[0], len(vectors) // 2
-        self.scratch = np.empty((min(block_rows(self.m), max(self.n, 1)), 2 * self.m - 1), order="F")
 
     def blocks(self, first: int):
         """One pass: yield (lo, hi, rows lo:hi of the columns from `first`
-        on), with no other column written; an empty matrix yields one empty
-        block."""
-        rows, cols = self.scratch.shape
+        on) from one Fortran-order block of 2m - 1 - first columns (there is
+        no theta_0 column); an empty matrix yields one empty block."""
+        rows, cols = min(block_rows(self.m), max(self.n, 1)), 2 * self.m - 1
+        buf = np.empty((rows, cols - first), order="F")
         for lo in range(0, max(self.n, 1), rows):
             hi = min(lo + rows, self.n)
-            block = self.scratch[: hi - lo, : cols - first]
-            _write_rows(self.vectors, lo, hi, first, block)
+            block = buf[: hi - lo]
+            for col in range(first, cols):
+                _column(self.vectors, col, lo, hi, block[:, col - first])
             yield lo, hi, block
 
 
@@ -213,26 +209,26 @@ def combine(rows: RowBlocks, coef: np.ndarray) -> np.ndarray:
 
     It walks the rows in runs of RUN_ROWS and builds each run of theta_new
     in place: c_{m-1} g_0 (zero when c covers E alone), then each column
-    v_k - theta_0 or v_k - g_0, formed in the row blocks' scratch and
-    scaled by c_k, and theta_0 last.  Each difference is taken before it is
-    scaled, so zero spread and identical reports are exact.  A non-finite
-    result raises `_non_finite`'s error."""
+    v_k - theta_0 or v_k - g_0, formed by `_column` in a run-sized buffer
+    of its own (none at m = 1, which has no difference) and scaled by c_k,
+    and theta_0 last.  Each difference is taken before it is scaled, so
+    zero spread and identical reports are exact.  A non-finite result
+    raises `_non_finite`'s error."""
     m, cols = rows.m, coef.shape[0]
     theta_0, g_0 = rows.vectors[0], rows.vectors[m]
     theta_new = np.empty(rows.n)
-    scratch = np.reshape(rows.scratch, -1, order="F", copy=False)
+    diffs = np.empty(min(RUN_ROWS, rows.n) if m > 1 else 0)
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, rows.n, RUN_ROWS):
             hi = min(lo + RUN_ROWS, rows.n)
-            out, diff = theta_new[lo:hi], scratch[: hi - lo]
+            out, diff = theta_new[lo:hi], diffs[: hi - lo]
             if cols > m - 1:
                 np.multiply(g_0[lo:hi], coef[m - 1], out=out)
             else:
                 out.fill(0.0)
             for col in range(cols):
                 if col != m - 1:
-                    base = theta_0 if col < m - 1 else g_0
-                    np.subtract(rows.vectors[col + 1][lo:hi], base[lo:hi], out=diff)
+                    _column(rows.vectors, col, lo, hi, diff)
                     diff *= coef[col]
                     out += diff
             out += theta_0[lo:hi]

@@ -332,20 +332,21 @@ def large_reports(n, m, seed):
 
 @pytest.mark.parametrize("aggregator", ["distnewton", "sgd_average"])
 def test_server_round_allocates_no_n_by_m_buffer(aggregator):
-    # beyond theta_new and one row block, a round holds nothing of size n
+    # pass 1's row block is freed before combine starts, so the peak is
+    # theta_new and combine's one difference run
     n = 100_000
     reports = large_reports(n, 8, 14)
     _, peak = traced_peak(lambda: server_round(reports, 0.1, 0.01, False, aggregator))
-    assert peak <= 4 * 8 * n + 2 * 2**20, f"peak {peak / 1e6:.2f} MB"
+    assert peak <= 8 * n + 8 * RUN_ROWS + 2**16, f"peak {peak / (8 * n):.2f} x 8n"
 
 
-def test_single_worker_round_allocates_one_block_and_the_step():
-    # at m = 1 and the train_m1 size, the one-column scratch holds all n
-    # rows: the round allocates it and theta_new, and copies no report
+def test_single_worker_round_allocates_only_the_step():
+    # at m = 1 and the train_m1 size there is no difference to form: the
+    # round allocates theta_new, and no block or run, and copies no report
     n = 25_450
     reports = large_reports(n, 1, 15)
     _, peak = traced_peak(lambda: server_round(reports, 0.1, 0.01, False, "distnewton"))
-    assert peak <= 2.1 * 8 * n, f"peak {peak / (8 * n):.2f} x 8n"
+    assert peak <= 1.1 * 8 * n, f"peak {peak / (8 * n):.2f} x 8n"
 
 
 def test_build_operator_allocates_only_its_vectors():
@@ -387,23 +388,19 @@ def test_multi_block_round_agrees_with_explicit_operator(m):
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 9), st.integers(0, 2), st.integers(-1, 1), st.data())
 def test_blocks_hand_out_rows_of_the_stacked_layout(m, full, edge, data):
-    # n sits on, just below or just above a block edge; the columns of any
-    # pass hold the same rows as [E | g_0 | D] stacked whole, and no other
-    # scratch column is written
+    # n sits on, just below or just above a block edge; a pass's block holds
+    # exactly its columns, with the same rows as [E | g_0 | D] stacked whole
     n = max(full * block_rows(m) + edge, 0)
     first = data.draw(st.integers(0, 2 * m - 1))
     thetas, grads = np.random.default_rng(n + m).standard_normal((2, m, n))
     want = np.hstack([(thetas[1:] - thetas[0]).T, grads[:1].T, (grads[1:] - grads[0]).T])
     rows = center_reports([WorkerReport(t, g) for t, g in zip(thetas, grads)])
-    rows.scratch[:] = np.nan
     seen = 0
     for lo, hi, block in rows.blocks(first):
         assert lo == seen and block.shape == (hi - lo, 2 * m - 1 - first)
         assert np.array_equal(block, want[lo:hi, first:])
         seen = hi
     assert seen == n
-    assert rows.scratch.shape[1] == 2 * m - 1
-    assert np.all(np.isnan(rows.scratch[:, 2 * m - 1 - first :]))
 
 
 def test_wrong_length_report_rejected_before_any_pass(monkeypatch):

@@ -6,6 +6,7 @@ import sys
 from pathlib import Path
 
 from distnewton.config import load_config
+from distnewton.operator import RUN_ROWS, block_rows
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -48,10 +49,12 @@ def test_run_digest_prints_a_digest_per_dataset_and_run():
     presets = sorted((REPO / "configs").glob("*.cfg"))
     datasets = [line.split()[0] for line in lines if line.split()[1] == "dataset"]
     assert datasets == [p.stem for p in presets if load_config(p).objective_kind == "mlp"]
-    runs, multi = [], []
+    runs, multi, server = [], [], []
     for line in lines:
         words = line.split()
-        if words[1] != "dataset":
+        if words[0] == "server":
+            server.append(words[1:4])
+        elif words[1] != "dataset":
             (multi if words[2] == "s=2" else runs).append(words[:2] + words[-3:-2])
     want = []
     for p in presets:
@@ -59,14 +62,24 @@ def test_run_digest_prints_a_digest_per_dataset_and_run():
             want += [[p.stem, f"m={m}", aggregator] for aggregator in ("distnewton", "sgd_average")]
     assert sorted(runs) == sorted(want)
     assert len(multi) == 4
+    # one streamed round past two run edges, at sizes no preset reaches
+    assert server == [
+        [f"n={2 * RUN_ROWS + 123}", f"m={m}", aggregator]
+        for m in (1, 2, 16, 33)
+        for aggregator in ("distnewton", "sgd_average")
+    ]
 
 
 def test_server_round_sizes_times_one_size():
+    n, m = 20000, 4
     out = subprocess.run(
-        [sys.executable, str(REPO / "scripts" / "server_round_sizes.py"), "--one", "20000", "4"],
-        capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": str(REPO / "src")},
+        [sys.executable, str(REPO / "scripts" / "server_round_sizes.py"), "--one", str(n), str(m)],
+        capture_output=True, text=True, timeout=120,
     )
     assert out.returncode == 0, out.stderr
     r = json.loads(out.stdout)
     assert r["cold_ms"] > 0 and r["warm_p50_ms"] > 0
     assert r["j"] == 3
+    # pass 1's block of m columns, then theta_new and one difference run
+    # (here all n rows), each freed with its pass
+    assert 1.0 <= r["peak_alloc_8n"] <= (max(block_rows(m) * m, 2 * n) * 8 + 2**16) / (8 * n)
