@@ -8,9 +8,13 @@ standard normals, redrawn in place before each round and outside its
 timer, so that every round reads freshly written reports, as in a
 training run.  One more round, outside the timed ones, runs under
 tracemalloc, and its peak allocation is printed in units of 8n (the bytes
-of one n-vector: theta_new alone reads 1.0).  A header line gives the
-numpy version, the BLAS numpy was built against and the usable core count.
-It times this checkout's `src`, not an installed copy.
+of one n-vector: theta_new alone reads 1.0).  `read MB` is the report
+bytes a round reads, computed from the array shapes, not measured: pass 1
+reads the m gradients and the step pass all 2m report vectors, so 8n * 3m
+for m >= 2, and 8n * 2 at m = 1 (no pass 1, and the step pass reads only
+theta_0 and g_0).  `GB/s` is that count over the warm median.  A header
+line gives the numpy version, the BLAS numpy was built against and the
+usable core count.  It times this checkout's `src`, not an installed copy.
 
 Usage: python scripts/server_round_sizes.py
 """
@@ -62,6 +66,7 @@ def time_size(n: int, m: int) -> dict:
         "warm_p50_ms": 1e3 * statistics.median(times[1:]),
         "j": stats.j,
         "peak_alloc_8n": peak / (8 * n),
+        "read_bytes": 8 * n * (3 * m if m >= 2 else 2),  # from the shapes, as the docstring says
     }
 
 
@@ -79,9 +84,13 @@ def main(argv) -> int:
         return 0
     print(
         f"python {platform.python_version()}, numpy {np.__version__}, BLAS {blas()}, "
-        f"{len(os.sched_getaffinity(0))} cores; warm p50 over {ROUNDS} rounds"
+        f"{len(os.sched_getaffinity(0))} cores; warm p50 over {ROUNDS} rounds; "
+        "read MB is computed from the report shapes, GB/s is read MB over the warm p50"
     )
-    print(f"{'n':>9} {'m':>3} {'j':>3} {'cold ms':>9} {'warm p50 ms':>12} {'peak/8n':>8}")
+    print(
+        f"{'n':>9} {'m':>3} {'j':>3} {'cold ms':>9} {'warm p50 ms':>12} {'peak/8n':>8}"
+        f" {'read MB':>8} {'GB/s':>6}"
+    )
     for n, m in SIZES:
         out = subprocess.run(
             [sys.executable, __file__, "--one", str(n), str(m)], capture_output=True, text=True, check=True
@@ -89,6 +98,7 @@ def main(argv) -> int:
         r = json.loads(out.stdout)
         print(
             f"{n:>9} {m:>3} {r['j']:>3} {r['cold_ms']:>9.1f} {r['warm_p50_ms']:>12.1f} {r['peak_alloc_8n']:>8.2f}"
+            f" {r['read_bytes'] / 1e6:>8.1f} {r['read_bytes'] / 1e6 / r['warm_p50_ms']:>6.2f}"
         )
     return 0
 

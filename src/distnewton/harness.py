@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import ExperimentConfig
+from .config import AGGREGATORS, ExperimentConfig
 from .data import Batch, load_idx, shard, synthetic_blobs
 from .errors import ConfigError, IdxFormatError, NonFiniteInputError
 from .linalg import all_finite
@@ -121,13 +121,13 @@ class _WorkerFeed:
 def worker_round(theta_read, objective, batches, local_steps, local_lr, rng, jitter=0.0):
     """One worker's round: s local SGD steps, then the report gradient.
 
-    `batches` yields the round's local_steps + 1 minibatches (None for
-    deterministic objectives).  Exactly that many are taken, each by next()
-    as its step starts, so a generator may gather each into the same
-    buffer.  The reported gradient is evaluated at the updated parameters
-    on the final, fresh batch.  Optional jitter perturbs the starting
-    point; it is what makes workers explore different regions when the
-    objective itself has no stochasticity.
+    Exactly local_steps + 1 minibatches (None for deterministic objectives)
+    are taken from `batches`, each by next() as its step starts, so a
+    generator may gather each into the same buffer.  The report gradient
+    is taken at the updated parameters on the final, fresh batch.  Optional
+    jitter perturbs the starting point, so that workers explore different
+    regions of a deterministic objective.  Only the gradient is checked
+    here (sgd_average never reads it); the server names a non-finite theta.
     """
     theta_read = np.asarray(theta_read, dtype=np.float64)
     batches = iter(batches)
@@ -142,8 +142,8 @@ def worker_round(theta_read, objective, batches, local_steps, local_lr, rng, jit
         for _ in range(local_steps):
             theta -= local_lr * objective.gradient(theta, next(batches))
         grad = objective.gradient(theta, next(batches))
-    if not (all_finite(theta) and all_finite(grad)):
-        raise NonFiniteInputError("worker produced non-finite parameters or gradient")
+    if not all_finite(grad):
+        raise NonFiniteInputError("worker produced a non-finite gradient")
     return WorkerReport(theta, grad)
 
 
@@ -155,13 +155,16 @@ def server_round(reports, lam, tau, use_lr_cap, aggregator):
     c.  distnewton sums the Gram matrix of the gradient differences in one
     more pass (`difference_spectrum`), optionally caps tau at 1/sigma_max,
     and takes the quasi-Newton c from `step_coefficients`.  sgd_average,
-    the baseline, averages parameters: c = 1/m over E alone.  Nothing of
-    size n is written but theta_new; beyond it, pass 1 allocates one row
-    block of m columns and `combine` one difference run of RUN_ROWS rows,
-    each freed with its pass.  The reports are checked by `center_reports`,
-    and theta_new once: NonFiniteReportError names a non-finite report,
-    NonFiniteInputError an overflow of finite ones.
+    the baseline, averages parameters: c = 1/m over E alone; any other
+    aggregator raises ValueError.  Nothing of size n is written but
+    theta_new; beyond it, pass 1 allocates one row block of m columns and
+    `combine` one difference run of RUN_ROWS rows, each freed with its
+    pass.  The reports are checked by `center_reports`, and theta_new once:
+    NonFiniteReportError names a non-finite report, NonFiniteInputError an
+    overflow of finite ones.
     """
+    if aggregator not in AGGREGATORS:
+        raise ValueError(f"server_round: unknown aggregator {aggregator!r}, expected one of {AGGREGATORS}")
     rows = center_reports(reports)
     if aggregator == "sgd_average":
         return combine(rows, np.full(rows.m - 1, 1.0 / rows.m)), RoundStats(np.empty(0), 0, tau)

@@ -27,11 +27,11 @@ tau (a - cbar)], cbar = 1/m and a = W Sigma^-2 W^T D^T g_bar, for every j
 (j = 0 is a = 0).  Averaging is c = cbar over E alone.  So a step is
 `step_coefficients`, which picks c from the round's m-sized spectrum, and
 `combine`, the one loop that writes theta_new from the n-sized reports.
-Reports reach the server by one path: `center_reports` checks their
-lengths and returns them as `RowBlocks`.  A round reads them twice, and
-each pass allocates only the columns it writes.  Pass 1 sums the Gram
-matrix of [g_0 | D] over row blocks of its m columns (half of
-ROW_BLOCK_BYTES for m <= 16).  The step pass, `combine`, fills no block:
+Reports reach the server by one path: `center_reports`, the one check of
+every theta and gradient, returns them as `RowBlocks`.  A round reads
+them twice, and each pass allocates only the columns it writes.  Pass 1
+sums the Gram matrix of [g_0 | D] over row blocks of its m columns (half
+of ROW_BLOCK_BYTES for m <= 16).  The step pass, `combine`, fills no block:
 it walks the report vectors in runs of RUN_ROWS rows and builds each run
 of theta_new from c_{m-1} g_0, each difference from worker 0 scaled by
 its c_k, and theta_0, forming one difference at a time in a run-sized
@@ -72,14 +72,10 @@ MIN_BLOCK_ROWS = 4096
 @dataclass(frozen=True)
 class WorkerReport:
     """One worker's contribution to a round: updated parameters and the
-    gradient evaluated at those parameters."""
+    gradient at them, kept as given until `center_reports` checks both."""
 
     theta: np.ndarray
     grad: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "theta", as_vector(self.theta))
-        object.__setattr__(self, "grad", as_vector(self.grad, self.theta.shape[0], "report: grad"))
 
 
 def _column(vectors, col: int, lo: int, hi: int, out) -> None:
@@ -126,15 +122,15 @@ def block_rows(m: int) -> int:
 
 
 def center_reports(reports) -> RowBlocks:
-    """The reports as worker 0 and the differences from it, in row blocks.
-    Their lengths are checked here, before any pass reads them."""
+    """The reports in row blocks, after the one check of each theta and
+    gradient: a float64 vector of report 0's length, or DimensionMismatchError."""
     reports = list(reports)
     if not reports:
         raise ValueError("center_reports: empty report list")
-    n = reports[0].theta.shape[0]
-    for k, rep in enumerate(reports):
-        as_vector(rep.theta, n, f"center_reports: report {k}")
-    return RowBlocks([r.theta for r in reports] + [r.grad for r in reports])
+    n = as_vector(reports[0].theta).shape[0]
+    thetas = [as_vector(r.theta, n, f"center_reports: report {k} theta") for k, r in enumerate(reports)]
+    grads = [as_vector(r.grad, n, f"center_reports: report {k} gradient") for k, r in enumerate(reports)]
+    return RowBlocks(thetas + grads)
 
 
 def _non_finite(rows: RowBlocks, overflow: str) -> NonFiniteInputError:

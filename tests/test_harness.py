@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from distnewton import linalg, operator
 from distnewton.config import ExperimentConfig, load_config
 from distnewton.data import Batch, shard, synthetic_blobs
-from distnewton.errors import DimensionMismatchError, NonFiniteInputError
+from distnewton.errors import DimensionMismatchError, NonFiniteInputError, NonFiniteReportError
 from distnewton.harness import (
     STATUS_COMPLETED,
     STATUS_DIVERGED,
@@ -240,6 +240,13 @@ def test_server_round_average_rejects_mismatched_lengths():
         server_round(reports, 0.1, 0.1, False, "sgd_average")
 
 
+def test_server_round_rejects_unknown_aggregator():
+    # direct callers skip ExperimentConfig.validate: a typo must not run distnewton
+    reports = [WorkerReport(np.ones(3), np.ones(3)), WorkerReport(np.zeros(3), np.ones(3))]
+    with pytest.raises(ValueError, match="unknown aggregator 'sgd'"):
+        server_round(reports, 0.1, 0.1, False, "sgd")
+
+
 def test_benchmark_tracer_finds_every_target(monkeypatch):
     # the benchmark's traced run wraps these names: a rename in src/ would break it
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
@@ -389,6 +396,52 @@ def test_diverged_epoch_averages_j_over_completed_rounds(monkeypatch):
     assert hist.status == STATUS_DIVERGED
     assert len(js) == failing_round < rounds_per_epoch(640, 64, 1) and max(js) > 0
     assert hist.records[-1].retained_j == np.mean(js)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("aggregator", ["distnewton", "sgd_average"])
+def test_non_finite_theta_ends_the_run_through_the_server(monkeypatch, aggregator):
+    # worker 1 sends a NaN theta with a finite gradient in round 4 of epoch 0:
+    # the worker checks only its gradient, so the server names report 1, and
+    # the run ends as it does when a worker raises in that round itself
+    from distnewton import harness
+
+    cfg = blob_cfg(aggregator=aggregator, epochs=2)
+    failing_round = 4
+
+    def run(fault):
+        calls, sent = itertools.count(), []
+
+        def faulty(*args):
+            call, rep = next(calls), worker_round(*args)
+            if call // cfg.m == failing_round:
+                rep = fault(rep) if call % cfg.m == 1 else rep
+                sent.append(rep)
+            return rep
+
+        monkeypatch.setattr(harness, "worker_round", faulty)
+        return run_experiment(cfg), sent
+
+    def nan_theta(rep):
+        theta = rep.theta.copy()
+        theta[3] = np.nan
+        return WorkerReport(theta, rep.grad)
+
+    def raises(rep):
+        raise NonFiniteInputError("worker produced non-finite parameters")
+
+    (hist, sent), (want, _) = run(nan_theta), run(raises)
+    assert hist.status == want.status == STATUS_DIVERGED
+    assert len(sent) == cfg.m and np.isfinite(sent[1].grad).all() and np.isnan(sent[1].theta).any()
+    assert len(hist.records) == 1
+
+    def fields(h):
+        return np.array([(r.epoch, r.train_nll, r.sigma_max, r.retained_j) for r in h.records])
+
+    assert np.array_equal(fields(hist), fields(want), equal_nan=True)
+    with pytest.raises(NonFiniteReportError, match="theta") as exc:
+        server_round(sent, cfg.lam, cfg.server_tau, False, aggregator)
+    assert exc.value.report == 1
 
 
 def test_run_reads_each_feed_chunk_once_in_schedule_order(monkeypatch):

@@ -45,7 +45,7 @@ WRONG_LENGTH_CALLS = {
     "rosenbrock.gradient": ("rosenbrock", lambda: RosenbrockObjective(4).gradient(np.zeros(2)), 2, 4),
     "mlp.value": ("mlp", lambda: MLP.value(np.zeros(14), MLP_BATCH), 14, 15),
     "mlp.gradient": ("mlp", lambda: MLP.gradient(np.zeros(16), MLP_BATCH), 16, 15),
-    "WorkerReport": ("report", lambda: WorkerReport(np.zeros(3), np.zeros(2)), 2, 3),
+    "center_reports.gradient": ("center_reports", lambda: center_reports([WorkerReport(np.zeros(3), np.zeros(2))]), 2, 3),
     "center_reports": ("center_reports", lambda: center_reports([WorkerReport(np.zeros(3), np.zeros(3)),
                                                                  WorkerReport(np.zeros(7), np.zeros(7))]), 7, 3),
     "apply": ("apply", lambda: apply(OPERATOR, np.zeros(6)), 6, 5),

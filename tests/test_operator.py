@@ -112,11 +112,6 @@ def test_center_dimension_mismatch_rejected():
         center_reports(reports)
 
 
-def test_report_rejects_mismatched_lengths():
-    with pytest.raises(DimensionMismatchError):
-        WorkerReport([1.0, 2.0], [1.0])
-
-
 def test_centered_columns_sum_to_zero():
     rng = np.random.default_rng(11)
     for m in (1, 2, 5, 9):
@@ -405,13 +400,16 @@ def test_blocks_hand_out_rows_of_the_stacked_layout(m, full, edge, data):
 
 def test_wrong_length_report_rejected_before_any_pass(monkeypatch):
     reports = multi_block_reports(3, 16)
-    reports.append(WorkerReport(np.ones(5), np.ones(5)))
+    short_theta = reports + [WorkerReport(np.ones(5), np.ones(5))]
+    # nothing but center_reports checks a gradient against its theta
+    short_grad = reports[:2] + [WorkerReport(reports[2].theta, np.ones(5))]
     passes = []
     monkeypatch.setattr(harness, "difference_spectrum", lambda *args: passes.append("spectrum"))
     monkeypatch.setattr(harness, "combine", lambda *args: passes.append("combine"))
-    for aggregator in ("distnewton", "sgd_average"):
-        with pytest.raises(DimensionMismatchError, match="report 3"):
-            server_round(reports, 0.1, 0.7, False, aggregator)
+    for bad, name in ((short_theta, "report 3 theta"), (short_grad, "report 2 gradient")):
+        for aggregator in ("distnewton", "sgd_average"):
+            with pytest.raises(DimensionMismatchError, match=f"{name} has length 5"):
+                server_round(bad, 0.1, 0.7, False, aggregator)
     assert passes == []
 
 

@@ -80,6 +80,8 @@ def test_server_round_sizes_times_one_size():
     r = json.loads(out.stdout)
     assert r["cold_ms"] > 0 and r["warm_p50_ms"] > 0
     assert r["j"] == 3
+    # from the shapes: pass 1 reads the m gradients, the step pass all 2m reports
+    assert r["read_bytes"] == 8 * n * 3 * m == 1_920_000
     # pass 1's block of m columns, then theta_new and one difference run
     # (here all n rows), each freed with its pass
     assert 1.0 <= r["peak_alloc_8n"] <= (max(block_rows(m) * m, 2 * n) * 8 + 2**16) / (8 * n)
