@@ -4,9 +4,12 @@
 import sys
 from pathlib import Path
 
-from distnewton.cli import main as cli_main
+REPO = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(REPO / "src"))  # check this checkout's code, not an installed copy
 
-CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+from distnewton.cli import main as cli_main  # noqa: E402
+
+CONFIGS = REPO / "configs"
 
 
 def main():

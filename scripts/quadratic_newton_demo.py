@@ -3,19 +3,22 @@
 gradients give the server the full inverse Hessian, so tau=1 lands on the
 minimizer immediately while plain averaging crawls."""
 
+import sys
+from dataclasses import replace
 from pathlib import Path
 
-from distnewton.config import load_config
-from distnewton.harness import run_experiment
+REPO = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(REPO / "src"))  # run this checkout's code, not an installed copy
 
-CONFIG = Path(__file__).resolve().parent.parent / "configs" / "quadratic_newton.cfg"
+from distnewton.config import load_config  # noqa: E402
+from distnewton.harness import run_experiment  # noqa: E402
+
+CONFIG = REPO / "configs" / "quadratic_newton.cfg"
 
 
 def main():
     cfg = load_config(CONFIG)
     for aggregator in ("distnewton", "sgd_average"):
-        from dataclasses import replace
-
         hist = run_experiment(replace(cfg, aggregator=aggregator))
         print(f"{aggregator}:")
         for rec in hist.records:

@@ -27,8 +27,8 @@ tau (a - cbar)], cbar = 1/m and a = W Sigma^-2 W^T D^T g_bar, for every j
 (j = 0 is a = 0).  Averaging is c = cbar over E alone.  So a step is
 `step_coefficients`, which picks c from the round's m-sized spectrum, and
 `combine`, the one loop that writes theta_new from the n-sized reports.
-Reports reach the server by one path: `center_reports`, the one check of
-every theta and gradient, returns them as `RowBlocks`.  A round reads
+Reports reach the server by one path: `center_reports` length-checks
+every theta and gradient and returns them as `RowBlocks`.  A round reads
 them twice, and each pass allocates only the columns it writes.  Pass 1
 sums the Gram matrix of [g_0 | D] over row blocks of its m columns (half
 of ROW_BLOCK_BYTES for m <= 16).  The step pass, `combine`, fills no block:
@@ -138,7 +138,7 @@ def _non_finite(rows: RowBlocks, overflow: str) -> NonFiniteInputError:
     infinity, or, if every report is finite, NonFiniteInputError(overflow)."""
     for k in range(rows.m):
         for name, vec in (("theta", rows.vectors[k]), ("gradient", rows.vectors[rows.m + k])):
-            if not np.all(np.isfinite(vec)):
+            if not all_finite(vec):
                 return NonFiniteReportError(k, f"{name} has a NaN or infinite entry")
     return NonFiniteInputError(overflow)
 
@@ -170,7 +170,7 @@ def difference_spectrum(rows: RowBlocks, lam: float) -> GramSpectrum:
     overflow raise NonFiniteInputError.  The reports are only searched once
     the Gram sum has come out non-finite, so finite rounds pay nothing.
     """
-    if lam <= 0.0:
+    if not lam > 0.0:
         raise ValueError("lam must be positive")
     m = rows.m
     if m == 1:
@@ -208,8 +208,9 @@ def combine(rows: RowBlocks, coef: np.ndarray) -> np.ndarray:
     v_k - theta_0 or v_k - g_0, formed by `_column` in a run-sized buffer
     of its own (none at m = 1, which has no difference) and scaled by c_k,
     and theta_0 last.  Each difference is taken before it is scaled, so
-    zero spread and identical reports are exact.  A non-finite result
-    raises `_non_finite`'s error."""
+    zero spread and identical reports are exact.  theta_new and the report
+    vectors that c does not read (the gradients, when c covers E alone) are
+    checked by their sums; a non-finite one raises `_non_finite`'s error."""
     m, cols = rows.m, coef.shape[0]
     theta_0, g_0 = rows.vectors[0], rows.vectors[m]
     theta_new = np.empty(rows.n)
@@ -228,8 +229,7 @@ def combine(rows: RowBlocks, coef: np.ndarray) -> np.ndarray:
                     diff *= coef[col]
                     out += diff
             out += theta_0[lo:hi]
-        finite = all_finite(theta_new)
-    if not finite:
+    if not all(map(all_finite, [theta_new] + rows.vectors[cols + 1 :])):
         raise _non_finite(rows, "theta_new: the differences from worker 0 or the step overflowed")
     return theta_new
 
@@ -272,8 +272,7 @@ def build_operator(rows: RowBlocks, lam: float) -> InverseHessianOperator:
             # D / scale, not w / scale: w over a subnormal scale overflows
             us[lo:hi] = (block[:, m:] / spec.scale) @ w
             ys[lo:hi] = block[:, : m - 1] @ w
-        finite = all_finite(ys)
-    if not finite:
+    if not all_finite(ys):
         raise _non_finite(rows, "build_operator: the parameter differences from worker 0 overflow")
     us = unit_columns(us)
     j = us.shape[1]
@@ -295,10 +294,10 @@ def newton_update(op: InverseHessianOperator, theta_bar, g_bar, tau: float) -> n
 
 
 def lr_cap(tau: float, sigma_max: float) -> float:
-    """Cap the step size at 1/sigma_max, the curvature-aware optimum.
-
-    With sigma_max = 0 there is no curvature information and tau passes
-    through unchanged.  Opt-in: callers decide whether to apply it.
+    """min(tau, 1/sigma_max), or tau when sigma_max = 0.  sigma_max grows
+    with the spread of the reports (with jitter, 1/sigma_max scales with
+    1/jitter), so the cap is no curvature estimate.  Opt-in: callers
+    decide whether to apply it.
     """
     if sigma_max > 0.0:
         return min(tau, 1.0 / sigma_max)

@@ -101,17 +101,6 @@ def test_worker_round_deterministic_given_rng():
     assert np.array_equal(r1.grad, r2.grad)
 
 
-def test_worker_round_flags_divergence():
-    class Explodes:
-        dim = 2
-
-        def gradient(self, theta, batch=None):
-            return np.array([np.inf, 0.0])
-
-    with pytest.raises(NonFiniteInputError):
-        worker_round([0.0, 0.0], Explodes(), [None, None], 1, 1.0, np.random.default_rng(0))
-
-
 @pytest.mark.parametrize("s", [1, 3])
 def test_worker_round_takes_each_batch_as_its_step_starts(s):
     # s + 1 batches, the t-th taken by next() after exactly t gradient calls,
@@ -399,11 +388,15 @@ def test_diverged_epoch_averages_j_over_completed_rounds(monkeypatch):
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("aggregator", ["distnewton", "sgd_average"])
-def test_non_finite_theta_ends_the_run_through_the_server(monkeypatch, aggregator):
-    # worker 1 sends a NaN theta with a finite gradient in round 4 of epoch 0:
-    # the worker checks only its gradient, so the server names report 1, and
-    # the run ends as it does when a worker raises in that round itself
+@pytest.mark.parametrize(
+    "aggregator, field",
+    [("distnewton", "theta"), ("sgd_average", "theta"), ("distnewton", "grad"), ("sgd_average", "grad")],
+    ids=["distnewton", "sgd_average", "distnewton-grad", "sgd_average-grad"],
+)
+def test_non_finite_theta_ends_the_run_through_the_server(monkeypatch, aggregator, field):
+    # worker 1 sends a NaN in one field of its report in round 4 of epoch 0:
+    # the worker checks nothing, so the server names report 1, and the run
+    # ends as it does when a worker raises in that round itself
     from distnewton import harness
 
     cfg = blob_cfg(aggregator=aggregator, epochs=2)
@@ -422,24 +415,27 @@ def test_non_finite_theta_ends_the_run_through_the_server(monkeypatch, aggregato
         monkeypatch.setattr(harness, "worker_round", faulty)
         return run_experiment(cfg), sent
 
-    def nan_theta(rep):
-        theta = rep.theta.copy()
-        theta[3] = np.nan
-        return WorkerReport(theta, rep.grad)
+    def nan_field(rep):
+        vectors = {"theta": rep.theta.copy(), "grad": rep.grad.copy()}
+        vectors[field][3] = np.nan
+        return WorkerReport(**vectors)
 
     def raises(rep):
-        raise NonFiniteInputError("worker produced non-finite parameters")
+        raise NonFiniteInputError("worker produced a non-finite report")
 
-    (hist, sent), (want, _) = run(nan_theta), run(raises)
+    (hist, sent), (want, _) = run(nan_field), run(raises)
     assert hist.status == want.status == STATUS_DIVERGED
-    assert len(sent) == cfg.m and np.isfinite(sent[1].grad).all() and np.isnan(sent[1].theta).any()
+    other = "grad" if field == "theta" else "theta"
+    assert len(sent) == cfg.m and np.isnan(getattr(sent[1], field)).any()
+    assert np.isfinite(getattr(sent[1], other)).all()
     assert len(hist.records) == 1
 
     def fields(h):
         return np.array([(r.epoch, r.train_nll, r.sigma_max, r.retained_j) for r in h.records])
 
     assert np.array_equal(fields(hist), fields(want), equal_nan=True)
-    with pytest.raises(NonFiniteReportError, match="theta") as exc:
+    name = "theta" if field == "theta" else "gradient"
+    with pytest.raises(NonFiniteReportError, match=f"report 1: {name}") as exc:
         server_round(sent, cfg.lam, cfg.server_tau, False, aggregator)
     assert exc.value.report == 1
 

@@ -142,8 +142,9 @@ def test_lambda_above_one_forces_sgd_mode():
 def test_lambda_must_be_positive():
     rng = np.random.default_rng(2)
     batch = random_batch(rng, 4, 2)
-    with pytest.raises(ValueError):
-        build_operator(batch, 0.0)
+    for lam in (0.0, np.nan):
+        with pytest.raises(ValueError, match="lam must be positive"):
+            build_operator(batch, lam)
 
 
 def test_diag_quadratic_recovers_inverse_hessian():
@@ -413,6 +414,18 @@ def test_wrong_length_report_rejected_before_any_pass(monkeypatch):
     assert passes == []
 
 
+@pytest.mark.parametrize("tau", [-1.0, 0.0, np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("aggregator", ["distnewton", "sgd_average"])
+def test_bad_tau_rejected_before_any_pass(monkeypatch, aggregator, tau):
+    # -1 would step uphill and 0 return the mean of the thetas, silently
+    passes = []
+    monkeypatch.setattr(harness, "difference_spectrum", lambda *args: passes.append("spectrum"))
+    monkeypatch.setattr(harness, "combine", lambda *args: passes.append("combine"))
+    with pytest.raises(ValueError, match="tau must be finite and positive"):
+        server_round([WorkerReport(np.ones(4), np.ones(4))] * 3, 0.1, tau, False, aggregator)
+    assert passes == []
+
+
 # ----------------------------------------------------------------- apply
 
 
@@ -458,7 +471,9 @@ def test_non_finite_gradient_report_is_named(worker, bad):
     rng = np.random.default_rng(17)
     reports = [WorkerReport(rng.standard_normal(40), rng.standard_normal(40)) for _ in range(5)]
     reports[worker].grad[7] = bad
+    # sgd_average's step reads no gradient, so combine checks them by their sums
     for call in (lambda: server_round(reports, 0.1, 0.5, False, "distnewton"),
+                 lambda: server_round(reports, 0.1, 0.5, False, "sgd_average"),
                  lambda: build_operator(center_reports(reports), 0.1)):
         with pytest.raises(NonFiniteReportError, match=f"report {worker}") as exc:
             call()

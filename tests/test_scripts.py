@@ -30,12 +30,29 @@ def test_grad_check_all_checks_every_preset():
     # relu_divergence is the one ReLU preset, so it is the only one that runs the kink screen
     out = subprocess.run(
         [sys.executable, str(REPO / "scripts" / "grad_check_all.py")],
-        capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": str(REPO / "src")},
+        capture_output=True, text=True, timeout=120,
     )
     assert out.returncode == 0, out.stderr
     checked = [line[3:] for line in out.stdout.splitlines() if line.startswith("== ")]
     assert checked == sorted(p.name for p in (REPO / "configs").glob("*.cfg"))
     assert "relu_divergence.cfg" in checked
+
+
+def test_quadratic_newton_demo_runs_from_a_checkout():
+    # no PYTHONPATH: the script finds its checkout's src itself
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    out = subprocess.run(
+        [sys.executable, str(REPO / "scripts" / "quadratic_newton_demo.py")],
+        capture_output=True, text=True, timeout=120, env=env,
+    )
+    assert out.returncode == 0, out.stderr
+    newton, average = (
+        [float(j) for j in re.findall(r"J = (\S+)", part)] for part in out.stdout.split("sgd_average:")
+    )
+    assert out.stdout.startswith("distnewton:") and len(newton) == len(average) > 0
+    # one round lands on the minimizer; averaging is still far from it
+    assert newton[0] < 1e-20
+    assert min(average) > 0.1
 
 
 def test_run_digest_prints_a_digest_per_dataset_and_run():
