@@ -6,7 +6,8 @@ that hits an internal error is written, with status failed, and the other
 cells still run.  Output CSVs have the header
 `epoch,train_nll,sigma_max,retained_j,wall_time_s` with one row per
 epoch and at least 12 significant digits per number; a diverged run keeps
-its truncated CSV, whose last row carries a NaN loss as the flag.
+its truncated CSV, whose last row carries a NaN loss as the flag, and
+its summary line ends with where the run stopped.
 """
 
 from __future__ import annotations
@@ -86,9 +87,10 @@ def _summary_lines(results) -> list[str]:
 
     lines = []
     for label, _, hist in sorted(results, key=sort_key):
+        stopped = f' stopped="{hist.stopped}"' if hist.stopped else ""
         lines.append(
             f"{label}: status={hist.status} epochs={len(hist.records)} "
-            f"final_train_nll={_fmt(hist.final_nll)}"
+            f"final_train_nll={_fmt(hist.final_nll)}{stopped}"
         )
     return lines
 

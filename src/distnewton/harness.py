@@ -63,6 +63,7 @@ class EpochRecord:
 class RunHistory:
     records: list
     status: str
+    stopped: str = ""  # where and why a diverged run stopped, e.g. "epoch 0 round 2: report 1: ..."
 
     @property
     def final_nll(self) -> float:
@@ -166,11 +167,12 @@ def server_round(reports, lam, tau, use_lr_cap, aggregator):
     if not 0.0 < tau < np.inf:
         raise ValueError(f"server_round: tau must be finite and positive, got {tau!r}")
     rows = center_reports(reports)
+    m = len(rows[0])
     if aggregator == "sgd_average":
-        return combine(rows, np.full(rows.m - 1, 1.0 / rows.m)), RoundStats(np.empty(0), 0, tau)
+        return combine(rows, np.full(m - 1, 1.0 / m)), RoundStats(np.empty(0), 0, tau)
     spec = difference_spectrum(rows, lam)
     tau_used = lr_cap(tau, float(np.max(spec.sigma, initial=0.0))) if use_lr_cap else tau
-    coef = step_coefficients(spec, rows.m, tau_used)
+    coef = step_coefficients(spec, m, tau_used)
     return combine(rows, coef), RoundStats(spec.sigma, spec.retained, tau_used)
 
 
@@ -240,7 +242,9 @@ def run_experiment(cfg: ExperimentConfig, dataset=None, threads=1, round_observe
     beyond the dataset); an objective without samples runs one round per
     epoch on None batches.  The full-train NLL is recorded after each epoch.
     Any non-finite parameter, gradient, or loss stops the run with status
-    'diverged' (a round that overflows records a NaN loss).  `round_observer`,
+    'diverged' (a round that overflows records a NaN loss), and `stopped`
+    names the epoch and round with the server's error, or the epoch whose
+    eval came out non-finite.  `round_observer`,
     when given, is called after every server aggregation with (epoch, round,
     theta_read, reports, theta_new, stats).  `threads` is accepted for
     compatibility and has no effect: workers always run serially, in order.
@@ -263,7 +267,7 @@ def run_experiment(cfg: ExperimentConfig, dataset=None, threads=1, round_observe
         sizes = per_worker_batch_sizes(cfg.global_batch, cfg.m)
         buffers = [np.empty((dataset.feature_count, size), order="F") for size in sizes]
 
-    status = STATUS_COMPLETED
+    status, stopped = STATUS_COMPLETED, ""
     for epoch in range(cfg.epochs):
         tic = time.perf_counter()
         sigma_max = 0.0
@@ -283,8 +287,8 @@ def run_experiment(cfg: ExperimentConfig, dataset=None, threads=1, round_observe
                 theta_new, stats = server_round(
                     reports, cfg.lam, cfg.server_tau, cfg.use_lr_cap, cfg.aggregator
                 )
-            except NonFiniteInputError:
-                done = rnd
+            except NonFiniteInputError as exc:
+                done, stopped = rnd, f"epoch {epoch} round {rnd}: {exc}"
                 break
             if round_observer is not None:
                 round_observer(epoch, rnd, theta, reports, theta_new, stats)
@@ -297,6 +301,6 @@ def run_experiment(cfg: ExperimentConfig, dataset=None, threads=1, round_observe
             nll = objective.value(theta, dataset) if done == n_rounds else float("nan")
         records.append(EpochRecord(epoch, nll, sigma_max, j_total / max(done, 1), wall))
         if not np.isfinite(nll):
-            status = STATUS_DIVERGED
+            status, stopped = STATUS_DIVERGED, stopped or f"epoch {epoch} eval: train NLL {nll}"
             break
-    return RunHistory(records, status)
+    return RunHistory(records, status, stopped)

@@ -28,16 +28,17 @@ tau (a - cbar)], cbar = 1/m and a = W Sigma^-2 W^T D^T g_bar, for every j
 `step_coefficients`, which picks c from the round's m-sized spectrum, and
 `combine`, the one loop that writes theta_new from the n-sized reports.
 Reports reach the server by one path: `center_reports` length-checks
-every theta and gradient and returns them as `RowBlocks`.  A round reads
-them twice, and each pass allocates only the columns it writes.  Pass 1
-sums the Gram matrix of [g_0 | D] over row blocks of its m columns (half
-of ROW_BLOCK_BYTES for m <= 16).  The step pass, `combine`, fills no block:
+every theta and gradient and returns the two lists (thetas, gradients).
+A round reads them twice, and each pass allocates only what it writes.
+Pass 1 sums the Gram matrix of [g_0 | D] over the row blocks that
+`_blocks` forms from the gradients, one block of m columns (half of
+ROW_BLOCK_BYTES for m <= 16).  The step pass, `combine`, fills no block:
 it walks the report vectors in runs of RUN_ROWS rows and builds each run
-of theta_new from c_{m-1} g_0, each difference from worker 0 scaled by
-its c_k, and theta_0, forming one difference at a time in a run-sized
-buffer of its own.  `build_operator` reads the same spectrum and writes
-U = D W Sigma^-1 and Y = E W in one more pass, over blocks of all 2m - 1
-columns.
+of theta_new from c_g g_0, each difference from worker 0 scaled by its
+coefficient, and theta_0, forming one difference at a time in a
+run-sized buffer of its own.  `build_operator` reads the same spectrum
+and writes U = D W Sigma^-1 and Y = E W in one more pass, over the blocks
+[theta_0 | E] and [g_0 | D] in lockstep, two blocks of m columns.
 """
 
 from __future__ import annotations
@@ -56,9 +57,10 @@ from .linalg import (
     unit_columns,
 )
 
-# Bytes of one row block of all of [E | g_0 | D], which `build_operator`
-# reads (pass 1's block of [g_0 | D] is about half of it): small enough to
-# stay in cache between the write of a block and its read.
+# Bytes of the two m-column row blocks, [theta_0 | E] and [g_0 | D], that
+# `build_operator` reads in lockstep (pass 1's block of [g_0 | D] is half
+# of it): small enough to stay in cache between the write of a block and
+# its read.
 ROW_BLOCK_BYTES = 1 << 20
 # Rows in one run of the step pass (`combine`): 256 KiB of each report
 # vector, so that each is read in long stretches, while a run of theta_0,
@@ -78,72 +80,51 @@ class WorkerReport:
     grad: np.ndarray
 
 
-def _column(vectors, col: int, lo: int, hi: int, out) -> None:
-    """Rows lo:hi of column col of [E | g_0 | D] into out: vectors[col + 1]
-    less theta_0 for col < m - 1 (E), g_0 itself for col = m - 1, and
-    vectors[col + 1] less g_0 above that (D)."""
-    m = len(vectors) // 2
-    vec = vectors[col + 1][lo:hi]
-    if col == m - 1:
-        out[:] = vec
-    else:
-        np.subtract(vec, vectors[0 if col < m - 1 else m][lo:hi], out=out)
-
-
-class RowBlocks:
-    """[E | g_0 | D] of one round, from the 2m report vectors
-    [theta_0, ..., theta_{m-1}, g_0, ..., g_{m-1}], handed out in row
-    blocks to pass 1 and `build_operator`.  It holds only the vectors, n
-    and m: each pass allocates its own block, with `block_rows(m)` rows
-    and only the columns it reads, and frees it when the pass ends."""
-
-    def __init__(self, vectors: list):
-        self.vectors = vectors
-        self.n, self.m = vectors[0].shape[0], len(vectors) // 2
-
-    def blocks(self, first: int):
-        """One pass: yield (lo, hi, rows lo:hi of the columns from `first`
-        on) from one Fortran-order block of 2m - 1 - first columns (there is
-        no theta_0 column); an empty matrix yields one empty block."""
-        rows, cols = min(block_rows(self.m), max(self.n, 1)), 2 * self.m - 1
-        buf = np.empty((rows, cols - first), order="F")
-        for lo in range(0, max(self.n, 1), rows):
-            hi = min(lo + rows, self.n)
-            block = buf[: hi - lo]
-            for col in range(first, cols):
-                _column(self.vectors, col, lo, hi, block[:, col - first])
-            yield lo, hi, block
-
-
 def block_rows(m: int) -> int:
-    """Rows per block: as many as fit 2m float64 columns in ROW_BLOCK_BYTES,
-    and at least MIN_BLOCK_ROWS."""
+    """Rows per block: as many as fit 2m float64 columns, `build_operator`'s
+    two blocks, in ROW_BLOCK_BYTES, and at least MIN_BLOCK_ROWS."""
     return max(MIN_BLOCK_ROWS, ROW_BLOCK_BYTES // (16 * m))
 
 
-def center_reports(reports) -> RowBlocks:
-    """The reports in row blocks, after the one check of each theta and
-    gradient: a float64 vector of report 0's length, or DimensionMismatchError."""
+def center_reports(reports) -> tuple[list, list]:
+    """The reports' (thetas, gradients), after the one check of each: a
+    float64 vector of report 0's length, or DimensionMismatchError."""
     reports = list(reports)
     if not reports:
         raise ValueError("center_reports: empty report list")
     n = as_vector(reports[0].theta).shape[0]
     thetas = [as_vector(r.theta, n, f"center_reports: report {k} theta") for k, r in enumerate(reports)]
     grads = [as_vector(r.grad, n, f"center_reports: report {k} gradient") for k, r in enumerate(reports)]
-    return RowBlocks(thetas + grads)
+    return thetas, grads
 
 
-def _non_finite(rows: RowBlocks, overflow: str) -> NonFiniteInputError:
+def _blocks(vectors):
+    """One pass: yield (lo, hi, rows lo:hi of [v_0 | v_1 - v_0 | ...]) from
+    one Fortran-order block of block_rows(m) rows and m = len(vectors)
+    columns; an empty n yields one empty block."""
+    n, m = vectors[0].shape[0], len(vectors)
+    rows = min(block_rows(m), max(n, 1))
+    buf = np.empty((rows, m), order="F")
+    for lo in range(0, max(n, 1), rows):
+        hi = min(lo + rows, n)
+        block = buf[: hi - lo]
+        block[:, 0] = vectors[0][lo:hi]
+        for k in range(1, m):
+            np.subtract(vectors[k][lo:hi], vectors[0][lo:hi], out=block[:, k])
+        yield lo, hi, block
+
+
+def _non_finite(rows, overflow: str) -> NonFiniteInputError:
     """NonFiniteReportError naming the first report with a NaN or an
     infinity, or, if every report is finite, NonFiniteInputError(overflow)."""
-    for k in range(rows.m):
-        for name, vec in (("theta", rows.vectors[k]), ("gradient", rows.vectors[rows.m + k])):
+    for k, pair in enumerate(zip(*rows)):
+        for name, vec in zip(("theta", "gradient"), pair):
             if not all_finite(vec):
                 return NonFiniteReportError(k, f"{name} has a NaN or infinite entry")
     return NonFiniteInputError(overflow)
 
 
-def difference_spectrum(rows: RowBlocks, lam: float) -> GramSpectrum:
+def difference_spectrum(rows, lam: float) -> GramSpectrum:
     """Spectrum of the centered gradients at retention threshold lam.
 
     It is the spectrum of [g_0 | D] B, with B = [0; S]: the g_0 column
@@ -172,16 +153,14 @@ def difference_spectrum(rows: RowBlocks, lam: float) -> GramSpectrum:
     """
     if not lam > 0.0:
         raise ValueError("lam must be positive")
-    m = rows.m
+    m = len(rows[1])
     if m == 1:
         return GramSpectrum(np.empty(0), np.empty((1, 0)), 0, np.zeros((1, 1)), 1.0)
     floor = np.sqrt(m * np.finfo(np.float64).eps)
     basis = np.zeros((m, m - 1))
     basis[1:] = np.eye(m - 1) - 1.0 / (m + np.sqrt(m))
     try:
-        return gram_spectrum(
-            lambda: (b for _, _, b in rows.blocks(m - 1)), basis, max(lam, floor)
-        )
+        return gram_spectrum(lambda: (b for _, _, b in _blocks(rows[1])), basis, max(lam, floor))
     except NonFiniteInputError:
         overflow = "difference_spectrum: the gradient differences from worker 0 overflow"
         raise _non_finite(rows, overflow) from None
@@ -199,37 +178,40 @@ def step_coefficients(spec: GramSpectrum, m: int, tau: float) -> np.ndarray:
     return np.concatenate([cbar - tau * a, [-tau], tau * (a - cbar)])
 
 
-def combine(rows: RowBlocks, coef: np.ndarray) -> np.ndarray:
-    """theta_0 + [E | g_0 | D] c over the first len(coef) columns: the one
-    loop that writes theta_new, in one read pass over those report vectors.
+def combine(rows, coef: np.ndarray) -> np.ndarray:
+    """theta_0 + E c_E + c_g g_0 + D c_D, with coef split into (c_E, c_g,
+    c_D) in the order of c above, and c_g, c_D empty when c covers E alone:
+    the one loop that writes theta_new, in one read pass over the report
+    vectors that c reads.
 
     It walks the rows in runs of RUN_ROWS and builds each run of theta_new
-    in place: c_{m-1} g_0 (zero when c covers E alone), then each column
-    v_k - theta_0 or v_k - g_0, formed by `_column` in a run-sized buffer
-    of its own (none at m = 1, which has no difference) and scaled by c_k,
-    and theta_0 last.  Each difference is taken before it is scaled, so
-    zero spread and identical reports are exact.  theta_new and the report
-    vectors that c does not read (the gradients, when c covers E alone) are
-    checked by their sums; a non-finite one raises `_non_finite`'s error."""
-    m, cols = rows.m, coef.shape[0]
-    theta_0, g_0 = rows.vectors[0], rows.vectors[m]
-    theta_new = np.empty(rows.n)
-    diffs = np.empty(min(RUN_ROWS, rows.n) if m > 1 else 0)
+    in place: c_g g_0 (zero when c covers E alone), then each
+    theta_k - theta_0 and then each g_k - g_0, formed in a run-sized buffer
+    of its own (none at m = 1, which has no difference) and scaled by its
+    coefficient, and theta_0 last.  Each difference is taken before it is
+    scaled, so zero spread and identical reports are exact.  theta_new and
+    the gradients, when c covers E alone, are checked by their sums; a
+    non-finite one raises `_non_finite`'s error."""
+    thetas, grads = rows
+    m, n = len(thetas), thetas[0].shape[0]
+    c_e, c_g, c_d = coef[: m - 1], coef[m - 1 : m], coef[m:]
+    theta_new = np.empty(n)
+    diffs = np.empty(min(RUN_ROWS, n) if m > 1 else 0)
     with np.errstate(over="ignore", invalid="ignore"):
-        for lo in range(0, rows.n, RUN_ROWS):
-            hi = min(lo + RUN_ROWS, rows.n)
+        for lo in range(0, n, RUN_ROWS):
+            hi = min(lo + RUN_ROWS, n)
             out, diff = theta_new[lo:hi], diffs[: hi - lo]
-            if cols > m - 1:
-                np.multiply(g_0[lo:hi], coef[m - 1], out=out)
+            if c_g.size:
+                np.multiply(grads[0][lo:hi], c_g[0], out=out)
             else:
                 out.fill(0.0)
-            for col in range(cols):
-                if col != m - 1:
-                    _column(rows.vectors, col, lo, hi, diff)
-                    diff *= coef[col]
+            for vectors, cs in ((thetas, c_e), (grads, c_d)):
+                for vec, c in zip(vectors[1:], cs):
+                    np.subtract(vec[lo:hi], vectors[0][lo:hi], out=diff)
+                    diff *= c
                     out += diff
-            out += theta_0[lo:hi]
-    if not all(map(all_finite, [theta_new] + rows.vectors[cols + 1 :])):
+            out += thetas[0][lo:hi]
+    if not all(map(all_finite, [theta_new] + ([] if c_g.size else grads))):
         raise _non_finite(rows, "theta_new: the differences from worker 0 or the step overflowed")
     return theta_new
 
@@ -252,26 +234,28 @@ class InverseHessianOperator:
         return int(self.sigmas.shape[0])
 
 
-def build_operator(rows: RowBlocks, lam: float) -> InverseHessianOperator:
-    """Build the explicit operator from the row blocks of `center_reports`
-    at retention threshold lam (see `difference_spectrum` for the retention
-    rule), so that its spectrum is the round's.
+def build_operator(rows, lam: float) -> InverseHessianOperator:
+    """Build the explicit operator from the (thetas, gradients) of
+    `center_reports` at retention threshold lam (see `difference_spectrum`
+    for the retention rule), so that its spectrum is the round's.
 
     us holds u_k = D w_k / ||D w_k|| and ys holds y_k = E w_k, which is
     Theta v_k for the right vector v_k = H V[:, k] of G; both are written
-    block by block in one more pass.  Degenerate directions with
-    ||D w_k|| = 0 are dropped.  A non-finite ys raises `_non_finite`'s
-    error, as a non-finite theta_new does in the round.
+    block by block in one more pass, over the blocks of the thetas and of
+    the gradients in lockstep.  Degenerate directions with ||D w_k|| = 0
+    are dropped.  A non-finite ys raises `_non_finite`'s error, as a
+    non-finite theta_new does in the round.
     """
+    thetas, grads = rows
     spec = difference_spectrum(rows, lam)
-    m, w = rows.m, spec.right[1:, : spec.retained]
-    us = np.empty((rows.n, spec.retained), order="F")
-    ys = np.empty((rows.n, spec.retained), order="F")
+    n, w = thetas[0].shape[0], spec.right[1:, : spec.retained]
+    us = np.empty((n, spec.retained), order="F")
+    ys = np.empty((n, spec.retained), order="F")
     with np.errstate(over="ignore", invalid="ignore"):
-        for lo, hi, block in rows.blocks(0):
+        for (lo, hi, e_block), (_, _, d_block) in zip(_blocks(thetas), _blocks(grads)):
             # D / scale, not w / scale: w over a subnormal scale overflows
-            us[lo:hi] = (block[:, m:] / spec.scale) @ w
-            ys[lo:hi] = block[:, : m - 1] @ w
+            us[lo:hi] = (d_block[:, 1:] / spec.scale) @ w
+            ys[lo:hi] = e_block[:, 1:] @ w
     if not all_finite(ys):
         raise _non_finite(rows, "build_operator: the parameter differences from worker 0 overflow")
     us = unit_columns(us)

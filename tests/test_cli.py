@@ -240,6 +240,22 @@ def test_run_whose_report_differences_overflow_exits_diverged(tmp_path, monkeypa
     assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_DIVERGED
     rows = read_history_csv(out / "distnewton-2.csv")
     assert len(rows) == 1 and np.isnan(rows[0]["train_nll"])
+    # the summary says which pass overflowed: the Gram sum or the step
+    why = {"theta": "theta_new: the differences from worker 0 or the step overflowed",
+           "grad": "difference_spectrum: the gradient differences from worker 0 overflow"}[field]
+    summary = (out / "summary.txt").read_text()
+    assert summary.endswith(f'final_train_nll=nan stopped="epoch 0 round 0: {why}"\n')
+
+
+def test_relu_divergence_preset_names_where_it_stopped(tmp_path):
+    # a diverged run's summary line names the epoch, round and report at fault
+    cfg, out = PRESETS[0].with_name("relu_divergence.cfg"), tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_DIVERGED
+    summary = (out / "summary.txt").read_text()
+    assert summary == (
+        "distnewton-4: status=diverged epochs=1 final_train_nll=nan "
+        'stopped="epoch 0 round 0: report 0: gradient has a NaN or infinite entry"\n'
+    )
 
 
 def test_run_csv_round_trip_numerics(tmp_path):

@@ -382,7 +382,7 @@ def test_diverged_epoch_averages_j_over_completed_rounds(monkeypatch):
     monkeypatch.setattr(harness, "worker_round", fails_in_round_four)
     js = []
     hist = run_experiment(cfg, round_observer=lambda *a: js.append(a[-1].j))
-    assert hist.status == STATUS_DIVERGED
+    assert hist.status == STATUS_DIVERGED and hist.stopped == "epoch 0 round 4: injected"
     assert len(js) == failing_round < rounds_per_epoch(640, 64, 1) and max(js) > 0
     assert hist.records[-1].retained_j == np.mean(js)
 
@@ -435,6 +435,9 @@ def test_non_finite_theta_ends_the_run_through_the_server(monkeypatch, aggregato
 
     assert np.array_equal(fields(hist), fields(want), equal_nan=True)
     name = "theta" if field == "theta" else "gradient"
+    # the run keeps the server's error, with where it stopped
+    assert hist.stopped == f"epoch 0 round 4: report 1: {name} has a NaN or infinite entry"
+    assert want.stopped == "epoch 0 round 4: worker produced a non-finite report"
     with pytest.raises(NonFiniteReportError, match=f"report 1: {name}") as exc:
         server_round(sent, cfg.lam, cfg.server_tau, False, aggregator)
     assert exc.value.report == 1
@@ -454,7 +457,7 @@ def test_run_reads_each_feed_chunk_once_in_schedule_order(monkeypatch):
 
     monkeypatch.setattr(_WorkerFeed, "batch", recorded)
     hist = run_experiment(cfg)
-    assert hist.status == STATUS_COMPLETED
+    assert hist.status == STATUS_COMPLETED and hist.stopped == ""
     feeds = list(dict.fromkeys(feed for feed, _ in read))
     s, n_rounds = cfg.local_steps, rounds_per_epoch(640, 64, 2)
     assert len(feeds) == cfg.epochs * cfg.m
@@ -476,7 +479,7 @@ def test_non_finite_evaluation_keeps_its_loss_and_stops(monkeypatch):
     monkeypatch.setattr(MlpObjective, "value", lambda self, theta, batch: float("inf"))
     js = []
     hist = run_experiment(cfg, round_observer=lambda *a: js.append(a[-1].j))
-    assert hist.status == STATUS_DIVERGED
+    assert hist.status == STATUS_DIVERGED and hist.stopped == "epoch 0 eval: train NLL inf"
     assert len(hist.records) == 1 and hist.records[0].train_nll == float("inf")
     assert len(js) == rounds_per_epoch(640, 64, 1) and max(js) > 0
     assert hist.records[0].retained_j == np.mean(js)

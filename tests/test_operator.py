@@ -10,6 +10,7 @@ from distnewton.objectives import QuadraticObjective
 from distnewton.operator import (
     RUN_ROWS,
     WorkerReport,
+    _blocks,
     apply,
     block_rows,
     build_operator,
@@ -55,16 +56,19 @@ def random_batch(rng, n, m):
 
 
 def stacked(rows):
-    """One pass of row blocks stacked into the n x (2m - 1) matrix [E | g_0 | D]."""
-    return np.vstack([block.copy() for _, _, block in rows.blocks(0)])
+    """The n x (2m - 1) matrix [E | g_0 | D] of the step's c, from one pass
+    of row blocks over the thetas, [theta_0 | E], and one over the
+    gradients, [g_0 | D]."""
+    e, d = (np.vstack([block.copy() for _, _, block in _blocks(vectors)]) for vectors in rows)
+    return np.hstack([e[:, 1:], d])
 
 
 def batch_centered(rows):
     """The centered matrices [0 | E] P and [0 | D] P, with P = I - 11^T/m,
     rebuilt from the differences in one pass of row blocks."""
-    cols, m = stacked(rows), rows.m
+    cols, m = stacked(rows), len(rows[0])
     p = np.eye(m) - 1.0 / m
-    zero = np.zeros((rows.n, 1))
+    zero = np.zeros((cols.shape[0], 1))
     return np.hstack([zero, cols[:, : m - 1]]) @ p, np.hstack([zero, cols[:, m:]]) @ p
 
 
@@ -95,7 +99,7 @@ def test_center_three_reports_hand_oracle():
     assert cols.shape == (2, 5)
     assert np.array_equal(cols[:, :2], [[-1.0, 1.0], [1.0, 2.0]])
     assert not cols[:, 2:].any()  # g_0 and D: every gradient is zero
-    assert all(block.flags.f_contiguous for _, _, block in batch.blocks(0))
+    assert all(block.flags.f_contiguous for vectors in batch for _, _, block in _blocks(vectors))
     want = np.array([[0.0, -1.0, 1.0], [-1.0, 0.0, 1.0]])
     assert np.allclose(batch_centered(batch)[0], want)
     assert np.allclose(centered(reports)[0], want)
@@ -277,7 +281,7 @@ def test_step_coefficients_from_the_spectrum_alone():
     assert spec.retained == 2
     theta_bar, g_bar = report_means(reports)
     want = newton_update(build_operator(rows, 1e-6), theta_bar, g_bar, 1.0)
-    got = combine(rows, step_coefficients(spec, rows.m, 1.0))
+    got = combine(rows, step_coefficients(spec, len(reports), 1.0))
     assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want - theta_bar)
     assert np.linalg.norm(got - theta_star) <= 1e-14 * np.linalg.norm(theta_star)
 
@@ -295,12 +299,12 @@ def test_combine_matches_dense_oracle(m, edge, averaging):
     rng = np.random.default_rng([m, n])
     rows = random_batch(rng, n, m)
     coef = rng.standard_normal(m - 1 if averaging else 2 * m - 1)
-    theta_0 = rows.vectors[0]
+    theta_0, g_0 = rows[0][0], rows[1][0]
     want = theta_0 + stacked(rows)[:, : coef.shape[0]] @ coef
     got = combine(rows, coef)
     assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want - theta_0)
     if m == 1:  # theta_0 + c g_0, or theta_0 itself, exactly
-        assert np.array_equal(got, theta_0 + coef[0] * rows.vectors[1] if coef.size else theta_0)
+        assert np.array_equal(got, theta_0 + coef[0] * g_0 if coef.size else theta_0)
 
 
 # --------------------------------------------------------- streamed round
@@ -382,21 +386,22 @@ def test_multi_block_round_agrees_with_explicit_operator(m):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(1, 9), st.integers(0, 2), st.integers(-1, 1), st.data())
-def test_blocks_hand_out_rows_of_the_stacked_layout(m, full, edge, data):
-    # n sits on, just below or just above a block edge; a pass's block holds
-    # exactly its columns, with the same rows as [E | g_0 | D] stacked whole
+@given(st.integers(1, 9), st.integers(0, 2), st.integers(-1, 1))
+def test_blocks_hand_out_rows_of_the_stacked_layout(m, full, edge):
+    # n sits on, just below or just above a block edge; a pass over the
+    # thetas or the gradients yields m-column blocks with the same rows as
+    # [v_0 | v_1 - v_0 | ...] stacked whole
     n = max(full * block_rows(m) + edge, 0)
-    first = data.draw(st.integers(0, 2 * m - 1))
     thetas, grads = np.random.default_rng(n + m).standard_normal((2, m, n))
-    want = np.hstack([(thetas[1:] - thetas[0]).T, grads[:1].T, (grads[1:] - grads[0]).T])
     rows = center_reports([WorkerReport(t, g) for t, g in zip(thetas, grads)])
-    seen = 0
-    for lo, hi, block in rows.blocks(first):
-        assert lo == seen and block.shape == (hi - lo, 2 * m - 1 - first)
-        assert np.array_equal(block, want[lo:hi, first:])
-        seen = hi
-    assert seen == n
+    for drawn, vectors in zip((thetas, grads), rows):
+        want = np.hstack([drawn[:1].T, (drawn[1:] - drawn[0]).T])
+        seen = 0
+        for lo, hi, block in _blocks(vectors):
+            assert lo == seen and block.shape == (hi - lo, m)
+            assert np.array_equal(block, want[lo:hi])
+            seen = hi
+        assert seen == n
 
 
 def test_wrong_length_report_rejected_before_any_pass(monkeypatch):
