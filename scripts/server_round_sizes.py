@@ -12,7 +12,11 @@ of one n-vector: theta_new alone reads 1.0).  `read MB` is the report
 bytes a round reads, computed from the array shapes, not measured: pass 1
 reads the m gradients and the step pass all 2m report vectors, so 8n * 3m
 for m >= 2, and 8n * 2 at m = 1 (no pass 1, and the step pass reads only
-theta_0 and g_0).  `GB/s` is that count over the warm median.  A header
+theta_0 and g_0).  `GB/s` is that count over the warm median.  `read ms`
+is measured: the median, over ROUNDS more redraws after the timed
+rounds, of the time to read exactly those vectors once with `np.sum`, in
+that order; the gap between it and the warm median is what the round
+spends beyond reading its inputs.  A header
 line gives the numpy version, the BLAS numpy was built against and the
 usable core count.  It times this checkout's `src`, not an installed copy.
 
@@ -56,6 +60,16 @@ def time_size(n: int, m: int) -> dict:
         t0 = time.perf_counter()
         _, stats = server_round(reports, LAMBDA, TAU, False, "distnewton")
         times.append(time.perf_counter() - t0)
+    # what read_bytes counts: the m gradients, then all 2m reports
+    reads = [rep.grad for rep in reports] if m >= 2 else []
+    reads += [v for rep in reports for v in (rep.theta, rep.grad)]
+    read_times = []
+    for _ in range(ROUNDS):
+        redraw()
+        t0 = time.perf_counter()
+        for v in reads:
+            np.sum(v)
+        read_times.append(time.perf_counter() - t0)
     redraw()  # one more round, untimed, for its allocation
     tracemalloc.start()
     server_round(reports, LAMBDA, TAU, False, "distnewton")
@@ -67,6 +81,7 @@ def time_size(n: int, m: int) -> dict:
         "j": stats.j,
         "peak_alloc_8n": peak / (8 * n),
         "read_bytes": 8 * n * (3 * m if m >= 2 else 2),  # from the shapes, as the docstring says
+        "read_ms": 1e3 * statistics.median(read_times),
     }
 
 
@@ -85,11 +100,12 @@ def main(argv) -> int:
     print(
         f"python {platform.python_version()}, numpy {np.__version__}, BLAS {blas()}, "
         f"{len(os.sched_getaffinity(0))} cores; warm p50 over {ROUNDS} rounds; "
-        "read MB is computed from the report shapes, GB/s is read MB over the warm p50"
+        "read MB is computed from the report shapes, GB/s is read MB over the warm p50, "
+        "read ms is the measured median time to read those bytes once"
     )
     print(
         f"{'n':>9} {'m':>3} {'j':>3} {'cold ms':>9} {'warm p50 ms':>12} {'peak/8n':>8}"
-        f" {'read MB':>8} {'GB/s':>6}"
+        f" {'read MB':>8} {'GB/s':>6} {'read ms':>8}"
     )
     for n, m in SIZES:
         out = subprocess.run(
@@ -98,7 +114,7 @@ def main(argv) -> int:
         r = json.loads(out.stdout)
         print(
             f"{n:>9} {m:>3} {r['j']:>3} {r['cold_ms']:>9.1f} {r['warm_p50_ms']:>12.1f} {r['peak_alloc_8n']:>8.2f}"
-            f" {r['read_bytes'] / 1e6:>8.1f} {r['read_bytes'] / 1e6 / r['warm_p50_ms']:>6.2f}"
+            f" {r['read_bytes'] / 1e6:>8.1f} {r['read_bytes'] / 1e6 / r['warm_p50_ms']:>6.2f} {r['read_ms']:>8.1f}"
         )
     return 0
 

@@ -32,7 +32,7 @@ from .harness import (
     load_dataset,
     run_experiment,
 )
-from .objectives import MlpObjective, max_relative_gradient_error
+from .objectives import max_relative_gradient_error
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -189,14 +189,12 @@ def _grad_check_points(cfg: ExperimentConfig, inner, dataset, count=10):
     """Seeded (theta, batch) probe points for the gradient check."""
     rng = np.random.default_rng([cfg.seed, 0xC0FFEE])
     for _ in range(count):
-        if isinstance(inner, MlpObjective):
-            theta = inner.init_theta(rng)
-            sel = rng.integers(0, dataset.sample_count, size=32)
-            batch = Batch(dataset.inputs[:, sel], dataset.labels[sel])
+        theta = inner.init_theta(rng)
+        if dataset is None:
+            yield theta, None
         else:
-            theta = rng.standard_normal(inner.dim)
-            batch = None
-        yield theta, batch
+            sel = rng.integers(0, dataset.sample_count, size=32)
+            yield theta, Batch(dataset.inputs[:, sel], dataset.labels[sel])
 
 
 def cmd_grad_check(args) -> int:
@@ -211,7 +209,7 @@ def cmd_grad_check(args) -> int:
     rng = np.random.default_rng([cfg.seed, 0xFD])
     for theta, batch in _grad_check_points(cfg, objective, dataset):
         coords = None
-        if isinstance(objective, MlpObjective) or theta.shape[0] > 64:
+        if batch is not None or theta.shape[0] > 64:
             coords = _pick_coords(objective, theta, batch, rng, screen_kinks)
         err, coord = max_relative_gradient_error(objective, theta, batch, coords=coords, h=1e-5)
         if err > worst:

@@ -223,10 +223,7 @@ def load_dataset(cfg: ExperimentConfig) -> Batch | None:
 
 
 def initial_theta(cfg: ExperimentConfig, objective) -> np.ndarray:
-    rng = np.random.default_rng([cfg.seed])
-    if isinstance(objective, MlpObjective):
-        return objective.init_theta(rng)
-    return rng.standard_normal(objective.dim)
+    return objective.init_theta(np.random.default_rng([cfg.seed]))
 
 
 def _epoch_seed(seed: int, epoch: int) -> int:

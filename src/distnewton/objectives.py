@@ -6,7 +6,9 @@ estimation), the classic pairwise Rosenbrock function (nonconvex sanity
 check), and a small fully-connected softmax classifier reporting mean
 negative log-likelihood.  Every gradient here is checked against central
 finite differences in the test suite; `finite_diff_grad` is the shared
-verification oracle.
+verification oracle.  Every objective draws its own start with
+`init_theta(rng)` and has `value` and `gradient`; the MLP alone has
+`preactivation_signs`, for the ReLU kink screen.
 """
 
 from __future__ import annotations
@@ -57,6 +59,9 @@ class QuadraticObjective:
     def dim(self) -> int:
         return int(self.theta_star.shape[0])
 
+    def init_theta(self, rng) -> np.ndarray:
+        return rng.standard_normal(self.dim)
+
     def _diff(self, theta) -> np.ndarray:
         return as_vector(theta, self.dim, "quadratic: theta") - self.theta_star
 
@@ -76,6 +81,9 @@ class RosenbrockObjective:
         if dim < 2 or dim % 2 != 0:
             raise ValueError(f"rosenbrock: dimension must be even and >= 2, got {dim}")
         self.dim = dim
+
+    def init_theta(self, rng) -> np.ndarray:
+        return rng.standard_normal(self.dim)
 
     def value(self, theta, batch=None) -> float:
         t = as_vector(theta, self.dim, "rosenbrock: theta")
@@ -171,26 +179,23 @@ class MlpObjective:
                 acts.append(a)
         return acts, pre
 
-    def _nll(self, logits, labels, out=None):
-        """Mean NLL and each column's log-sum-exp.  The logits are shifted in
-        place by their column max; their exponentials go to `out`, which
-        may be the logits themselves."""
-        logits -= logits.max(axis=0)
-        picked = logits[labels, np.arange(labels.shape[0])]
-        lse = np.log(np.exp(logits, out=out).sum(axis=0))
-        return float(np.mean(lse - picked)), lse
-
     def value(self, theta, batch: Batch) -> float:
+        """Mean NLL; the logits are shifted in place by their column max and
+        overwritten by their exponentials."""
         _, pre = self._forward(self._layers(theta), batch)
-        return self._nll(pre[-1], batch.labels, out=pre[-1])[0]
+        logits = pre[-1]
+        logits -= logits.max(axis=0)
+        picked = logits[batch.labels, np.arange(batch.sample_count)]
+        lse = np.log(np.exp(logits, out=logits).sum(axis=0))
+        return float(np.mean(lse - picked))
 
-    def value_and_grad(self, theta, batch: Batch):
+    def gradient(self, theta, batch: Batch) -> np.ndarray:
         layers = self._layers(theta)
         acts, pre = self._forward(layers, batch)
-        nll, lse = self._nll(pre[-1], batch.labels)
         b = batch.sample_count
-        delta = pre[-1]  # the shifted logits, made the probabilities in place
-        delta -= lse
+        delta = pre[-1]  # the logits, made the probabilities in place
+        delta -= delta.max(axis=0)
+        delta -= np.log(np.exp(delta).sum(axis=0))
         np.exp(delta, out=delta)
         delta[batch.labels, np.arange(b)] -= 1.0
         delta /= b
@@ -204,10 +209,7 @@ class MlpObjective:
                     delta *= 1.0 - acts[i] ** 2
                 else:
                     delta *= pre[i - 1] > 0.0
-        return nll, flat
-
-    def gradient(self, theta, batch: Batch) -> np.ndarray:
-        return self.value_and_grad(theta, batch)[1]
+        return flat
 
     def preactivation_signs(self, theta, batch: Batch) -> np.ndarray:
         """Signs of all hidden pre-activations; used to screen finite

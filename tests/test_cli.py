@@ -465,6 +465,7 @@ def test_grad_check_corrupted_gradient_fails(tmp_path, capsys, monkeypatch):
         def __init__(self, inner):
             self.inner = inner
             self.dim = inner.dim
+            self.init_theta = inner.init_theta
 
         def value(self, theta, batch=None):
             return self.inner.value(theta, batch)

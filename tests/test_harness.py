@@ -28,7 +28,7 @@ from distnewton.harness import (
 from distnewton.objectives import MlpObjective, QuadraticObjective
 from distnewton.operator import RUN_ROWS, WorkerReport, block_rows
 
-from oracles import traced_peak
+from oracles import mlp_init_oracle, traced_peak
 
 PRESETS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.cfg"))
 
@@ -279,6 +279,21 @@ def test_rounds_per_epoch_fairness():
         sizes = per_worker_batch_sizes(b, m)
         budgets.add(rounds * (s + 1) * sum(sizes))
     assert len(budgets) == 1
+
+
+@pytest.mark.parametrize("name", ["quadratic_newton", "rosenbrock", "mnist_tanh"])
+def test_every_objective_draws_its_own_start(name):
+    # the run's start is the objective's own draw, and each kind's law is
+    # written out by hand
+    cfg = load_config(PRESETS[0].with_name(f"{name}.cfg"))
+    objective = build_objective(cfg)
+    rng = np.random.default_rng([cfg.seed])
+    if name == "mnist_tanh":
+        expect = mlp_init_oracle(cfg.mlp_layers, rng)
+    else:
+        expect = rng.standard_normal(cfg.objective_dim)
+    own = objective.init_theta(np.random.default_rng([cfg.seed]))
+    assert initial_theta(cfg, objective).tobytes() == own.tobytes() == expect.tobytes()
 
 
 # --------------------------------------------------------- run_experiment
