@@ -16,9 +16,13 @@ theta_0 and g_0).  `GB/s` is that count over the warm median.  `read ms`
 is measured: the median, over ROUNDS more redraws after the timed
 rounds, of the time to read exactly those vectors once with `np.sum`, in
 that order; the gap between it and the warm median is what the round
-spends beyond reading its inputs.  A header
-line gives the numpy version, the BLAS numpy was built against and the
-usable core count.  It times this checkout's `src`, not an installed copy.
+spends beyond reading its inputs.  `pass1 ms` and `step ms` split the
+round: over ROUNDS more redraws, `pass1 ms` is the median time of
+`difference_spectrum` on the round's `center_reports` (the Gram pass and
+the eigensolve), and `step ms` that of `step_coefficients` plus `combine`
+right after it on the same reports (the step pass).  A header line gives
+the numpy version, the BLAS numpy was built against and the usable core
+count.  It times this checkout's `src`, not an installed copy.
 
 Usage: python scripts/server_round_sizes.py
 """
@@ -38,7 +42,13 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))  # time 
 import numpy as np  # noqa: E402
 
 from distnewton.harness import server_round  # noqa: E402
-from distnewton.operator import WorkerReport  # noqa: E402
+from distnewton.operator import (  # noqa: E402
+    WorkerReport,
+    center_reports,
+    combine,
+    difference_spectrum,
+    step_coefficients,
+)
 
 SIZES = [(100_000, 4), (100_000, 64), (300_000, 16), (1_000_000, 4), (1_000_000, 16)]
 ROUNDS = 15
@@ -70,6 +80,16 @@ def time_size(n: int, m: int) -> dict:
         for v in reads:
             np.sum(v)
         read_times.append(time.perf_counter() - t0)
+    pass1_times, step_times = [], []
+    for _ in range(ROUNDS):
+        redraw()
+        rows = center_reports(reports)
+        t0 = time.perf_counter()
+        spec = difference_spectrum(rows, LAMBDA)
+        t1 = time.perf_counter()
+        combine(rows, step_coefficients(spec, m, TAU))
+        step_times.append(time.perf_counter() - t1)
+        pass1_times.append(t1 - t0)
     redraw()  # one more round, untimed, for its allocation
     tracemalloc.start()
     server_round(reports, LAMBDA, TAU, False, "distnewton")
@@ -82,6 +102,8 @@ def time_size(n: int, m: int) -> dict:
         "peak_alloc_8n": peak / (8 * n),
         "read_bytes": 8 * n * (3 * m if m >= 2 else 2),  # from the shapes, as the docstring says
         "read_ms": 1e3 * statistics.median(read_times),
+        "pass1_ms": 1e3 * statistics.median(pass1_times),
+        "step_ms": 1e3 * statistics.median(step_times),
     }
 
 
@@ -101,11 +123,12 @@ def main(argv) -> int:
         f"python {platform.python_version()}, numpy {np.__version__}, BLAS {blas()}, "
         f"{len(os.sched_getaffinity(0))} cores; warm p50 over {ROUNDS} rounds; "
         "read MB is computed from the report shapes, GB/s is read MB over the warm p50, "
-        "read ms is the measured median time to read those bytes once"
+        "read ms is the measured median time to read those bytes once, "
+        "pass1 ms and step ms the medians of the round's two passes"
     )
     print(
         f"{'n':>9} {'m':>3} {'j':>3} {'cold ms':>9} {'warm p50 ms':>12} {'peak/8n':>8}"
-        f" {'read MB':>8} {'GB/s':>6} {'read ms':>8}"
+        f" {'read MB':>8} {'GB/s':>6} {'read ms':>8} {'pass1 ms':>9} {'step ms':>8}"
     )
     for n, m in SIZES:
         out = subprocess.run(
@@ -115,6 +138,7 @@ def main(argv) -> int:
         print(
             f"{n:>9} {m:>3} {r['j']:>3} {r['cold_ms']:>9.1f} {r['warm_p50_ms']:>12.1f} {r['peak_alloc_8n']:>8.2f}"
             f" {r['read_bytes'] / 1e6:>8.1f} {r['read_bytes'] / 1e6 / r['warm_p50_ms']:>6.2f} {r['read_ms']:>8.1f}"
+            f" {r['pass1_ms']:>9.1f} {r['step_ms']:>8.1f}"
         )
     return 0
 

@@ -153,14 +153,14 @@ def server_round(reports, lam, tau, use_lr_cap, aggregator):
     c.  distnewton sums the Gram matrix of the gradient differences in one
     more pass (`difference_spectrum`), optionally caps tau at 1/sigma_max,
     and takes the quasi-Newton c from `step_coefficients`.  sgd_average,
-    the baseline, averages parameters: c = 1/m over E alone.  Any other
-    aggregator, or a tau that is not finite and positive, raises
-    ValueError.  Nothing of size n is written but theta_new; beyond it,
-    pass 1 allocates one row block of m columns and `combine` one
-    difference run of RUN_ROWS rows, each freed with its pass.  The passes
-    are the one finiteness check of the reports (`center_reports` checks
-    lengths): NonFiniteReportError names a non-finite report,
-    NonFiniteInputError an overflow of finite ones.
+    the baseline, averages parameters with c = [cbar, 0, 0], cbar = 1/m,
+    and never steps with tau.  Any other aggregator, or a tau that is not
+    finite and positive, raises ValueError.  Nothing of size n is written
+    but theta_new; beyond it, pass 1 allocates one row block of m columns
+    and `combine` one difference run of RUN_ROWS rows, each freed with its
+    pass.  The passes are the one finiteness check of the reports
+    (`center_reports` checks lengths): NonFiniteReportError names a
+    non-finite report, NonFiniteInputError an overflow of finite ones.
     """
     if aggregator not in AGGREGATORS:
         raise ValueError(f"server_round: unknown aggregator {aggregator!r}, expected one of {AGGREGATORS}")
@@ -169,7 +169,8 @@ def server_round(reports, lam, tau, use_lr_cap, aggregator):
     rows = center_reports(reports)
     m = len(rows[0])
     if aggregator == "sgd_average":
-        return combine(rows, np.full(m - 1, 1.0 / m)), RoundStats(np.empty(0), 0, tau)
+        coef = np.concatenate([np.full(m - 1, 1.0 / m), np.zeros(m)])
+        return combine(rows, coef), RoundStats(np.empty(0), 0, tau)
     spec = difference_spectrum(rows, lam)
     tau_used = lr_cap(tau, float(np.max(spec.sigma, initial=0.0))) if use_lr_cap else tau
     coef = step_coefficients(spec, m, tau_used)

@@ -24,7 +24,7 @@ comes from the same Gram product as D^T D.  Expanded, it combines the
 stored pairs, the compact form of Byrd, Nocedal & Schnabel (1994):
 theta_new = theta_0 + [E | g_0 | D] c with c = [cbar - tau a, -tau,
 tau (a - cbar)], cbar = 1/m and a = W Sigma^-2 W^T D^T g_bar, for every j
-(j = 0 is a = 0).  Averaging is c = cbar over E alone.  So a step is
+(j = 0 is a = 0).  Averaging is c = [cbar, 0, 0].  So a step is
 `step_coefficients`, which picks c from the round's m-sized spectrum, and
 `combine`, the one loop that writes theta_new from the n-sized reports.
 Reports reach the server by one path: `center_reports` length-checks
@@ -179,39 +179,35 @@ def step_coefficients(spec: GramSpectrum, m: int, tau: float) -> np.ndarray:
 
 
 def combine(rows, coef: np.ndarray) -> np.ndarray:
-    """theta_0 + E c_E + c_g g_0 + D c_D, with coef split into (c_E, c_g,
-    c_D) in the order of c above, and c_g, c_D empty when c covers E alone:
-    the one loop that writes theta_new, in one read pass over the report
-    vectors that c reads.
+    """theta_0 + E c_E + c_g g_0 + D c_D, with the 2m - 1 entries of coef
+    split into (c_E, c_g, c_D) in the order of c above: the one loop that
+    writes theta_new, in one read pass over the 2m report vectors.
 
     It walks the rows in runs of RUN_ROWS and builds each run of theta_new
-    in place: c_g g_0 (zero when c covers E alone), then each
-    theta_k - theta_0 and then each g_k - g_0, formed in a run-sized buffer
-    of its own (none at m = 1, which has no difference) and scaled by its
-    coefficient, and theta_0 last.  Each difference is taken before it is
-    scaled, so zero spread and identical reports are exact.  theta_new and
-    the gradients, when c covers E alone, are checked by their sums; a
-    non-finite one raises `_non_finite`'s error."""
+    in place: c_g g_0, then each theta_k - theta_0 and then each g_k - g_0,
+    formed in a run-sized buffer of its own (none at m = 1) and scaled by
+    its coefficient, and theta_0 last.  Each difference is taken before it
+    is scaled, so zero spread and identical reports are exact.  No column
+    is skipped for a zero coefficient (0 * inf is NaN), so checking
+    theta_new by its sum checks every report; a non-finite one raises
+    `_non_finite`'s error."""
     thetas, grads = rows
     m, n = len(thetas), thetas[0].shape[0]
-    c_e, c_g, c_d = coef[: m - 1], coef[m - 1 : m], coef[m:]
+    c_e, c_g, c_d = coef[: m - 1], coef[m - 1], coef[m:]
     theta_new = np.empty(n)
     diffs = np.empty(min(RUN_ROWS, n) if m > 1 else 0)
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, n, RUN_ROWS):
             hi = min(lo + RUN_ROWS, n)
             out, diff = theta_new[lo:hi], diffs[: hi - lo]
-            if c_g.size:
-                np.multiply(grads[0][lo:hi], c_g[0], out=out)
-            else:
-                out.fill(0.0)
+            np.multiply(grads[0][lo:hi], c_g, out=out)
             for vectors, cs in ((thetas, c_e), (grads, c_d)):
-                for vec, c in zip(vectors[1:], cs):
+                for vec, c in zip(vectors[1:], cs, strict=True):
                     np.subtract(vec[lo:hi], vectors[0][lo:hi], out=diff)
                     diff *= c
                     out += diff
             out += thetas[0][lo:hi]
-    if not all(map(all_finite, [theta_new] + ([] if c_g.size else grads))):
+    if not all_finite(theta_new):
         raise _non_finite(rows, "theta_new: the differences from worker 0 or the step overflowed")
     return theta_new
 

@@ -294,17 +294,17 @@ def test_step_coefficients_from_the_spectrum_alone():
 @pytest.mark.parametrize("m", [1, 2, 16, 33])
 def test_combine_matches_dense_oracle(m, edge, averaging):
     # n sits on, one below or one above a run edge, past the first run; the
-    # coefficients are the step's 2m - 1, or sgd_average's m - 1 over E
+    # 2m - 1 coefficients are random, or sgd_average's [1/m, 0, 0]
     n = 2 * RUN_ROWS + edge
     rng = np.random.default_rng([m, n])
     rows = random_batch(rng, n, m)
-    coef = rng.standard_normal(m - 1 if averaging else 2 * m - 1)
+    coef = np.concatenate([np.full(m - 1, 1.0 / m), np.zeros(m)]) if averaging else rng.standard_normal(2 * m - 1)
     theta_0, g_0 = rows[0][0], rows[1][0]
-    want = theta_0 + stacked(rows)[:, : coef.shape[0]] @ coef
+    want = theta_0 + stacked(rows) @ coef
     got = combine(rows, coef)
     assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want - theta_0)
-    if m == 1:  # theta_0 + c g_0, or theta_0 itself, exactly
-        assert np.array_equal(got, theta_0 + coef[0] * g_0 if coef.size else theta_0)
+    if m == 1:  # theta_0 + c g_0 exactly, theta_0 itself when averaging
+        assert np.array_equal(got, theta_0 + coef[0] * g_0)
 
 
 # --------------------------------------------------------- streamed round
@@ -476,7 +476,8 @@ def test_non_finite_gradient_report_is_named(worker, bad):
     rng = np.random.default_rng(17)
     reports = [WorkerReport(rng.standard_normal(40), rng.standard_normal(40)) for _ in range(5)]
     reports[worker].grad[7] = bad
-    # sgd_average's step reads no gradient, so combine checks them by their sums
+    # sgd_average weighs every gradient by zero, which a NaN or an infinity
+    # turns into a NaN in theta_new
     for call in (lambda: server_round(reports, 0.1, 0.5, False, "distnewton"),
                  lambda: server_round(reports, 0.1, 0.5, False, "sgd_average"),
                  lambda: build_operator(center_reports(reports), 0.1)):
@@ -518,7 +519,8 @@ OVERFLOWING = {  # finite reports whose differences from worker 0 pass 1.8e308
 
 
 @pytest.mark.parametrize(
-    "aggregator, field", [("distnewton", "grad"), ("distnewton", "theta"), ("sgd_average", "theta")]
+    "aggregator, field",
+    [("distnewton", "grad"), ("distnewton", "theta"), ("sgd_average", "grad"), ("sgd_average", "theta")],
 )
 def test_overflowing_differences_of_finite_reports_are_named(aggregator, field):
     with pytest.raises(NonFiniteInputError, match="differences from worker 0") as exc:
