@@ -1,22 +1,21 @@
 #!/usr/bin/env python3
 """Cost of one-shot `distnewton run`s of a preset, each in a fresh process.
 
-Each repetition starts a measuring process that writes the preset out
-again with `harness.m` replaced, runs `distnewton run` on it as its one
-child, and reads the child's wall time, minor page faults and max RSS
-from `resource.getrusage(RUSAGE_CHILDREN)`.  The medians over the
-repetitions are printed under a line naming the Python and numpy versions
-and the usable core count.  Wall time includes interpreter start-up and the
-dataset build, which is what a one-shot run pays.
+The preset is written out again with `harness.m` replaced.  Each
+repetition runs `distnewton run` on it as a child process and reaps the
+child with `os.wait4`, which returns that child's own minor page faults
+and max RSS; its wall time runs from the start to the reaping.  The
+medians over the repetitions are printed under a line naming the Python
+and numpy versions and the usable core count.  Wall time includes
+interpreter start-up and the dataset build, which is what a one-shot run
+pays.
 
 Usage: python scripts/one_shot_run.py [--config configs/mnist_tanh.cfg] [--m 1] [--repeats 5]
 """
 
 import argparse
-import json
 import os
 import platform
-import resource
 import statistics
 import subprocess
 import sys
@@ -33,19 +32,19 @@ import numpy as np  # noqa: E402
 from distnewton.config import emit_config, load_config  # noqa: E402
 
 
-def one_run(config: Path, m: int) -> dict:
-    """One `distnewton run` in a child process, and what it cost."""
+def one_run(cfg: Path, out: Path) -> dict:
+    """One `distnewton run` of `cfg` in a child process, and what it cost."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")])))
-    with tempfile.TemporaryDirectory() as tmp:
-        cfg = Path(tmp) / "run.cfg"
-        cfg.write_text(emit_config(replace(load_config(config), m=m)))
-        t0 = time.perf_counter()
-        subprocess.run(
-            [sys.executable, "-m", "distnewton.cli", "run", "--config", str(cfg), "--out", str(Path(tmp) / "out")],
-            env=env, check=True, stdout=subprocess.DEVNULL,
-        )
-        wall = time.perf_counter() - t0
-    usage = resource.getrusage(resource.RUSAGE_CHILDREN)
+    t0 = time.perf_counter()
+    child = subprocess.Popen(
+        [sys.executable, "-m", "distnewton.cli", "run", "--config", str(cfg), "--out", str(out)],
+        env=env, stdout=subprocess.DEVNULL,
+    )
+    _, status, usage = os.wait4(child.pid, 0)
+    wall = time.perf_counter() - t0
+    child.returncode = os.waitstatus_to_exitcode(status)
+    if child.returncode:
+        raise subprocess.CalledProcessError(child.returncode, child.args)
     return {"wall_s": wall, "minor_faults": usage.ru_minflt, "max_rss_mb": usage.ru_maxrss / 1024.0}
 
 
@@ -54,18 +53,11 @@ def main(argv) -> int:
     parser.add_argument("--config", type=Path, default=REPO / "configs" / "mnist_tanh.cfg")
     parser.add_argument("--m", type=int, default=1, help="harness.m for the runs")
     parser.add_argument("--repeats", type=int, default=5)
-    parser.add_argument("--one", action="store_true", help=argparse.SUPPRESS)  # measuring process
     args = parser.parse_args(argv)
-    if args.one:
-        print(json.dumps(one_run(args.config, args.m)))
-        return 0
-    runs = []
-    for _ in range(args.repeats):
-        out = subprocess.run(
-            [sys.executable, __file__, "--one", "--config", str(args.config), "--m", str(args.m)],
-            capture_output=True, text=True, check=True,
-        )
-        runs.append(json.loads(out.stdout))
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "run.cfg"
+        cfg.write_text(emit_config(replace(load_config(args.config), m=args.m)))
+        runs = [one_run(cfg, Path(tmp) / f"out{k}") for k in range(args.repeats)]
     print(
         f"python {platform.python_version()}, numpy {np.__version__}, "
         f"{len(os.sched_getaffinity(0))} cores; {args.config.name} at harness.m = {args.m}, "

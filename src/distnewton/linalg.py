@@ -10,8 +10,10 @@ LAPACK's symmetric eigensolver (`np.linalg.eigh`), and recover left
 singular vectors, where a caller wants them, with one more matmul as
 U = M B V / ||M B V||.  The server uses B to work in a basis of its
 worker differences; `thin_svd_via_gram` is the plain case B = I with M
-as one block.  Nothing n-by-n is ever formed, so the server's working set
-stays O(p*n) no matter how large the parameter dimension gets.
+as one block.  A Gram sum is symmetric as summed (numpy forms M^T M with
+BLAS `syrk`, which mirrors one triangle), so it is never averaged with its
+transpose; `sym_eig` checks the matrices of other callers.  Nothing n-by-n
+is ever formed, so the server's working set stays O(p*n) at any n.
 """
 
 from __future__ import annotations
@@ -23,10 +25,10 @@ import numpy as np
 from .errors import AsymmetricMatrixError, DimensionMismatchError, NonFiniteInputError
 
 SYMMETRY_RTOL = 1e-12
-# A Gram matrix whose largest diagonal entry is below this has entries that
-# lost digits to subnormal underflow, or became zero: it is summed again
-# from the matrix divided by its max-abs entry.
-GRAM_UNDERFLOW = np.finfo(np.float64).tiny / np.finfo(np.float64).eps
+# The plain Gram sum is kept while its largest diagonal entry lies in this
+# range: below it, entries lost digits to subnormal underflow; above it,
+# its m-space products (D^T g_bar in `step_coefficients`) may overflow.
+GRAM_RANGE = (np.finfo(float).tiny / np.finfo(float).eps, np.finfo(float).max * np.finfo(float).eps)
 
 
 def as_vector(x, length: int | None = None, name: str = "vector") -> np.ndarray:
@@ -56,10 +58,9 @@ def all_finite(x: np.ndarray) -> bool:
 
 
 def gram(mat) -> np.ndarray:
-    """M^T M, symmetrized so rounding noise cannot upset the eigensolver."""
+    """M^T M, exactly symmetric as computed (see the module docstring)."""
     m = as_matrix(mat)
-    g = m.T @ m
-    return np.asfortranarray(0.5 * (g + g.T))
+    return np.asfortranarray(m.T @ m)
 
 
 def sym_eig(mat) -> tuple[np.ndarray, np.ndarray]:
@@ -95,11 +96,11 @@ class GramSpectrum:
     `sigma` holds all q singular values, descending.  Column k of `right` is
     B v_k, so that M right[:, k] = sigma_k u_k.  The leading `retained`
     sigma_k are those with sigma_k > 0 and sigma_k >= rank_tolerance *
-    sigma_1.  `gram` is M^T M / scale^2, which is finite: `scale` is 1
-    unless M^T M overflowed or underflowed, and then the max-abs entry of
-    M (see `blocked_gram`).  A caller
-    that knows the spectrum is empty (q = 0) may skip the sum and give a
-    p-by-p zero `gram`, so that code reading it needs no case for q = 0.
+    sigma_1.  `gram` is M^T M / scale^2 as summed, finite and symmetric:
+    `scale` is 1 unless the largest diagonal of M^T M lies outside
+    GRAM_RANGE, and then the max-abs entry of M (see `blocked_gram`).  A
+    caller that knows the spectrum is empty (q = 0) may skip the sum and
+    give a p-by-p zero `gram`, so code reading it needs no case for q = 0.
     """
 
     sigma: np.ndarray
@@ -114,25 +115,23 @@ def blocked_gram(blocks) -> tuple[np.ndarray, float]:
 
     Each call of `blocks()` starts one pass and yields M's row blocks in
     order; a block is only read before the next one is asked for.  `scale`
-    is 1 unless the sum has a non-finite entry (entries of M past about
-    1e154) or its largest diagonal entry is below GRAM_UNDERFLOW (entries
-    of M below about 1e-146, whose squares lose digits or vanish); then
-    one more pass finds the max-abs entry of M and a third sums the Gram
-    matrices of the blocks divided by it.  A NaN or an infinity in M,
-    found on that second pass, raises NonFiniteInputError.  The result is
-    symmetrized so rounding noise cannot upset the eigensolver.
+    is 1 while the largest diagonal entry of the sum lies in GRAM_RANGE,
+    which a NaN or an infinity fails too; else (column norms of M past
+    about 1e146 or below about 1e-146) one more pass finds the max-abs
+    entry of M and a third sums the Gram matrices of the blocks divided by
+    it.  A NaN or an infinity in M, found on that second pass, raises
+    NonFiniteInputError.  Either sum is returned as summed, symmetric.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         total, scale = sum(b.T @ b for b in blocks()), 1.0
-        if np.all(np.isfinite(total)) and np.max(np.diag(total), initial=0.0) >= GRAM_UNDERFLOW:
-            return 0.5 * (total + total.T), scale
-        peaks = [float(np.max(np.abs(b), initial=0.0)) for b in blocks()]
-    if not np.all(np.isfinite(peaks)):
+        if GRAM_RANGE[0] <= np.max(np.diag(total), initial=0.0) <= GRAM_RANGE[1]:
+            return total, scale
+        peak = float(np.max([np.max(np.abs(b), initial=0.0) for b in blocks()]))
+    if not peak < np.inf:
         raise NonFiniteInputError("blocked_gram: the matrix has a NaN or infinite entry")
-    peak = max(peaks)
     if peak > 0.0:  # else M is zero, and so is its Gram sum
         total, scale = sum(c.T @ c for c in (b / peak for b in blocks())), peak
-    return 0.5 * (total + total.T), scale
+    return total, scale
 
 
 def gram_spectrum(blocks, basis, rank_tolerance: float) -> GramSpectrum:

@@ -78,6 +78,11 @@ def test_gram_hand_example():
     assert np.allclose(g, [[5.0, 10.0], [10.0, 20.0]])
 
 
+def test_gram_of_a_column_past_the_range_is_finite():
+    # 1.44e308 is finite, and an average with the transpose would double it
+    assert gram(np.array([[1.2e154]])) == 1.2e154**2
+
+
 def test_gram_symmetric_psd():
     rng = np.random.default_rng(0)
     for _ in range(10):

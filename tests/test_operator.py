@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from distnewton import harness, linalg
@@ -228,6 +228,8 @@ def test_operator_contracts_on_degenerate_batches(m, distinct, n, lam, seed):
     st.sampled_from([1e-8, 1e-4, 1e-2, 0.1, 0.5]),
     st.integers(0, 2**31 - 1),
 )
+# retains a singular-value ratio of 7.1e-4, which the Gram route squares
+@example(m=7, distinct=7, collinear=False, n=5, lam=1e-8, seed=439)
 def test_server_round_agrees_with_explicit_operator(m, distinct, collinear, n, lam, seed):
     # the factored step and the materialised operator read one spectrum
     reports = degenerate_reports(np.random.default_rng(seed), m, distinct, n, collinear)
@@ -240,10 +242,12 @@ def test_server_round_agrees_with_explicit_operator(m, distinct, collinear, n, l
     theta_bar, g_bar = report_means(reports)
     want = newton_update(op, theta_bar, g_bar, 0.7)
     assert np.linalg.norm(theta_new - want) <= 1e-10 * np.linalg.norm(want - theta_bar)
-    # and both are numpy's SVD step, where the retention rule is well defined
-    want, _, ratios = svd_reference_step(reports, lam, 0.7)
+    # and both are numpy's SVD step, where the retention rule is well defined,
+    # up to the Gram route's error of m eps (sigma_1 / sigma_j)^2
+    want, j_ref, ratios = svd_reference_step(reports, lam, 0.7)
     if not np.any((ratios > 0.8 * lam) & (ratios < 1.25 * lam)):
-        assert np.linalg.norm(theta_new - want) <= 1e-10 * np.linalg.norm(want - theta_bar)
+        rtol = 1e-10 + m * np.finfo(float).eps / (ratios[j_ref - 1] if j_ref else 1.0) ** 2
+        assert np.linalg.norm(theta_new - want) <= rtol * np.linalg.norm(want - theta_bar)
 
 
 @pytest.mark.parametrize("m", range(1, 10))
@@ -438,18 +442,61 @@ def test_bad_tau_rejected_before_any_pass(monkeypatch, aggregator, tau):
 @given(st.integers(2, 8), st.integers(0, 40), st.integers(0, 2**31 - 1))
 def test_server_round_is_scale_equivariant(m, extra, seed):
     # reports scaled by c scale sigma by c and leave u, v and j alone, so the
-    # step scales by c; at 1e155 the Gram of the reports overflows, and from
-    # 1e-150 down it underflows into subnormals or to zero
+    # step scales by c; at 1e155 the Gram of the reports overflows, from
+    # about 1e153 it is finite but past GRAM_RANGE, and from 1e-150 down it
+    # underflows into subnormals or to zero
     rng = np.random.default_rng(seed)
     n = m + extra
     reports = [WorkerReport(rng.standard_normal(n), rng.standard_normal(n)) for _ in range(m)]
     theta_new, stats = server_round(reports, 0.1, 0.5, False, "distnewton")
-    for c in (1e-300, 1e-200, 1e-160, 1e-150, 1e150, 1e155):
+    # this c puts the largest diagonal of the Gram of [g_0 | D] at 0.75 finfo.max
+    g = np.column_stack([r.grad for r in reports])
+    g[:, 1:] -= g[:, :1]
+    edge = np.sqrt(0.75 * np.finfo(float).max) / np.max(np.linalg.norm(g, axis=0))
+    for c in (1e-300, 1e-200, 1e-160, 1e-150, 1e150, 1.5e153, 1.8e153, edge, 1e155):
         scaled = [WorkerReport(c * r.theta, c * r.grad) for r in reports]
         theta_c, stats_c = server_round(scaled, 0.1, 0.5, False, "distnewton")
         assert stats_c.j == stats.j
         err = np.linalg.norm(theta_c / c - theta_new)
         assert err <= 1e-12 * np.linalg.norm(theta_new)
+
+
+def window_reports(g_0, g_1, n, c):
+    """Two reports, scaled by c, whose gradients lead with g_0 and g_1 and
+    carry O(1) entries after them."""
+    rows = ((g_0, 1.0, -1.0), (g_1, 2.0, 0.5))
+    return [WorkerReport(c * (np.arange(n) + k), c * np.array(g[:n])) for k, g in enumerate(rows)]
+
+
+# (g_0, g_1): a Gram of [g_0 | D] whose diagonal lies between finfo.max * eps
+# and finfo.max, so that averaging it with its transpose overflowed, and one
+# whose D^T g_bar also overflows when the plain sum is kept
+WINDOW_CASES = {"average": (0.0, 1.2e154), "dtg": (1.2e154, 2.4e154)}
+
+
+@pytest.mark.parametrize("n", [1, 3])
+@pytest.mark.parametrize("g_0, g_1", WINDOW_CASES.values(), ids=WINDOW_CASES.keys())
+def test_finite_gram_past_the_range_is_rescaled(g_0, g_1, n):
+    # the suite turns any RuntimeWarning of an overflow into an error
+    reports, small = window_reports(g_0, g_1, n, 1.0), window_reports(g_0, g_1, n, 2.0**-600)
+    theta_avg, _ = server_round(reports, 0.1, 0.5, False, "sgd_average")
+    assert np.all(np.isfinite(theta_avg))
+    theta_new, stats = server_round(reports, 0.1, 0.5, False, "distnewton")
+    _, stats_small = server_round(small, 0.1, 0.5, False, "distnewton")
+    assert np.all(np.isfinite(theta_new)) and stats.j == 1
+    assert abs(stats.sigma[0] - 2.0**600 * stats_small.sigma[0]) <= 1e-12 * stats.sigma[0]
+
+    op = build_operator(center_reports(reports), 0.1)
+    assert op.j == 1 and np.array_equal(op.sigmas, stats.sigma)
+    theta_bar, g_bar = report_means(reports)
+    assert np.all(np.isfinite(newton_update(op, theta_bar, g_bar, 0.5)))
+
+    mats = [np.column_stack([r.grad for r in rs]) for rs in (reports, small)]
+    for mat in mats:
+        mat[:, 1] -= mat[:, 0]
+    (u, sigma, _), (_, sigma_small, _) = (linalg.thin_svd_via_gram(mat, 0.1) for mat in mats)
+    assert u.shape[1] == 1 and np.all(np.isfinite(u))
+    assert abs(sigma[0] - 2.0**600 * sigma_small[0]) <= 1e-12 * sigma[0]
 
 
 @settings(max_examples=40, deadline=None)

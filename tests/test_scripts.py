@@ -26,6 +26,24 @@ def test_one_shot_run_measures_a_preset_at_another_m():
     assert all(float(v) > 0 for v in values.values())
 
 
+def test_decompose_criterion7_runs_every_arm():
+    out = subprocess.run(
+        [sys.executable, str(REPO / "scripts" / "decompose_criterion7.py"), "--seeds", "0", "--epochs", "2"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    rows = {line[:26].strip(): line[26:].split() for line in out.stdout.splitlines()}
+    arms = ["sgd_average m=1", "distnewton m=1", "distnewton m=1 jitter=0"]
+    arms += [f"distnewton m={m}{j0}" for m in (4, 8) for j0 in ("", " j=0")]
+    taus = [f"{0.01 * 2**k:g}" for k in range(8)]
+    for label in arms + taus:
+        seed_0, mean = (float(v) for v in rows[label])
+        assert 0.0 < seed_0 == mean
+    # the tau row's first cell is the m = 8, j = 0 arm at the preset's tau
+    assert rows["0.01"] == rows["distnewton m=8 j=0"]
+    assert sum(line.startswith("rank j beats j=0 at m=") for line in out.stdout.splitlines()) == 2
+
+
 def test_grad_check_all_checks_every_preset():
     # relu_divergence is the one ReLU preset, so it is the only one that runs the kink screen
     out = subprocess.run(
