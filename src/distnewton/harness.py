@@ -1,12 +1,13 @@
 """Synchronous distributed training loop, simulated in-process.
 
 Each round every worker reads the same parameter snapshot, runs its local
-SGD steps, and reports (theta_k, grad at theta_k).  A worker reads an
-epoch's batches from one iterator: a `_WorkerFeed` over its shard, or
-None forever for an objective that reads no samples.  Workers run one
-after another, in worker order, on the calling thread; only when all m
-reports are in does the server aggregate, so the barrier is the end of
-the worker loop itself.
+SGD steps, and reports (theta_k, grad at theta_k), written into two columns
+of one (n, 2m) array that the run keeps, as it keeps each worker's batch
+buffer.  A worker reads an epoch's batches from one iterator: a
+`_WorkerFeed` over its shard, or None forever for an objective that reads
+no samples.  Workers run one after another, in worker order, on the
+calling thread; only when all m reports are in does the server aggregate,
+so the barrier is the end of the worker loop itself.
 
 Worker randomness comes from independent streams keyed by
 (seed, worker_id, global_round), so no worker's draw depends on any
@@ -118,8 +119,10 @@ class _WorkerFeed:
         return Batch(self.buffer, self.dataset.labels[sel])
 
 
-def worker_round(theta_read, objective, batches, local_steps, local_lr, rng, jitter=0.0):
-    """One worker's round: s local SGD steps, then the report gradient.
+def worker_round(theta_read, objective, batches, local_steps, local_lr, rng, jitter, report):
+    """One worker's round, written into `report` and returned: s local SGD
+    steps on report.theta, each gradient and its product with local_lr
+    written into report.grad, then the report gradient there.
 
     Exactly local_steps + 1 minibatches (None for deterministic objectives)
     are taken from `batches`, each by next() as its step starts, so a
@@ -129,20 +132,20 @@ def worker_round(theta_read, objective, batches, local_steps, local_lr, rng, jit
     regions of a deterministic objective.  The report is not checked here:
     the server names a non-finite theta or gradient.
     """
-    theta_read = np.asarray(theta_read, dtype=np.float64)
+    theta, grad = report.theta, report.grad
     batches = iter(batches)
-    if jitter > 0.0:  # theta_read + jitter * z, drawn into the vector that becomes theta
-        theta = rng.standard_normal(theta_read.shape[0])
+    if jitter > 0.0:  # theta_read + jitter * z, drawn into theta
+        rng.standard_normal(out=theta)
         theta *= jitter
         theta += theta_read
     else:
-        theta = theta_read.copy()
+        theta[:] = theta_read
     # overflow here is a detected outcome (divergence), not an anomaly
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(local_steps):
-            theta -= local_lr * objective.gradient(theta, next(batches))
-        grad = objective.gradient(theta, next(batches))
-    return WorkerReport(theta, grad)
+            theta -= np.multiply(local_lr, objective.gradient(theta, next(batches), out=grad), out=grad)
+        objective.gradient(theta, next(batches), out=grad)
+    return report
 
 
 def server_round(reports, lam, tau, use_lr_cap, aggregator):
@@ -242,10 +245,14 @@ def run_experiment(cfg: ExperimentConfig, dataset=None, threads=1, round_observe
     Any non-finite parameter, gradient, or loss stops the run with status
     'diverged' (a round that overflows records a NaN loss), and `stopped`
     names the epoch and round with the server's error, or the epoch whose
-    eval came out non-finite.  `round_observer`,
-    when given, is called after every server aggregation with (epoch, round,
-    theta_read, reports, theta_new, stats).  `threads` is accepted for
-    compatibility and has no effect: workers always run serially, in order.
+    eval came out non-finite.  Worker k writes its report into columns k
+    and m + k of one Fortran-order (n, 2m) array that the run keeps.
+    `round_observer`, when given, is called after every server aggregation
+    with (epoch, round, theta_read, reports, theta_new, stats); the reports
+    are views of that array, valid until the next round overwrites them, so
+    an observer that keeps them across rounds copies them.  `threads` is
+    accepted for compatibility and has no effect: workers always run
+    serially, in order.
     """
     cfg.validate()
     objective = build_objective(cfg)
@@ -255,6 +262,8 @@ def run_experiment(cfg: ExperimentConfig, dataset=None, threads=1, round_observe
         check_dataset(cfg, dataset)
 
     theta = initial_theta(cfg, objective)
+    held = np.empty((theta.shape[0], 2 * cfg.m), order="F")  # [theta_0 .. theta_{m-1} | g_0 .. g_{m-1}]
+    slots = [WorkerReport(held[:, k], held[:, cfg.m + k]) for k in range(cfg.m)]
     records: list[EpochRecord] = []
     s = cfg.local_steps
     if dataset is None:
@@ -279,8 +288,8 @@ def run_experiment(cfg: ExperimentConfig, dataset=None, threads=1, round_observe
             try:
                 rngs = (np.random.default_rng([cfg.seed, k, global_round]) for k in range(cfg.m))
                 reports = [
-                    worker_round(theta, objective, feed, s, cfg.local_lr, rng, cfg.worker_jitter)
-                    for feed, rng in zip(feeds, rngs)
+                    worker_round(theta, objective, feed, s, cfg.local_lr, rng, cfg.worker_jitter, slot)
+                    for feed, rng, slot in zip(feeds, rngs, slots)
                 ]
                 theta_new, stats = server_round(
                     reports, cfg.lam, cfg.server_tau, cfg.use_lr_cap, cfg.aggregator

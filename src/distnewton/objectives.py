@@ -7,8 +7,10 @@ check), and a small fully-connected softmax classifier reporting mean
 negative log-likelihood.  Every gradient here is checked against central
 finite differences in the test suite; `finite_diff_grad` is the shared
 verification oracle.  Every objective draws its own start with
-`init_theta(rng)` and has `value` and `gradient`; the MLP alone has
-`preactivation_signs`, for the ReLU kink screen.
+`init_theta(rng)` and has `value` and `gradient(theta, batch, *, out)`,
+which writes every entry of the gradient into `out` and returns it, so no
+gradient allocates its result; the MLP alone has `preactivation_signs`,
+for the ReLU kink screen.
 """
 
 from __future__ import annotations
@@ -69,8 +71,8 @@ class QuadraticObjective:
         d = self._diff(theta)
         return float(0.5 * d @ (self.a @ d))
 
-    def gradient(self, theta, batch=None) -> np.ndarray:
-        return self.a @ self._diff(theta)
+    def gradient(self, theta, batch=None, *, out) -> np.ndarray:
+        return np.matmul(self.a, self._diff(theta), out=out)
 
 
 class RosenbrockObjective:
@@ -91,14 +93,13 @@ class RosenbrockObjective:
         b = t[1::2]
         return float(np.sum(100.0 * (b - a**2) ** 2 + (1.0 - a) ** 2))
 
-    def gradient(self, theta, batch=None) -> np.ndarray:
+    def gradient(self, theta, batch=None, *, out) -> np.ndarray:
         t = as_vector(theta, self.dim, "rosenbrock: theta")
         a = t[0::2]
         b = t[1::2]
-        g = np.empty_like(t)
-        g[0::2] = -400.0 * a * (b - a**2) - 2.0 * (1.0 - a)
-        g[1::2] = 200.0 * (b - a**2)
-        return g
+        out[0::2] = -400.0 * a * (b - a**2) - 2.0 * (1.0 - a)
+        out[1::2] = 200.0 * (b - a**2)
+        return out
 
 
 @dataclass(frozen=True)
@@ -189,7 +190,7 @@ class MlpObjective:
         lse = np.log(np.exp(logits, out=logits).sum(axis=0))
         return float(np.mean(lse - picked))
 
-    def gradient(self, theta, batch: Batch) -> np.ndarray:
+    def gradient(self, theta, batch: Batch, *, out) -> np.ndarray:
         layers = self._layers(theta)
         acts, pre = self._forward(layers, batch)
         b = batch.sample_count
@@ -199,8 +200,7 @@ class MlpObjective:
         np.exp(delta, out=delta)
         delta[batch.labels, np.arange(b)] -= 1.0
         delta /= b
-        flat = np.empty(self.dim)
-        for i, (dw, db) in reversed(list(enumerate(self._layers(flat)))):
+        for i, (dw, db) in reversed(list(enumerate(self._layers(out)))):
             np.matmul(delta, acts[i].T, out=dw)
             np.sum(delta, axis=1, out=db)
             if i > 0:
@@ -209,7 +209,7 @@ class MlpObjective:
                     delta *= 1.0 - acts[i] ** 2
                 else:
                     delta *= pre[i - 1] > 0.0
-        return flat
+        return out
 
     def preactivation_signs(self, theta, batch: Batch) -> np.ndarray:
         """Signs of all hidden pre-activations; used to screen finite
@@ -255,7 +255,7 @@ def max_relative_gradient_error(obj, theta, batch=None, coords=None, h: float = 
     """
     theta = as_vector(theta)
     coords = list(range(theta.shape[0])) if coords is None else list(coords)
-    analytic = obj.gradient(theta, batch)[coords]
+    analytic = obj.gradient(theta, batch, out=np.empty_like(theta))[coords]
     numeric = finite_diff_grad(obj, theta, batch, h=h, coords=coords)
     scale = max(float(np.abs(analytic).max(initial=0.0)), float(np.abs(numeric).max(initial=0.0)), 1e-12)
     diff = np.abs(analytic - numeric)

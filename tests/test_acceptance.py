@@ -62,7 +62,7 @@ def _one_step_newton():
     reports = []
     for _ in range(9):
         theta = quad.theta_star + rng.standard_normal(8)
-        reports.append(WorkerReport(theta, quad.gradient(theta)))
+        reports.append(WorkerReport(theta, quad.gradient(theta, out=np.empty(8))))
     means = report_means(reports)
     op = build_operator(center_reports(reports), 1e-6)
     theta_new = newton_update(op, *means, 1.0)
@@ -133,8 +133,9 @@ def _reference_trajectory(cfg):
                 rng = np.random.default_rng([cfg.seed, k, rid])
                 sels = chunks[k][rnd * (s + 1) : (rnd + 1) * (s + 1)]
                 batches = [Batch(dataset.inputs[:, sel], dataset.labels[sel]) for sel in sels]
+                fresh = WorkerReport(np.empty(objective.dim), np.empty(objective.dim))
                 reports.append(
-                    worker_round(theta, objective, batches, s, cfg.local_lr, rng, 0.0)
+                    worker_round(theta, objective, batches, s, cfg.local_lr, rng, 0.0, fresh)
                 )
             theta_bar = sum(r.theta for r in reports) / cfg.m
             g_bar = sum(r.grad for r in reports) / cfg.m

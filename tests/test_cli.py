@@ -470,8 +470,8 @@ def test_grad_check_corrupted_gradient_fails(tmp_path, capsys, monkeypatch):
         def value(self, theta, batch=None):
             return self.inner.value(theta, batch)
 
-        def gradient(self, theta, batch=None):
-            g = self.inner.gradient(theta, batch).copy()
+        def gradient(self, theta, batch=None, *, out):
+            g = self.inner.gradient(theta, batch, out=out)
             g[0] = 2.0 * g[0] + 1.0
             return g
 

@@ -162,9 +162,9 @@ def test_blobs_linearly_separable_enough():
     # accuracy on the (2 features, 2 classes, 200 samples, seed 7) setup
     ds = synthetic_blobs(2, 2, 200, seed=7)
     mlp = MlpObjective(MlpSpec((2, 2), "tanh"))
-    theta = np.zeros(mlp.dim)
+    theta, grad = np.zeros(mlp.dim), np.empty(mlp.dim)
     for _ in range(2000):
-        theta -= 0.5 * mlp.gradient(theta, ds)
+        theta -= 0.5 * mlp.gradient(theta, ds, out=grad)
     layers_w = theta[:4].reshape(2, 2)
     layers_b = theta[4:6]
     logits = layers_w @ ds.inputs + layers_b[:, None]

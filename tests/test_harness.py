@@ -1,5 +1,6 @@
 import importlib
 import itertools
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -77,10 +78,17 @@ def blob_cfg(**kw):
 # ----------------------------------------------------------- worker_round
 
 
+def blank_report(n):
+    """A report to be written: NaN in every entry that a worker leaves unwritten."""
+    return WorkerReport(np.full(n, np.nan), np.full(n, np.nan))
+
+
 def test_worker_round_hand_example():
     quad = QuadraticObjective(np.diag([2.0, 0.5]), [0.0, 0.0])
     rng = np.random.default_rng(0)
-    rep = worker_round([1.0, 1.0], quad, [None, None], 1, 0.1, rng)
+    report = blank_report(2)
+    rep = worker_round([1.0, 1.0], quad, [None, None], 1, 0.1, rng, 0.0, report)
+    assert rep is report  # filled in place, not a new report
     assert np.allclose(rep.theta, [0.8, 0.95])
     assert np.allclose(rep.grad, [1.6, 0.475])
 
@@ -88,15 +96,15 @@ def test_worker_round_hand_example():
 def test_worker_round_zero_learning_rate():
     quad = QuadraticObjective(np.diag([2.0, 0.5]), [0.0, 0.0])
     rng = np.random.default_rng(0)
-    rep = worker_round([1.0, 1.0], quad, [None, None], 1, 0.0, rng)
+    rep = worker_round([1.0, 1.0], quad, [None, None], 1, 0.0, rng, 0.0, blank_report(2))
     assert np.array_equal(rep.theta, [1.0, 1.0])
-    assert np.array_equal(rep.grad, quad.gradient([1.0, 1.0]))
+    assert np.array_equal(rep.grad, quad.gradient([1.0, 1.0], out=np.empty(2)))
 
 
 def test_worker_round_deterministic_given_rng():
     quad = QuadraticObjective.seeded(4, seed=1)
-    r1 = worker_round(np.ones(4), quad, [None, None], 1, 0.1, np.random.default_rng(7), jitter=0.3)
-    r2 = worker_round(np.ones(4), quad, [None, None], 1, 0.1, np.random.default_rng(7), jitter=0.3)
+    r1 = worker_round(np.ones(4), quad, [None, None], 1, 0.1, np.random.default_rng(7), 0.3, blank_report(4))
+    r2 = worker_round(np.ones(4), quad, [None, None], 1, 0.1, np.random.default_rng(7), 0.3, blank_report(4))
     assert np.array_equal(r1.theta, r2.theta)
     assert np.array_equal(r1.grad, r2.grad)
 
@@ -111,9 +119,9 @@ def test_worker_round_takes_each_batch_as_its_step_starts(s):
     class Counting:
         dim = 4
 
-        def gradient(self, theta, batch=None):
+        def gradient(self, theta, batch=None, *, out):
             calls.append(batch)
-            return quad.gradient(theta)
+            return quad.gradient(theta, out=out)
 
     taken = []
 
@@ -123,7 +131,7 @@ def test_worker_round_takes_each_batch_as_its_step_starts(s):
             yield None
 
     it = batches()
-    worker_round(np.ones(4), Counting(), it, s, 0.1, np.random.default_rng(0))
+    worker_round(np.ones(4), Counting(), it, s, 0.1, np.random.default_rng(0), 0.0, blank_report(4))
     assert taken == list(range(s + 1))
     assert len(list(it)) == 1
 
@@ -144,7 +152,8 @@ def test_lazy_batches_report_as_eager_batches(m):
             sels = feed.schedule[first : first + s + 1]
             eager = [Batch(ds.inputs[:, sel], ds.labels[sel]) for sel in sels]
             reports = [
-                worker_round(theta, objective, batches, s, 0.05, np.random.default_rng([k, first]), 0.01)
+                worker_round(theta, objective, batches, s, 0.05, np.random.default_rng([k, first]), 0.01,
+                             blank_report(objective.dim))
                 for batches in (feed, eager)
             ]
             assert reports[0].theta.tobytes() == reports[1].theta.tobytes()
@@ -211,7 +220,7 @@ def test_server_round_sgd_mode_matches_reference(m, aggregator):
 def test_server_round_exact_quadratic_newton():
     quad = QuadraticObjective(np.diag([2.0, 0.5]), [0.0, 0.0])
     thetas = [[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]
-    reports = [WorkerReport(t, quad.gradient(t)) for t in thetas]
+    reports = [WorkerReport(t, quad.gradient(t, out=np.empty(2))) for t in thetas]
     theta, stats = server_round(reports, 1e-6, 1.0, False, "distnewton")
     assert np.allclose(theta, [0.0, 0.0], atol=1e-10)
     assert stats.j == 2
@@ -369,6 +378,22 @@ def test_run_rounds_use_one_shared_snapshot():
     # consecutive rounds chain: next round reads what the server wrote
     for (read_a, new_a), (read_b, _) in zip(snapshots, snapshots[1:]):
         assert np.array_equal(new_a, read_b)
+
+
+@pytest.mark.parametrize("m", [1, 3])
+def test_reports_are_written_into_the_runs_buffers(m):
+    # each round's reports are written where the last round's lay, across the
+    # epoch boundary too; the observer keeps the old ones alive, so a worker
+    # that wrote fresh vectors could not share memory with them
+    cfg = blob_cfg(m=m, epochs=2)
+    kept = []
+    run_experiment(cfg, round_observer=lambda epoch, rnd, theta_read, reports, *_: kept.append((epoch, reports)))
+    assert {epoch for epoch, _ in kept} == {0, 1}
+    for (_, before), (_, after) in zip(kept, kept[1:]):
+        assert len(before) == len(after) == m
+        for old, new in zip(before, after):
+            assert np.shares_memory(old.theta, new.theta)
+            assert np.shares_memory(old.grad, new.grad)
 
 
 def test_run_divergence_is_a_status_not_a_crash():
@@ -539,6 +564,33 @@ def test_epoch_allocates_one_batch_and_one_activation():
     assert peak <= batch + activation + 3 * 2**19
 
 
+def test_round_allocates_no_reports():
+    # an m = 8 round of the mnist_tanh model writes its 2m reports into the
+    # run's buffer, so it allocates theta_new, pass 1's row block and the step
+    # pass's run buffer, not 2m fresh n-vectors (16 x 8n); each epoch's first
+    # round is skipped, as it also holds the full-NLL activation
+    cfg = replace(load_config(PRESETS[0].with_name("mnist_tanh.cfg")), m=8, epochs=2, data_samples=2048)
+    ds = load_dataset(cfg)
+    n = build_objective(cfg).dim
+    excess, live = [], [0]
+
+    def observer(epoch, rnd, *_):
+        current, peak = tracemalloc.get_traced_memory()
+        if rnd > 0:
+            excess.append(peak - live[0])
+        live[0] = current
+        tracemalloc.reset_peak()
+
+    tracemalloc.start()
+    try:
+        hist = run_experiment(cfg, dataset=ds, round_observer=observer)
+    finally:
+        tracemalloc.stop()
+    assert hist.status == STATUS_COMPLETED
+    assert len(excess) == cfg.epochs * (rounds_per_epoch(2048, cfg.global_batch, cfg.local_steps) - 1) > 0
+    assert max(excess) <= 2 * 8 * n
+
+
 def test_run_sgd_average_baseline_completes():
     hist = run_experiment(blob_cfg(aggregator="sgd_average", m=1))
     assert hist.status == STATUS_COMPLETED
@@ -552,7 +604,8 @@ def test_sgd_equivalence_trajectory():
     observed = []
 
     def observer(epoch, rnd, theta_read, reports, theta_new, stats):
-        observed.append((theta_read, [(r.theta, r.grad) for r in reports], theta_new))
+        # the reports are the run's buffers, so keeping them takes copies
+        observed.append((theta_read, [(r.theta.copy(), r.grad.copy()) for r in reports], theta_new))
 
     hist = run_experiment(cfg, round_observer=observer)
     assert hist.status == STATUS_COMPLETED

@@ -40,11 +40,11 @@ OPERATOR = InverseHessianOperator(np.array([2.0]), np.eye(5, 1, order="F"), np.o
 # case -> (entry point, call with one vector of the wrong length, that length, the expected one)
 WRONG_LENGTH_CALLS = {
     "quadratic.value": ("quadratic", lambda: QuadraticObjective.seeded(4).value(np.zeros(3)), 3, 4),
-    "quadratic.gradient": ("quadratic", lambda: QuadraticObjective.seeded(4).gradient(np.zeros(5)), 5, 4),
+    "quadratic.gradient": ("quadratic", lambda: QuadraticObjective.seeded(4).gradient(np.zeros(5), out=np.empty(4)), 5, 4),
     "rosenbrock.value": ("rosenbrock", lambda: RosenbrockObjective(4).value(np.zeros(6)), 6, 4),
-    "rosenbrock.gradient": ("rosenbrock", lambda: RosenbrockObjective(4).gradient(np.zeros(2)), 2, 4),
+    "rosenbrock.gradient": ("rosenbrock", lambda: RosenbrockObjective(4).gradient(np.zeros(2), out=np.empty(4)), 2, 4),
     "mlp.value": ("mlp", lambda: MLP.value(np.zeros(14), MLP_BATCH), 14, 15),
-    "mlp.gradient": ("mlp", lambda: MLP.gradient(np.zeros(16), MLP_BATCH), 16, 15),
+    "mlp.gradient": ("mlp", lambda: MLP.gradient(np.zeros(16), MLP_BATCH, out=np.empty(15)), 16, 15),
     "center_reports.gradient": ("center_reports", lambda: center_reports([WorkerReport(np.zeros(3), np.zeros(2))]), 2, 3),
     "center_reports": ("center_reports", lambda: center_reports([WorkerReport(np.zeros(3), np.zeros(3)),
                                                                  WorkerReport(np.zeros(7), np.zeros(7))]), 7, 3),

@@ -26,14 +26,14 @@ def balanced_batch(rng, features, classes, size):
 
 def test_quadratic_minimum():
     quad = QuadraticObjective(np.diag([2.0, 0.5]), [0.0, 0.0])
-    val, grad = quad.value([0.0, 0.0]), quad.gradient([0.0, 0.0])
+    val, grad = quad.value([0.0, 0.0]), quad.gradient([0.0, 0.0], out=np.empty(2))
     assert val == 0.0
     assert np.array_equal(grad, [0.0, 0.0])
 
 
 def test_quadratic_hand_values():
     quad = QuadraticObjective(np.diag([2.0, 0.5]), [0.0, 0.0])
-    val, grad = quad.value([1.0, 1.0]), quad.gradient([1.0, 1.0])
+    val, grad = quad.value([1.0, 1.0]), quad.gradient([1.0, 1.0], out=np.empty(2))
     assert val == pytest.approx(1.25)
     assert np.allclose(grad, [2.0, 0.5])
 
@@ -45,14 +45,14 @@ def test_quadratic_secant_identity_exact():
     rng = np.random.default_rng(0)
     for _ in range(10):
         ta, tb = rng.standard_normal(6), rng.standard_normal(6)
-        lhs = quad.gradient(ta) - quad.gradient(tb)
+        lhs = quad.gradient(ta, out=np.empty(6)) - quad.gradient(tb, out=np.empty(6))
         rhs = quad.a @ (ta - tb)
         assert np.allclose(lhs, rhs, atol=1e-12 * max(1.0, np.abs(rhs).max()))
 
 
 def test_quadratic_simple_secant_column():
     quad = QuadraticObjective(np.diag([2.0, 0.5]), [0.0, 0.0])
-    diff = quad.gradient([1.0, 0.0]) - quad.gradient([0.0, 0.0])
+    diff = quad.gradient([1.0, 0.0], out=np.empty(2)) - quad.gradient([0.0, 0.0], out=np.empty(2))
     assert np.array_equal(diff, [2.0, 0.0])
 
 
@@ -74,14 +74,14 @@ def test_quadratic_dimension_mismatch():
 
 def test_rosenbrock_global_minimum():
     ros = RosenbrockObjective(6)
-    val, grad = ros.value(np.ones(6)), ros.gradient(np.ones(6))
+    val, grad = ros.value(np.ones(6)), ros.gradient(np.ones(6), out=np.empty(6))
     assert val == 0.0
     assert np.array_equal(grad, np.zeros(6))
 
 
 def test_rosenbrock_origin():
     ros = RosenbrockObjective(2)
-    val, grad = ros.value([0.0, 0.0]), ros.gradient([0.0, 0.0])
+    val, grad = ros.value([0.0, 0.0]), ros.gradient([0.0, 0.0], out=np.empty(2))
     assert val == pytest.approx(1.0)
     assert np.allclose(grad, [-2.0, 0.0])
 
@@ -175,16 +175,17 @@ def test_mlp_init_theta_matches_the_piecewise_oracle(sizes):
 
 @pytest.mark.parametrize("activation", ["tanh", "relu"])
 def test_mlp_gradient_is_written_in_place(activation):
-    # beyond the batch: the flat gradient, the hidden pre-activation and
-    # activation with three backward temporaries of that shape, and the
-    # logits with their exponentials; no per-layer copies of the gradient
+    # beyond the batch and `out`: the hidden pre-activation and activation
+    # with three backward temporaries of that shape, and the logits with
+    # their exponentials; neither the flat gradient nor per-layer copies
     features, hidden, classes, b = 784, 32, 10, 256
     mlp = MlpObjective(MlpSpec((features, hidden, classes), activation))
     rng = np.random.default_rng(22)
     theta = mlp.init_theta(rng)
     batch = Batch(np.asfortranarray(rng.uniform(0.0, 1.0, size=(features, b))), np.arange(b) % classes)
-    _, peak = traced_peak(lambda: mlp.gradient(theta, batch))
-    assert peak <= 8 * (mlp.dim + 5 * hidden * b + 2 * classes * b)
+    out = np.empty(mlp.dim)
+    _, peak = traced_peak(lambda: mlp.gradient(theta, batch, out=out))
+    assert peak <= 8 * (5 * hidden * b + 2 * classes * b)
 
 
 def test_mlp_deterministic():
@@ -192,11 +193,33 @@ def test_mlp_deterministic():
     mlp = MlpObjective(MlpSpec((10, 8, 4), "tanh"))
     theta = mlp.init_theta(rng)
     batch = balanced_batch(rng, 10, 4, 12)
-    v1, g1 = mlp.value(theta, batch), mlp.gradient(theta, batch)
+    v1, g1 = mlp.value(theta, batch), mlp.gradient(theta, batch, out=np.empty(mlp.dim))
     copy = Batch(batch.inputs.copy(), batch.labels.copy())
-    v2, g2 = mlp.value(theta.copy(), copy), mlp.gradient(theta.copy(), copy)
+    v2, g2 = mlp.value(theta.copy(), copy), mlp.gradient(theta.copy(), copy, out=np.empty(mlp.dim))
     assert v1 == v2
     assert np.array_equal(g1, g2)
+
+
+@pytest.mark.parametrize("name", ["quadratic", "rosenbrock", "tanh", "relu"])
+def test_gradient_writes_every_entry_into_out(name):
+    # the protocol: gradient(theta, batch, out=buf) returns buf itself, and
+    # its bytes do not depend on what buf held, so every entry is written
+    # and none is accumulated
+    rng = np.random.default_rng(23)
+    objective, batch = {
+        "quadratic": (QuadraticObjective.seeded(6, seed=3), None),
+        "rosenbrock": (RosenbrockObjective(6), None),
+        "tanh": (MlpObjective(MlpSpec((10, 8, 4), "tanh")), balanced_batch(rng, 10, 4, 12)),
+        "relu": (MlpObjective(MlpSpec((10, 8, 4), "relu")), balanced_batch(rng, 10, 4, 12)),
+    }[name]
+    theta = objective.init_theta(rng)
+    written = []
+    for fill in (np.nan, 0.0):
+        buf = np.full(objective.dim, fill)
+        assert objective.gradient(theta, batch, out=buf) is buf
+        written.append(buf.tobytes())
+    assert written[0] == written[1]
+    assert np.isfinite(buf).all()
 
 
 def test_mlp_nll_nonnegative():
@@ -246,7 +269,7 @@ def test_finite_diff_matches_quadratic_analytic():
     rng = np.random.default_rng(12)
     theta = rng.standard_normal(5)
     fd = finite_diff_grad(quad, theta, h=1e-5)
-    assert np.allclose(fd, quad.gradient(theta), atol=1e-8)
+    assert np.allclose(fd, quad.gradient(theta, out=np.empty(5)), atol=1e-8)
 
 
 def test_finite_diff_rosenbrock_origin():
@@ -263,5 +286,5 @@ def test_finite_diff_coordinate_subset():
     quad = QuadraticObjective.seeded(6, seed=13)
     theta = np.ones(6)
     fd = finite_diff_grad(quad, theta, h=1e-5, coords=[1, 4])
-    full = quad.gradient(theta)
+    full = quad.gradient(theta, out=np.empty(6))
     assert np.allclose(fd, full[[1, 4]], atol=1e-8)
