@@ -251,8 +251,9 @@ def build_parser() -> argparse.ArgumentParser:
     for name, fn in (("run", cmd_run), ("sweep", cmd_sweep), ("grad-check", cmd_grad_check)):
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="path to a flat key=value config file")
-        p.add_argument("--out", default=os.environ.get(OUTPUT_DIR_ENV, "out"),
-                       help=f"output directory (default: ${OUTPUT_DIR_ENV} or ./out)")
+        if name != "grad-check":
+            p.add_argument("--out", default=os.environ.get(OUTPUT_DIR_ENV, "out"),
+                           help=f"output directory (default: ${OUTPUT_DIR_ENV} or ./out)")
         p.add_argument("--seed", type=int, default=None, help="override harness.seed")
         p.set_defaults(func=fn)
     sub.choices["sweep"].add_argument(

@@ -61,7 +61,10 @@ class ExperimentConfig:
     aggregator: str = setting("harness.aggregator", "distnewton", choices=AGGREGATORS)
     worker_jitter: float = setting("harness.jitter", 0.0, ge=0)
     lam: float = setting("operator.lambda", DEFAULT_LAMBDA, gt=0)
-    use_lr_cap: bool = setting("operator.lr_cap", False)
+
+    # not a setting: perfbench's traced run passes it on to server_round,
+    # which takes only False
+    use_lr_cap = False
 
     def validate(self):
         for f in fields(self):
@@ -84,22 +87,11 @@ class ExperimentConfig:
         return self
 
 
-def _parse_bool(text: str) -> bool:
-    low = text.strip().lower()
-    if low in ("true", "1", "yes", "on"):
-        return True
-    if low in ("false", "0", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {text!r}")
-
-
-# type of a field's default -> (parser, serializer); looked up by exact
-# type, because bool is a subclass of int
+# type of a field's default -> (parser, serializer)
 _CODECS = {
     str: (str, str),
     int: (int, str),
     float: (float, repr),
-    bool: (_parse_bool, lambda v: str(v).lower()),
     tuple: (lambda text: tuple(map(int, text.split(","))), lambda v: ",".join(map(str, v))),
 }
 

@@ -32,7 +32,6 @@ from .operator import (
     center_reports,
     combine,
     difference_spectrum,
-    lr_cap,
     step_coefficients,
 )
 
@@ -154,14 +153,15 @@ def server_round(reports, lam, tau, use_lr_cap, aggregator):
     Both servers write theta_new = theta_0 + [E | g_0 | D] c with `combine`,
     in one pass over the reports of `center_reports`, and differ only in
     c.  distnewton sums the Gram matrix of the gradient differences in one
-    more pass (`difference_spectrum`), optionally caps tau at 1/sigma_max,
-    and takes the quasi-Newton c from `step_coefficients`.  sgd_average,
+    more pass (`difference_spectrum`) and takes the quasi-Newton c from
+    `step_coefficients`, stepping with tau on every round.  sgd_average,
     the baseline, averages parameters with c = [cbar, 0, 0], cbar = 1/m,
-    and never steps with tau.  Any other aggregator, or a tau that is not
-    finite and positive, raises ValueError.  Nothing of size n is written
-    but theta_new; beyond it, pass 1 allocates one row block of m columns
-    and `combine` one difference run of RUN_ROWS rows, each freed with its
-    pass.  The passes are the one finiteness check of the reports
+    and never steps with tau.  Any other aggregator, a tau that is not
+    finite and positive, or a true fourth argument (the step-length cap
+    is gone; the parameter stays for callers that pass False) raises
+    ValueError.  Nothing of size n is written but theta_new; beyond it,
+    pass 1 allocates one row block of m columns and `combine` one
+    difference run of RUN_ROWS rows, each freed with its pass.  The passes are the one finiteness check of the reports
     (`center_reports` checks lengths): NonFiniteReportError names a
     non-finite report, NonFiniteInputError an overflow of finite ones.
     """
@@ -169,15 +169,16 @@ def server_round(reports, lam, tau, use_lr_cap, aggregator):
         raise ValueError(f"server_round: unknown aggregator {aggregator!r}, expected one of {AGGREGATORS}")
     if not 0.0 < tau < np.inf:
         raise ValueError(f"server_round: tau must be finite and positive, got {tau!r}")
+    if use_lr_cap:
+        raise ValueError("server_round: use_lr_cap must be False; the step-length cap was removed")
     rows = center_reports(reports)
     m = len(rows[0])
     if aggregator == "sgd_average":
         coef = np.concatenate([np.full(m - 1, 1.0 / m), np.zeros(m)])
         return combine(rows, coef), RoundStats(np.empty(0), 0, tau)
     spec = difference_spectrum(rows, lam)
-    tau_used = lr_cap(tau, float(np.max(spec.sigma, initial=0.0))) if use_lr_cap else tau
-    coef = step_coefficients(spec, m, tau_used)
-    return combine(rows, coef), RoundStats(spec.sigma, spec.retained, tau_used)
+    coef = step_coefficients(spec, m, tau)
+    return combine(rows, coef), RoundStats(spec.sigma, spec.retained, tau)
 
 
 def build_objective(cfg: ExperimentConfig):
@@ -291,9 +292,7 @@ def run_experiment(cfg: ExperimentConfig, dataset=None, threads=1, round_observe
                     worker_round(theta, objective, feed, s, cfg.local_lr, rng, cfg.worker_jitter, slot)
                     for feed, rng, slot in zip(feeds, rngs, slots)
                 ]
-                theta_new, stats = server_round(
-                    reports, cfg.lam, cfg.server_tau, cfg.use_lr_cap, cfg.aggregator
-                )
+                theta_new, stats = server_round(reports, cfg.lam, cfg.server_tau, False, cfg.aggregator)
             except NonFiniteInputError as exc:
                 done, stopped = rnd, f"epoch {epoch} round {rnd}: {exc}"
                 break

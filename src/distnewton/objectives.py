@@ -106,8 +106,8 @@ class RosenbrockObjective:
 class MlpSpec:
     """Architecture of the softmax classifier: layer sizes and activation."""
 
-    layer_sizes: tuple = (784, 32, 10)
-    activation: str = "tanh"
+    layer_sizes: tuple
+    activation: str
 
     def __post_init__(self):
         if len(self.layer_sizes) < 2:

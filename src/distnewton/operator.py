@@ -19,12 +19,13 @@ the coordinates of D.  The step is then
 
     theta_new = theta_bar - tau * (g_bar + (E - D) W Sigma^-2 W^T D^T g_bar),
 
-with theta_bar = theta_0 + E/m 1 and g_bar = g_0 + D/m 1, and D^T g_bar
-comes from the same Gram product as D^T D.  Expanded, it combines the
-stored pairs, the compact form of Byrd, Nocedal & Schnabel (1994):
-theta_new = theta_0 + [E | g_0 | D] c with c = [cbar - tau a, -tau,
-tau (a - cbar)], cbar = 1/m and a = W Sigma^-2 W^T D^T g_bar, for every j
-(j = 0 is a = 0).  Averaging is c = [cbar, 0, 0].  So a step is
+with theta_bar = theta_0 + E/m 1, g_bar = g_0 + D/m 1 and tau the step
+length the caller gives (`harness.tau`), taken as it is on every round;
+D^T g_bar comes from the same Gram product as D^T D.  Expanded, it
+combines the stored pairs, the compact form of Byrd, Nocedal & Schnabel
+(1994): theta_new = theta_0 + [E | g_0 | D] c with c = [cbar - tau a,
+-tau, tau (a - cbar)], cbar = 1/m and a = W Sigma^-2 W^T D^T g_bar, for
+every j (j = 0 is a = 0).  Averaging is c = [cbar, 0, 0].  So a step is
 `step_coefficients`, which picks c from the round's m-sized spectrum, and
 `combine`, the one loop that writes theta_new from the n-sized reports.
 Reports reach the server by one path: `center_reports` length-checks
@@ -271,14 +272,3 @@ def newton_update(op: InverseHessianOperator, theta_bar, g_bar, tau: float) -> n
     theta_bar = as_vector(theta_bar)
     g_bar = as_vector(g_bar, theta_bar.shape[0], "newton_update: g_bar")
     return theta_bar - tau * apply(op, g_bar)
-
-
-def lr_cap(tau: float, sigma_max: float) -> float:
-    """min(tau, 1/sigma_max), or tau when sigma_max = 0.  sigma_max grows
-    with the spread of the reports (with jitter, 1/sigma_max scales with
-    1/jitter), so the cap is no curvature estimate.  Opt-in: callers
-    decide whether to apply it.
-    """
-    if sigma_max > 0.0:
-        return min(tau, 1.0 / sigma_max)
-    return tau

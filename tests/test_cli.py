@@ -54,6 +54,12 @@ def write_cfg(tmp_path, text, name="run.cfg"):
     return path
 
 
+def argv(command, cfg, tmp_path):
+    """`command` on `cfg`, writing under tmp_path/o if the command writes."""
+    out = [] if command == "grad-check" else ["--out", str(tmp_path / "o")]
+    return [command, "--config", str(cfg), *out]
+
+
 def with_setting(text, key, value):
     """text with any line that sets `key` dropped and `key = value` appended:
     a config may set a key only once."""
@@ -100,8 +106,9 @@ def test_run_rejects_zero_workers(tmp_path, capsys):
 
 
 def test_run_rejects_unknown_key(tmp_path, capsys):
-    # data.kind was removed: the IDX paths alone choose the data source
-    for key in ("harness.bogus", "data.kind"):
+    # data.kind was removed: the IDX paths alone choose the data source;
+    # operator.lr_cap was removed: every round steps with harness.tau
+    for key in ("harness.bogus", "data.kind", "operator.lr_cap"):
         cfg = write_cfg(tmp_path, f"{key} = 3\n")
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
         err = capsys.readouterr().err
@@ -113,7 +120,7 @@ def test_run_rejects_unknown_key(tmp_path, capsys):
 def test_one_idx_path_exits_config_naming_the_other(tmp_path, capsys, key, missing):
     cfg = write_cfg(tmp_path, BLOB_CFG + f"{key} = {tmp_path / 'file.idx'}\n")
     for command in ("run", "sweep", "grad-check"):
-        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert main(argv(command, cfg, tmp_path)) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {missing}: ")
         assert "Traceback" not in err
@@ -142,7 +149,7 @@ def test_feature_mismatch_exits_config_naming_layers(tmp_path, capsys):
     for image_bytes, label_bytes, layers in mismatches:
         cfg = idx_cfg(tmp_path, image_bytes, label_bytes, layers)
         for command in ("run", "sweep", "grad-check"):
-            assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+            assert main(argv(command, cfg, tmp_path)) == EXIT_CONFIG
             err = capsys.readouterr().err
             assert "objective.layers" in err
             assert "Traceback" not in err
@@ -200,8 +207,7 @@ def test_unreadable_data_path_exits_config_naming_key(tmp_path, capsys, key):
     for bad in (tmp_path / "dir", tmp_path / "missing.idx", tmp_path / "images.idx" / "idx"):
         write_cfg(tmp_path, with_setting(cfg.read_text(), key, bad), name="bad.cfg")
         for command in ("run", "grad-check"):
-            code = main([command, "--config", str(tmp_path / "bad.cfg"), "--out", str(tmp_path / "o")])
-            assert code == EXIT_CONFIG
+            assert main(argv(command, tmp_path / "bad.cfg", tmp_path)) == EXIT_CONFIG
             err = capsys.readouterr().err
             assert err.startswith(f"config error: {key}: ")
             assert "Traceback" not in err
@@ -316,6 +322,8 @@ def test_usage_errors_exit_config(tmp_path, capsys):
     cfg = write_cfg(tmp_path, QUADRATIC_CFG)
     assert main(["run", "--out", str(tmp_path / "o")]) == EXIT_CONFIG
     assert main(["run", "--config", str(cfg), "--threads", "2"]) == EXIT_CONFIG
+    # grad-check writes nothing, so it takes no output directory
+    assert main(["grad-check", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
     assert main(["run", "--help"]) == EXIT_OK
     assert "--config" in capsys.readouterr().out
 
@@ -442,18 +450,18 @@ def test_sweep_checks_every_cell_before_any_runs(tmp_path, capsys, monkeypatch, 
 
 def test_grad_check_quadratic_passes(tmp_path, capsys):
     cfg = write_cfg(tmp_path, QUADRATIC_CFG)
-    assert main(["grad-check", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_OK
+    assert main(["grad-check", "--config", str(cfg)]) == EXIT_OK
     assert "max relative gradient error" in capsys.readouterr().out
 
 
 def test_grad_check_tanh_mlp_passes(tmp_path):
     cfg = write_cfg(tmp_path, BLOB_CFG)
-    assert main(["grad-check", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_OK
+    assert main(["grad-check", "--config", str(cfg)]) == EXIT_OK
 
 
 def test_grad_check_relu_mlp_passes(tmp_path):
     cfg = write_cfg(tmp_path, BLOB_CFG.replace("tanh", "relu"))
-    assert main(["grad-check", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_OK
+    assert main(["grad-check", "--config", str(cfg)]) == EXIT_OK
 
 
 def test_grad_check_corrupted_gradient_fails(tmp_path, capsys, monkeypatch):
@@ -477,7 +485,7 @@ def test_grad_check_corrupted_gradient_fails(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(distnewton.cli, "build_objective", lambda cfg: CorruptedGradient(build_objective(cfg)))
     cfg = write_cfg(tmp_path, QUADRATIC_CFG)
-    code = main(["grad-check", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    code = main(["grad-check", "--config", str(cfg)])
     assert code != EXIT_OK
     assert "FAILED" in capsys.readouterr().err
 
@@ -509,7 +517,6 @@ harness.seed = 4
 harness.aggregator = sgd_average
 harness.jitter = 1e-3
 operator.lambda = 0.2
-operator.lr_cap = true
 """
 
 
@@ -530,7 +537,6 @@ def test_every_key_config_sets_every_field():
     assert [f.name for f in fields(cfg) if getattr(cfg, f.name) == f.default] == []
     assert cfg.local_lr == 0.1 + 0.2
     assert "harness.local_lr = 0.30000000000000004" in emit_config(cfg)
-    assert "operator.lr_cap = true" in emit_config(cfg)
     assert "objective.layers = 5,7,3" in emit_config(cfg)
 
 

@@ -17,7 +17,6 @@ from distnewton.operator import (
     center_reports,
     combine,
     difference_spectrum,
-    lr_cap,
     newton_update,
     step_coefficients,
 )
@@ -435,6 +434,17 @@ def test_bad_tau_rejected_before_any_pass(monkeypatch, aggregator, tau):
     assert passes == []
 
 
+@pytest.mark.parametrize("aggregator", ["distnewton", "sgd_average"])
+def test_lr_cap_rejected_before_any_pass(monkeypatch, aggregator):
+    # the step-length cap is gone: a true fourth argument must not step with tau
+    passes = []
+    monkeypatch.setattr(harness, "difference_spectrum", lambda *args: passes.append("spectrum"))
+    monkeypatch.setattr(harness, "combine", lambda *args: passes.append("combine"))
+    with pytest.raises(ValueError, match="use_lr_cap must be False"):
+        server_round([WorkerReport(np.ones(4), np.ones(4))] * 3, 0.1, 0.5, True, aggregator)
+    assert passes == []
+
+
 # ----------------------------------------------------------------- apply
 
 
@@ -705,21 +715,6 @@ def test_newton_update_matches_direct_solve_oracle():
         got = newton_update(op, theta_bar, g_bar, 1.0)
         want = newton_step_oracle(quad.a, theta_bar, g_bar)
         assert np.linalg.norm(got - want) <= 1e-8 * (np.linalg.norm(want) + 1.0)
-
-
-# ---------------------------------------------------------------- lr_cap
-
-
-def test_lr_cap_inactive():
-    assert lr_cap(0.01, 50.0) == 0.01
-
-
-def test_lr_cap_active():
-    assert lr_cap(1.0, 50.0) == pytest.approx(0.02)
-
-
-def test_lr_cap_degenerate_sigma():
-    assert lr_cap(0.7, 0.0) == 0.7
 
 
 # ------------------------------------------------------------ invariants
