@@ -124,22 +124,24 @@ def _load_and_override(args) -> ExperimentConfig:
         raise ConfigError("--config", f"cannot read {args.config}: {exc}") from None
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
-    cfg.validate()
     return cfg
 
 
-def _run_cells(cells, base: ExperimentConfig, out_dir: Path) -> int:
-    """Run every config in `cells` on one dataset, write their outputs and
-    summary, and return the exit code.  A config error ends the command,
-    and every cell is checked before any runs or `out_dir` is made; any
-    other failure is printed with its traceback and marks its cell failed,
-    and the other cells still run."""
-    # one dataset for every cell, checked against the model at m = 1 first
+def _run_cells(base: ExperimentConfig, overrides, out_dir: Path) -> int:
+    """Run one cell per dict in `overrides`, each `base` with those keys
+    replaced, on one dataset, write their outputs and summary, and return
+    the exit code.  A config error ends the command, and every cell is
+    built and checked before any runs or `out_dir` is made; any other
+    failure is printed with its traceback and marks its cell failed, and
+    the other cells still run."""
+    # one dataset for every cell, checked against the model at m = 1 first,
+    # so a dataset that does not fit the model is named before any cell's keys
     dataset = load_dataset(replace(base, m=1))
-    for cfg in cells:
-        cfg.validate()
+    cells = []
+    for override in overrides:
+        cells.append(replace(base, **override))
         if dataset is not None:
-            check_dataset(cfg, dataset)
+            check_dataset(cells[-1], dataset)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:  # a regular file, under one, or not writable
@@ -166,8 +168,7 @@ def _run_cells(cells, base: ExperimentConfig, out_dir: Path) -> int:
 
 
 def cmd_run(args) -> int:
-    cfg = _load_and_override(args)
-    return _run_cells([cfg], cfg, Path(args.out))
+    return _run_cells(_load_and_override(args), [{}], Path(args.out))
 
 
 def cmd_sweep(args) -> int:
@@ -180,9 +181,9 @@ def cmd_sweep(args) -> int:
         raise ConfigError("workers", "worker counts must be >= 1")
     if len(set(workers)) < len(workers):
         raise ConfigError("workers", f"worker count {max(workers, key=workers.count)} is repeated")
-    cells = [replace(base, m=w, aggregator="distnewton") for w in workers]
-    cells.append(replace(base, m=1, aggregator="sgd_average"))
-    return _run_cells(cells, base, Path(args.out))
+    overrides = [{"m": w, "aggregator": "distnewton"} for w in workers]
+    overrides.append({"m": 1, "aggregator": "sgd_average"})
+    return _run_cells(base, overrides, Path(args.out))
 
 
 def _grad_check_points(cfg: ExperimentConfig, inner, dataset, count=10):

@@ -6,6 +6,11 @@ key at most once, blank lines and `#` comments ignored.  `emit_config`
 writes the fully-resolved form back out (defaults materialized), and
 parsing that output recovers the same config, which is how runs echo
 their exact settings.
+
+`ExperimentConfig` is frozen and checks itself when it is built: every
+construction, parse and `dataclasses.replace` raises ConfigError naming
+the first key that breaks its rule or a rule across keys, so no config
+that breaks one exists.
 """
 
 from __future__ import annotations
@@ -37,7 +42,7 @@ def setting(key: str, default, **rules):
     return field(default=default, metadata={"key": key, "rules": rules})
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
     objective_kind: str = setting("objective.kind", "mlp", choices=OBJECTIVES)
     mlp_layers: tuple = setting("objective.layers", (784, 32, 10))
@@ -66,7 +71,7 @@ class ExperimentConfig:
     # which takes only False
     use_lr_cap = False
 
-    def validate(self):
+    def __post_init__(self):
         for f in fields(self):
             key, value = f.metadata["key"], getattr(self, f.name)
             if type(f.default) is float and not math.isfinite(value):
@@ -84,7 +89,6 @@ class ExperimentConfig:
             raise ConfigError(missing, "set both IDX paths or neither")
         if self.global_batch < self.m:
             raise ConfigError("harness.global_batch", "must be >= harness.m")
-        return self
 
 
 # type of a field's default -> (parser, serializer)
@@ -122,9 +126,7 @@ def parse_config_text(text: str) -> ExperimentConfig:
             values[f.name] = parse(val)
         except (ValueError, TypeError) as exc:
             raise ConfigError(key, f"bad value {val!r} ({exc})") from None
-    cfg = ExperimentConfig(**values)
-    cfg.validate()
-    return cfg
+    return ExperimentConfig(**values)
 
 
 def load_config(path) -> ExperimentConfig:

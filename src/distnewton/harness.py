@@ -211,7 +211,7 @@ def load_dataset(cfg: ExperimentConfig) -> Batch | None:
     are set, and are otherwise synthetic, shaped by the model's layers."""
     if cfg.objective_kind != "mlp":
         return None
-    if cfg.data_images:  # validate() holds the two paths to both or neither
+    if cfg.data_images:  # a config holds the two paths to both or neither
         try:
             ds = load_idx(cfg.data_images, cfg.data_labels, cfg.data_samples)
         except (IdxFormatError, OSError) as exc:  # malformed, missing, a directory, unreadable
@@ -253,9 +253,9 @@ def run_experiment(cfg: ExperimentConfig, dataset=None, threads=1, round_observe
     are views of that array, valid until the next round overwrites them, so
     an observer that keeps them across rounds copies them.  `threads` is
     accepted for compatibility and has no effect: workers always run
-    serially, in order.
+    serially, in order.  `cfg` checked its keys when it was built; only
+    the dataset is checked here, against the model and `cfg.m`.
     """
-    cfg.validate()
     objective = build_objective(cfg)
     if dataset is None or cfg.objective_kind != "mlp":
         dataset = load_dataset(cfg)  # None unless the objective reads samples

@@ -95,11 +95,11 @@ def _sgd_equivalence_cfg():
     )
 
 
-def _distnewton_trajectory(threads=1):
+def _distnewton_trajectory():
     cfg = _sgd_equivalence_cfg()
     trace = []
     run_experiment(
-        cfg, threads=threads,
+        cfg,
         round_observer=lambda e, r, old, reps, new, st: trace.append(new),
     )
     return cfg, trace
@@ -351,15 +351,12 @@ def _comparison_cfg(m, aggregator, seed, lam):
     )
 
 
-def _comparison_matrix(dataset, lam, seeds=(0, 1, 2, 3, 4), threads=1):
+def _comparison_matrix(dataset, lam, seeds=(0, 1, 2, 3, 4)):
     finals = {}
     for seed in seeds:
-        b = run_experiment(_comparison_cfg(1, "sgd_average", seed, lam), dataset=dataset,
-                           threads=threads)
-        f4 = run_experiment(_comparison_cfg(4, "distnewton", seed, lam), dataset=dataset,
-                            threads=threads)
-        f8 = run_experiment(_comparison_cfg(8, "distnewton", seed, lam), dataset=dataset,
-                            threads=threads)
+        b = run_experiment(_comparison_cfg(1, "sgd_average", seed, lam), dataset=dataset)
+        f4 = run_experiment(_comparison_cfg(4, "distnewton", seed, lam), dataset=dataset)
+        f8 = run_experiment(_comparison_cfg(8, "distnewton", seed, lam), dataset=dataset)
         assert all(h.status == STATUS_COMPLETED for h in (b, f4, f8))
         finals[seed] = (f8.final_nll, f4.final_nll, b.final_nll)
     return finals
@@ -470,9 +467,9 @@ def test_criterion_9_determinism(tmp_path):
     _, _, t2 = _one_step_newton()
     assert np.array_equal(t1, t2)
 
-    # criterion 2 trajectories across thread counts
-    _, tr1 = _distnewton_trajectory(threads=1)
-    _, tr2 = _distnewton_trajectory(threads=2)
+    # criterion 2 trajectories, twice
+    _, tr1 = _distnewton_trajectory()
+    _, tr2 = _distnewton_trajectory()
     assert len(tr1) == len(tr2)
     for a, b in zip(tr1, tr2):
         assert np.array_equal(a, b)
@@ -495,12 +492,10 @@ def test_criterion_9_determinism(tmp_path):
     _, _, out2, _, _, _ = _space_claim_round()
     assert np.array_equal(out1, out2)
 
-    # criterion 7: one cell, threads 1 vs 2, record-level bit identity
+    # criterion 7: one cell, twice, record-level bit identity
     dataset, _ = _comparison_dataset()
-    h1 = run_experiment(_comparison_cfg(8, "distnewton", 0, DEFAULT_LAMBDA),
-                        dataset=dataset, threads=1)
-    h2 = run_experiment(_comparison_cfg(8, "distnewton", 0, DEFAULT_LAMBDA),
-                        dataset=dataset, threads=2)
+    h1 = run_experiment(_comparison_cfg(8, "distnewton", 0, DEFAULT_LAMBDA), dataset=dataset)
+    h2 = run_experiment(_comparison_cfg(8, "distnewton", 0, DEFAULT_LAMBDA), dataset=dataset)
     assert [r.train_nll for r in h1.records] == [r.train_nll for r in h2.records]
     assert [r.sigma_max for r in h1.records] == [r.sigma_max for r in h2.records]
     assert [r.retained_j for r in h1.records] == [r.retained_j for r in h2.records]
@@ -511,4 +506,4 @@ def test_criterion_9_determinism(tmp_path):
     assert _strip_wall(csv1) == _strip_wall(csv2)
 
     elapsed = time.perf_counter() - tic
-    report(9, "determinism", "criteria 1-8 workloads bit-identical across reruns/threads", elapsed)
+    report(9, "determinism", "criteria 1-8 workloads bit-identical across reruns", elapsed)

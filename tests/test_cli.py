@@ -558,7 +558,7 @@ def test_non_finite_setting_exits_config_naming_key(tmp_path, capsys, key, value
     # a config built in code is held to the same rule
     name = next(f.name for f in fields(ExperimentConfig) if f.metadata["key"] == key)
     with pytest.raises(ConfigError) as exc:
-        ExperimentConfig(**{name: float(value)}).validate()
+        ExperimentConfig(**{name: float(value)})
     assert exc.value.field == key
 
 
@@ -647,3 +647,48 @@ def test_config_rejects_garbage_line():
 
     with pytest.raises(ConfigError):
         parse_config_text("this is not a config\n")
+
+
+@pytest.mark.parametrize(
+    "changes,key",
+    [({"m": 0}, "harness.m"), ({"m": 2, "global_batch": 1}, "harness.global_batch"),
+     ({"local_lr": float("nan")}, "harness.local_lr")],
+    ids=["per-key", "cross-key", "non-finite"],
+)
+def test_replace_raises_config_error_naming_key(changes, key):
+    # a replaced config is checked as a parsed one is, so none that a run
+    # would reject can be written out with emit_config
+    from distnewton.config import ExperimentConfig
+    from distnewton.errors import ConfigError
+
+    with pytest.raises(ConfigError) as exc:
+        replace(ExperimentConfig(), **changes)
+    assert exc.value.field == key
+
+
+def test_config_is_frozen():
+    import dataclasses
+
+    cfg = parse_config_text(QUADRATIC_CFG)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.m = 3
+    assert cfg.m == 7
+
+
+def test_readme_config_table_names_every_key_with_its_default():
+    # a key added to config.py without its README row, or a default changed
+    # in one place only, fails here; the two IDX paths share one row
+    import re
+
+    from distnewton.config import ExperimentConfig
+
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Config format\n", 1)[1].split("\n## ", 1)[0]
+    documented = {}
+    for row in section.splitlines():
+        if row.startswith("| `"):
+            keys, default = row.split("|")[1:3]
+            for key in re.findall(r"`([^`]+)`", keys):
+                documented[key] = default.strip().strip("`")
+    emitted = dict(line.split(" = ") for line in emit_config(ExperimentConfig()).splitlines())
+    assert documented == {key: value or "empty" for key, value in emitted.items()}

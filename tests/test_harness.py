@@ -239,7 +239,7 @@ def test_server_round_average_rejects_mismatched_lengths():
 
 
 def test_server_round_rejects_unknown_aggregator():
-    # direct callers skip ExperimentConfig.validate: a typo must not run distnewton
+    # server_round takes no config, so it checks the name: a typo must not run distnewton
     reports = [WorkerReport(np.ones(3), np.ones(3)), WorkerReport(np.zeros(3), np.ones(3))]
     with pytest.raises(ValueError, match="unknown aggregator 'sgd'"):
         server_round(reports, 0.1, 0.1, False, "sgd")
@@ -336,6 +336,8 @@ def test_run_deterministic_bitwise():
 
 
 def test_run_thread_count_does_not_change_results():
+    # the one test of the threads= argument, which the benchmark's traced
+    # run passes; workers always run serially, so it must change nothing
     cfg = blob_cfg()
     h1 = run_experiment(cfg, threads=1)
     h4 = run_experiment(cfg, threads=4)
