@@ -20,9 +20,13 @@ spends beyond reading its inputs.  `pass1 ms` and `step ms` split the
 round: over ROUNDS more redraws, `pass1 ms` is the median time of
 `difference_spectrum` on the round's `center_reports` (the Gram pass and
 the eigensolve), and `step ms` that of `step_coefficients` plus `combine`
-right after it on the same reports (the step pass).  A header line gives
-the numpy version, the BLAS numpy was built against and the usable core
-count.  It times this checkout's `src`, not an installed copy.
+right after it on the same reports (the step pass).  `gram ms` is pass
+1's flop floor: the median time of one X^T X over the m gradients,
+stacked once, outside the timer, into one n x m Fortran-order matrix X;
+`pass1 GFLOP/s` is the 2 n m^2 flops of pass 1's Gram over `pass1 ms`.
+A header line gives the numpy version, the BLAS numpy was built against
+and the usable core count.  It times this checkout's `src`, not an
+installed copy.
 
 Usage: python scripts/server_round_sizes.py
 """
@@ -50,7 +54,7 @@ from distnewton.operator import (  # noqa: E402
     step_coefficients,
 )
 
-SIZES = [(100_000, 4), (100_000, 64), (300_000, 16), (1_000_000, 4), (1_000_000, 16)]
+SIZES = [(100_000, 4), (100_000, 64), (300_000, 16), (300_000, 32), (300_000, 64), (1_000_000, 4), (1_000_000, 16)]
 ROUNDS = 15
 LAMBDA, TAU = 0.1, 0.01
 
@@ -90,6 +94,13 @@ def time_size(n: int, m: int) -> dict:
         combine(rows, step_coefficients(spec, m, TAU))
         step_times.append(time.perf_counter() - t1)
         pass1_times.append(t1 - t0)
+    stacked = np.asfortranarray(np.column_stack([rep.grad for rep in reports]))
+    gram_times = []
+    for _ in range(ROUNDS):
+        t0 = time.perf_counter()
+        stacked.T @ stacked
+        gram_times.append(time.perf_counter() - t0)
+    del stacked
     redraw()  # one more round, untimed, for its allocation
     tracemalloc.start()
     server_round(reports, LAMBDA, TAU, False, "distnewton")
@@ -104,6 +115,8 @@ def time_size(n: int, m: int) -> dict:
         "read_ms": 1e3 * statistics.median(read_times),
         "pass1_ms": 1e3 * statistics.median(pass1_times),
         "step_ms": 1e3 * statistics.median(step_times),
+        "gram_ms": 1e3 * statistics.median(gram_times),
+        "pass1_gflops": 2 * n * m**2 / statistics.median(pass1_times) / 1e9,
     }
 
 
@@ -124,11 +137,13 @@ def main(argv) -> int:
         f"{len(os.sched_getaffinity(0))} cores; warm p50 over {ROUNDS} rounds; "
         "read MB is computed from the report shapes, GB/s is read MB over the warm p50, "
         "read ms is the measured median time to read those bytes once, "
-        "pass1 ms and step ms the medians of the round's two passes"
+        "pass1 ms and step ms the medians of the round's two passes, gram ms that of one X^T X "
+        "over the stacked gradients, pass1 GFLOP/s is 2 n m^2 over pass1 ms"
     )
     print(
         f"{'n':>9} {'m':>3} {'j':>3} {'cold ms':>9} {'warm p50 ms':>12} {'peak/8n':>8}"
         f" {'read MB':>8} {'GB/s':>6} {'read ms':>8} {'pass1 ms':>9} {'step ms':>8}"
+        f" {'gram ms':>8} {'pass1 GFLOP/s':>14}"
     )
     for n, m in SIZES:
         out = subprocess.run(
@@ -138,7 +153,7 @@ def main(argv) -> int:
         print(
             f"{n:>9} {m:>3} {r['j']:>3} {r['cold_ms']:>9.1f} {r['warm_p50_ms']:>12.1f} {r['peak_alloc_8n']:>8.2f}"
             f" {r['read_bytes'] / 1e6:>8.1f} {r['read_bytes'] / 1e6 / r['warm_p50_ms']:>6.2f} {r['read_ms']:>8.1f}"
-            f" {r['pass1_ms']:>9.1f} {r['step_ms']:>8.1f}"
+            f" {r['pass1_ms']:>9.1f} {r['step_ms']:>8.1f} {r['gram_ms']:>8.1f} {r['pass1_gflops']:>14.2f}"
         )
     return 0
 

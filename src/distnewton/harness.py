@@ -161,9 +161,10 @@ def server_round(reports, lam, tau, use_lr_cap, aggregator):
     is gone; the parameter stays for callers that pass False) raises
     ValueError.  Nothing of size n is written but theta_new; beyond it,
     pass 1 allocates one row block of m columns and `combine` one
-    difference run of RUN_ROWS rows, each freed with its pass.  The passes are the one finiteness check of the reports
-    (`center_reports` checks lengths): NonFiniteReportError names a
-    non-finite report, NonFiniteInputError an overflow of finite ones.
+    difference run of RUN_ROWS rows, each freed with its pass.  The
+    passes are the one finiteness check of the reports (`center_reports`
+    checks lengths): NonFiniteReportError names a non-finite report, and
+    NonFiniteInputError an overflow of finite ones.
     """
     if aggregator not in AGGREGATORS:
         raise ValueError(f"server_round: unknown aggregator {aggregator!r}, expected one of {AGGREGATORS}")

@@ -25,9 +25,15 @@ D^T g_bar comes from the same Gram product as D^T D.  Expanded, it
 combines the stored pairs, the compact form of Byrd, Nocedal & Schnabel
 (1994): theta_new = theta_0 + [E | g_0 | D] c with c = [cbar - tau a,
 -tau, tau (a - cbar)], cbar = 1/m and a = W Sigma^-2 W^T D^T g_bar, for
-every j (j = 0 is a = 0).  Averaging is c = [cbar, 0, 0].  So a step is
-`step_coefficients`, which picks c from the round's m-sized spectrum, and
-`combine`, the one loop that writes theta_new from the n-sized reports.
+every j (j = 0 is a = 0).  Averaging is c = [cbar, 0, 0].  The operator
+itself works in this m-space: `operator_coefficients(spec, x)` is the c
+with [E | g_0 | D] c = H [g_0 | D] x, and the step's c is [cbar, 0, 0]
+minus tau times it at x = [1, cbar].  Since D a = U U^T g_bar, the D part
+of the correction is uphill by construction, (tau D a) . g_bar = tau
+||U^T g_bar||^2 >= 0: it takes the averaged step off span{u_k}, and the
+step along the span is -tau E a.  So a step is `step_coefficients`, which
+picks c from the round's m-sized spectrum, and `combine`, the one loop
+that writes theta_new from the n-sized reports.
 Reports reach the server by one path: `center_reports` length-checks
 every theta and gradient and returns the two lists (thetas, gradients).
 A round reads them twice, and each pass allocates only what it writes.
@@ -167,16 +173,27 @@ def difference_spectrum(rows, lam: float) -> GramSpectrum:
         raise _non_finite(rows, overflow) from None
 
 
-def step_coefficients(spec: GramSpectrum, m: int, tau: float) -> np.ndarray:
-    """The quasi-Newton c = [cbar - tau a, -tau, tau (a - cbar)], cbar = 1/m,
-    a = W Sigma^-2 W^T D^T g_bar, from the m-sized spectrum alone, for every
-    m and j: j = 0 is a = 0 (the averaged gradient step), m = 1 is [-tau]."""
+def operator_coefficients(spec: GramSpectrum, x: np.ndarray) -> np.ndarray:
+    """The operator in the m-space of c: for an m-vector x, the c =
+    [a, x_0, x_{1:} - a] with [E | g_0 | D] c = H [g_0 | D] x, where a =
+    W Sigma^-2 W^T D^T [g_0 | D] x.  Its contracts are identities of the
+    spectrum: x = [0, w_k] gives [w_k, 0, 0] (H sigma_k u_k = y_k), an x
+    with W^T D^T [g_0 | D] x = 0 gives [0, x] (the identity off the span),
+    j = 0 gives a = 0, and m = 1 gives [x_0]."""
     j = spec.retained
-    cbar = np.full(m - 1, 1.0 / m)
     w = spec.right[1:, :j]
-    dtg = spec.gram[1:] @ np.append(1.0, cbar)  # D^T g_bar / scale^2
-    a = w @ ((w.T @ dtg) / (spec.sigma[:j] / spec.scale) ** 2)
-    return np.concatenate([cbar - tau * a, [-tau], tau * (a - cbar)])
+    a = w @ ((w.T @ (spec.gram[1:] @ x)) / (spec.sigma[:j] / spec.scale) ** 2)
+    return np.concatenate([a, x[:1], x[1:] - a])
+
+
+def step_coefficients(spec: GramSpectrum, m: int, tau: float) -> np.ndarray:
+    """The quasi-Newton c = [cbar, 0, 0] - tau `operator_coefficients(spec,
+    [1, cbar])`, cbar = 1/m, that is [cbar - tau a, -tau, tau (a - cbar)]
+    with a = W Sigma^-2 W^T D^T g_bar, from the m-sized spectrum alone, for
+    every m and j: j = 0 is a = 0 (the averaged gradient step), m = 1 is
+    [-tau]."""
+    cbar = np.full(m - 1, 1.0 / m)
+    return np.concatenate([cbar, np.zeros(m)]) - tau * operator_coefficients(spec, np.append(1.0, cbar))
 
 
 def combine(rows, coef: np.ndarray) -> np.ndarray:

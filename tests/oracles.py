@@ -2,12 +2,12 @@
 
 Everything here deliberately avoids the package's own decomposition code:
 singular values come from power iteration with deflation on the small
-Gram matrix, Newton steps come from a dense direct solve, the quasi-Newton
-step comes from numpy's SVD of the centered matrices, and synthetic
-datasets come from one whole-matrix formula, and the MLP's initial draw
-is concatenated from per-layer pieces.  These are the second routes
-the fast paths are checked against; `traced_peak` is the one measurement
-that memory bounds are checked with.
+Gram matrix, Newton steps come from a dense direct solve, the dense
+inverse-Hessian operator and its step come from numpy's SVD of the
+centered matrices, synthetic datasets come from one whole-matrix
+formula, and the MLP's initial draw is concatenated from per-layer
+pieces.  These are the second routes the fast paths are checked against;
+`traced_peak` is the one measurement that memory bounds are checked with.
 """
 
 import tracemalloc
@@ -84,17 +84,25 @@ def newton_step_oracle(a, theta_bar, g_bar):
     return theta_bar - np.linalg.solve(a, g_bar)
 
 
-def svd_reference_step(reports, lam, tau):
-    """The quasi-Newton step rebuilt from np.linalg.svd of the centered G."""
+def svd_inverse_hessian(reports, lam):
+    """The dense n x n operator H = I - U U^T + Y Sigma^-1 U^T, rebuilt from
+    np.linalg.svd of the centered G, with Y = Theta V: `(h, u, ratios)`,
+    where u holds the j retained left vectors (sigma_k >= lam * sigma_1)
+    and ratios all sigma_k / sigma_1."""
     big_theta, big_g = centered(reports)
-    theta_bar, g_bar = report_means(reports)
     u, s, vt = np.linalg.svd(big_g, full_matrices=False)
     ratios = s / s[0] if s[0] > 0.0 else np.zeros_like(s)
     j = int(np.count_nonzero(ratios >= lam))
-    u, s, v = u[:, :j], s[:j], vt[:j].T
-    alpha = u.T @ g_bar
-    direction = g_bar - u @ alpha + big_theta @ v @ (alpha / s)
-    return theta_bar - tau * direction, j, ratios
+    u, y = u[:, :j], big_theta @ vt[:j].T / s[:j]
+    return np.eye(u.shape[0]) - u @ u.T + y @ u.T, u, ratios
+
+
+def svd_reference_step(reports, lam, tau):
+    """The quasi-Newton step theta_bar - tau H g_bar, with H from
+    `svd_inverse_hessian`: `(theta_new, j, ratios)`."""
+    h, u, ratios = svd_inverse_hessian(reports, lam)
+    theta_bar, g_bar = report_means(reports)
+    return theta_bar - tau * h @ g_bar, u.shape[1], ratios
 
 
 def degenerate_reports(rng, m, distinct, n, collinear):

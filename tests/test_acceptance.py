@@ -40,7 +40,9 @@ from distnewton.operator import (
     apply,
     build_operator,
     center_reports,
+    difference_spectrum,
     newton_update,
+    operator_coefficients,
 )
 from distnewton.linalg import thin_svd_via_gram
 
@@ -65,22 +67,26 @@ def _one_step_newton():
         reports.append(WorkerReport(theta, quad.gradient(theta, out=np.empty(8))))
     means = report_means(reports)
     op = build_operator(center_reports(reports), 1e-6)
-    theta_new = newton_update(op, *means, 1.0)
-    return quad, means, theta_new
+    theta_round, stats = server_round(reports, 1e-6, 1.0, False, "distnewton")
+    assert stats.j == op.j == 8  # the 9 reports span the 8 dimensions
+    # the explicit operator's step, and the round's own
+    return quad, means, [newton_update(op, *means, 1.0), theta_round]
 
 
 def test_criterion_1_exact_quadratic_one_step_newton():
     tic = time.perf_counter()
-    quad, (theta_bar, g_bar), theta_new = _one_step_newton()
-    err = np.linalg.norm(theta_new - quad.theta_star)
+    quad, (theta_bar, g_bar), steps = _one_step_newton()
     bound = 1e-8 * (np.linalg.norm(theta_bar - quad.theta_star) + 1.0)
-    assert err <= bound
     # independent oracle: dense direct solve of A d = g_bar
     oracle = theta_bar - np.linalg.solve(quad.a, g_bar)
-    assert np.linalg.norm(theta_new - oracle) <= bound
+    errs = [np.linalg.norm(theta_new - quad.theta_star) for theta_new in steps]
+    for theta_new, err in zip(steps, errs):
+        assert err <= bound
+        assert np.linalg.norm(theta_new - oracle) <= bound
     elapsed = time.perf_counter() - tic
     assert elapsed < 1.0
-    report(1, "exact-quadratic one-step Newton", f"err={err:.2e} <= {bound:.2e}", elapsed)
+    report(1, "exact-quadratic one-step Newton",
+           f"err={errs[0]:.2e} (operator), {errs[1]:.2e} (server_round) <= {bound:.2e}", elapsed)
 
 
 # =============================================================== criterion 2
@@ -174,9 +180,14 @@ def _secant_cases():
 
 
 def _secant_outputs():
+    """(kind, got, want) of each identity: the explicit operator's in
+    n-space, and `operator_coefficients`' on the round's spectrum in
+    m-space, where x = [0, w_k] (sigma_k u_k) gives c = [w_k, 0, 0] (y_k)
+    and an x with W^T G x = 0 (off the span) gives c = [0, x]."""
     outs = []
     for rng, reports in _secant_cases():
-        op = build_operator(center_reports(reports), 1e-6)
+        rows = center_reports(reports)
+        op = build_operator(rows, 1e-6)
         big_theta, big_g = centered(reports)
         _, _, right = thin_svd_via_gram(big_g, 0.0)
         for k in range(op.j):
@@ -187,21 +198,30 @@ def _secant_outputs():
             for k in range(op.j):
                 z -= (z @ op.us[:, k]) * op.us[:, k]
         outs.append(("orthogonal", apply(op, z), z))
+
+        spec, m = difference_spectrum(rows, 1e-6), len(reports)
+        w = spec.right[1:, : spec.retained]
+        for k in range(spec.retained):
+            want = np.concatenate([w[:, k], np.zeros(m)])
+            outs.append(("m-secant", operator_coefficients(spec, np.append(0.0, w[:, k])), want))
+        x = np.linalg.svd(w.T @ spec.gram[1:])[2][spec.retained :].T @ rng.standard_normal(m - spec.retained)
+        outs.append(("m-orthogonal", operator_coefficients(spec, x), np.append(np.zeros(m - 1), x)))
     return outs
 
 
 def test_criterion_3_secant_subspace_suite():
     tic = time.perf_counter()
-    counts = {"secant": 0, "orthogonal": 0}
+    counts = dict.fromkeys(["secant", "orthogonal", "m-secant", "m-orthogonal"], 0)
     for kind, got, want in _secant_outputs():
         scale = np.linalg.norm(want)
-        rtol = 1e-8 if kind == "secant" else 1e-12
+        rtol = 1e-8 if kind.endswith("secant") else 1e-12
         assert np.linalg.norm(got - want) <= rtol * scale
         counts[kind] += 1
     elapsed = time.perf_counter() - tic
     assert elapsed < 5.0
     report(3, "secant-subspace suite",
-           f"{counts['secant']} secant + {counts['orthogonal']} complement identities", elapsed)
+           f"{counts['secant']} secant + {counts['orthogonal']} complement identities in n-space, "
+           f"{counts['m-secant']} secant + {counts['m-orthogonal']} off-span identities in m-space", elapsed)
 
 
 # =============================================================== criterion 4
@@ -463,9 +483,8 @@ def test_criterion_9_determinism(tmp_path):
     tic = time.perf_counter()
 
     # criterion 1 workload, twice
-    _, _, t1 = _one_step_newton()
-    _, _, t2 = _one_step_newton()
-    assert np.array_equal(t1, t2)
+    for a, b in zip(_one_step_newton()[2], _one_step_newton()[2]):
+        assert np.array_equal(a, b)
 
     # criterion 2 trajectories, twice
     _, tr1 = _distnewton_trajectory()

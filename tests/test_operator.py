@@ -18,6 +18,7 @@ from distnewton.operator import (
     combine,
     difference_spectrum,
     newton_update,
+    operator_coefficients,
     step_coefficients,
 )
 
@@ -27,6 +28,7 @@ from oracles import (
     newton_step_oracle,
     random_spanning_reports,
     report_means,
+    svd_inverse_hessian,
     svd_reference_step,
     traced_peak,
 )
@@ -69,6 +71,29 @@ def batch_centered(rows):
     p = np.eye(m) - 1.0 / m
     zero = np.zeros((cols.shape[0], 1))
     return np.hstack([zero, cols[:, : m - 1]]) @ p, np.hstack([zero, cols[:, m:]]) @ p
+
+
+def gram_rtol(m, ratio):
+    """The Gram route's relative error at a retained sigma_k / sigma_1."""
+    return 1e-10 + m * np.finfo(float).eps / ratio**2
+
+
+def near_threshold(ratios, lam):
+    """Whether a ratio sigma_k / sigma_1 lies so near lam that the retention
+    rule is not well defined."""
+    return bool(np.any((ratios > 0.8 * lam) & (ratios < 1.25 * lam)))
+
+
+# m workers drawn from `distinct` report pairs (duplicate workers when
+# distinct < m, identical reports when distinct == 1) or on collinear spreads
+on_degenerate_draws = given(
+    st.integers(1, 8),
+    st.integers(1, 8),
+    st.booleans(),
+    st.integers(4, 40),
+    st.sampled_from([1e-8, 1e-4, 1e-2, 0.1, 0.5]),
+    st.integers(0, 2**31 - 1),
+)
 
 
 # -------------------------------------------------------- center_reports
@@ -205,7 +230,7 @@ def test_operator_contracts_on_degenerate_batches(m, distinct, n, lam, seed):
     theta_bar, g_bar = report_means(reports)
     want, j_ref, ratios = svd_reference_step(reports, lam, 0.7)
     # the retention rule is only well defined away from its threshold
-    assume(not np.any((ratios > 0.8 * lam) & (ratios < 1.25 * lam)))
+    assume(not near_threshold(ratios, lam))
 
     op = build_operator(batch, lam)
     assert op.j <= m - 1
@@ -219,14 +244,7 @@ def test_operator_contracts_on_degenerate_batches(m, distinct, n, lam, seed):
 
 
 @settings(max_examples=80, deadline=None)
-@given(
-    st.integers(1, 8),
-    st.integers(1, 8),
-    st.booleans(),
-    st.integers(4, 40),
-    st.sampled_from([1e-8, 1e-4, 1e-2, 0.1, 0.5]),
-    st.integers(0, 2**31 - 1),
-)
+@on_degenerate_draws
 # retains a singular-value ratio of 7.1e-4, which the Gram route squares
 @example(m=7, distinct=7, collinear=False, n=5, lam=1e-8, seed=439)
 def test_server_round_agrees_with_explicit_operator(m, distinct, collinear, n, lam, seed):
@@ -244,8 +262,8 @@ def test_server_round_agrees_with_explicit_operator(m, distinct, collinear, n, l
     # and both are numpy's SVD step, where the retention rule is well defined,
     # up to the Gram route's error of m eps (sigma_1 / sigma_j)^2
     want, j_ref, ratios = svd_reference_step(reports, lam, 0.7)
-    if not np.any((ratios > 0.8 * lam) & (ratios < 1.25 * lam)):
-        rtol = 1e-10 + m * np.finfo(float).eps / (ratios[j_ref - 1] if j_ref else 1.0) ** 2
+    if not near_threshold(ratios, lam):
+        rtol = gram_rtol(m, ratios[j_ref - 1] if j_ref else 1.0)
         assert np.linalg.norm(theta_new - want) <= rtol * np.linalg.norm(want - theta_bar)
 
 
@@ -287,6 +305,84 @@ def test_step_coefficients_from_the_spectrum_alone():
     got = combine(rows, step_coefficients(spec, len(reports), 1.0))
     assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want - theta_bar)
     assert np.linalg.norm(got - theta_star) <= 1e-14 * np.linalg.norm(theta_star)
+
+
+# -------------------------------------------------- operator_coefficients
+
+
+@settings(max_examples=80, deadline=None)
+@on_degenerate_draws
+def test_operator_coefficients_keep_the_contracts(m, distinct, collinear, n, lam, seed):
+    # H's contracts as identities of the spectrum that a round steps with
+    rng = np.random.default_rng(seed)
+    reports = degenerate_reports(rng, m, distinct, n, collinear)
+    rows = center_reports(reports)
+    spec = difference_spectrum(rows, lam)
+    j, sigma = spec.retained, spec.sigma
+    assert spec.right.shape == (m, m - 1)  # so j <= m - 1 by the basis's shape
+    w, zeros = spec.right[1:, :j], np.zeros(m)
+    checked = []
+    for k in range(j):  # secant: x = [0, w_k] is sigma_k u_k, and H maps it to y_k = E w_k
+        x = np.append(0.0, w[:, k])
+        c = operator_coefficients(spec, x)
+        err = np.linalg.norm(c - np.append(w[:, k], zeros))
+        assert err <= gram_rtol(m, sigma[k] / sigma[0]) * np.linalg.norm(w[:, k])
+        checked.append((x, c))
+    # off the span: [g_0 | D] x is orthogonal to every u_k iff W^T D^T [g_0 | D] x
+    # = 0; at j = 0 every x is, and a is exactly zero
+    x = np.linalg.svd(w.T @ spec.gram[1:])[2][j:].T @ rng.standard_normal(m - j)
+    c = operator_coefficients(spec, x)
+    rtol = gram_rtol(m, sigma[j - 1] / sigma[0]) if j else 0.0
+    assert np.linalg.norm(c - np.append(zeros[1:], x)) <= rtol * np.linalg.norm(x)
+    checked.append((x, c))
+    # j = 0 at lam = 2 also gives a = 0 exactly, and m = 1 gives [x_0]
+    x = rng.standard_normal(m)
+    assert np.array_equal(operator_coefficients(difference_spectrum(rows, 2.0), x), np.append(zeros[1:], x))
+    x = np.append(1.0, np.full(m - 1, 1.0 / m))  # [g_0 | D] x = g_bar: the step's x
+    checked.append((x, operator_coefficients(spec, x)))
+
+    # through combine, each c is theta_0 + H [g_0 | D] x with numpy's SVD H
+    h, u, ratios = svd_inverse_hessian(reports, lam)
+    if near_threshold(ratios, lam):
+        return
+    assert u.shape[1] == j
+    cols, theta_0 = stacked(rows), rows[0][0]
+    rtol = gram_rtol(m, ratios[j - 1] if j else 1.0)
+    for x, c in checked:
+        want = theta_0 + h @ (cols[:, m - 1 :] @ x)
+        # combine sums 2m terms, so its rounding scales with their norms, which
+        # exceed H [g_0 | D] x where [g_0 | D] x cancels (m > n)
+        terms = np.abs(c) @ np.linalg.norm(cols, axis=0) + np.linalg.norm(theta_0)
+        assert np.linalg.norm(combine(rows, c) - want) <= rtol * terms
+
+
+@settings(max_examples=80, deadline=None)
+@on_degenerate_draws
+def test_correction_d_part_is_uphill(m, distinct, collinear, n, lam, seed):
+    # at the step's x = [1, cbar], [g_0 | D] x = g_bar and D a = U U^T g_bar,
+    # so the D part of the correction, tau D a, has (D a) . g_bar =
+    # ||U^T g_bar||^2 >= 0: in m-space, a . (G x) = ||Sigma^-1 W^T G x||^2
+    # with G the Gram's rows for D
+    reports = degenerate_reports(np.random.default_rng(seed), m, distinct, n, collinear)
+    rows = center_reports(reports)
+    spec = difference_spectrum(rows, lam)
+    j, eps = spec.retained, np.finfo(float).eps
+    x = np.append(1.0, np.full(m - 1, 1.0 / m))
+    a = operator_coefficients(spec, x)[: m - 1]
+    gx = spec.gram[1:] @ x  # D^T g_bar / scale^2
+    q = (spec.right[1:, :j].T @ gx) / (spec.sigma[:j] / spec.scale)
+    rounding = 4 * m * eps * np.linalg.norm(a) * np.linalg.norm(gx)
+    assert a @ gx >= -rounding
+    assert abs(a @ gx - q @ q) <= rounding
+
+    _, u, ratios = svd_inverse_hessian(reports, lam)
+    if near_threshold(ratios, lam):
+        return
+    assert u.shape[1] == j
+    _, g_bar = report_means(reports)
+    d_a = stacked(rows)[:, m:] @ a
+    rtol = gram_rtol(m, ratios[j - 1] if j else 1.0)
+    assert abs(d_a @ g_bar - np.sum((u.T @ g_bar) ** 2)) <= rtol * np.linalg.norm(d_a) * np.linalg.norm(g_bar)
 
 
 # --------------------------------------------------------------- combine

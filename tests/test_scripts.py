@@ -118,6 +118,7 @@ def test_server_round_sizes_times_one_size():
     # from the shapes: pass 1 reads the m gradients, the step pass all 2m reports
     assert r["read_bytes"] == 8 * n * 3 * m == 1_920_000
     assert r["read_ms"] > 0 and r["pass1_ms"] > 0 and r["step_ms"] > 0
+    assert r["gram_ms"] > 0 and r["pass1_gflops"] > 0
     # pass 1's block of m columns, then theta_new and one difference run
     # (here all n rows), each freed with its pass
     assert 1.0 <= r["peak_alloc_8n"] <= (max(block_rows(m) * m, 2 * n) * 8 + 2**16) / (8 * n)
