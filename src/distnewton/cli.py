@@ -32,7 +32,7 @@ from .harness import (
     load_dataset,
     run_experiment,
 )
-from .objectives import max_relative_gradient_error
+from .objectives import max_relative_gradient_error, probe_coords
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -204,14 +204,13 @@ def cmd_grad_check(args) -> int:
     dataset = load_dataset(cfg)
     kind = cfg.activation if cfg.objective_kind == "mlp" else cfg.objective_kind
     tol = GRAD_CHECK_TOLERANCES[kind]
-    screen_kinks = cfg.objective_kind == "mlp" and cfg.activation == "relu"
     worst = 0.0
     worst_coord = -1
     rng = np.random.default_rng([cfg.seed, 0xFD])
     for theta, batch in _grad_check_points(cfg, objective, dataset):
         coords = None
         if batch is not None or theta.shape[0] > 64:
-            coords = _pick_coords(objective, theta, batch, rng, screen_kinks)
+            coords = probe_coords(objective, theta, batch, rng)
         err, coord = max_relative_gradient_error(objective, theta, batch, coords=coords, h=1e-5)
         if err > worst:
             worst, worst_coord = err, coord
@@ -220,30 +219,6 @@ def cmd_grad_check(args) -> int:
         print(f"gradient check FAILED at coordinate {worst_coord}", file=sys.stderr)
         return EXIT_DIVERGED
     return EXIT_OK
-
-
-def _pick_coords(inner, theta, batch, rng, screen_kinks, count=20, h=1e-5):
-    """Sample coordinates to probe; for relu nets, skip any coordinate whose
-    +-h perturbation flips a hidden pre-activation sign (a kink crossing)."""
-    coords = []
-    candidates = rng.permutation(theta.shape[0])
-    for i in candidates:
-        if len(coords) >= count:
-            break
-        if screen_kinks and not _kink_free(inner, theta, batch, int(i), h):
-            continue
-        coords.append(int(i))
-    return coords
-
-
-def _kink_free(objective, theta, batch, i, h) -> bool:
-    up = theta.copy()
-    up[i] += h
-    down = theta.copy()
-    down[i] -= h
-    su = objective.preactivation_signs(up, batch)
-    sd = objective.preactivation_signs(down, batch)
-    return bool(np.all(su == sd) and np.all(su != 0.0))
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -9,8 +9,14 @@ finite differences in the test suite; `finite_diff_grad` is the shared
 verification oracle.  Every objective draws its own start with
 `init_theta(rng)` and has `value` and `gradient(theta, batch, *, out)`,
 which writes every entry of the gradient into `out` and returns it, so no
-gradient allocates its result; the MLP alone has `preactivation_signs`,
-for the ReLU kink screen.
+gradient allocates its result.
+
+`probe_coords` picks the coordinates a finite-difference check probes: a
+prefix of one seeded permutation.  For a ReLU MLP it skips a coordinate
+whose +-h perturbation crosses a kink, that is, where the hidden
+pre-activation signs at theta + h e_i and theta - h e_i differ in any
+entry; a pre-activation that stays exactly 0 at both crosses none.  The
+objective decides: every other objective takes the prefix unscreened.
 """
 
 from __future__ import annotations
@@ -212,14 +218,37 @@ class MlpObjective:
         return out
 
     def preactivation_signs(self, theta, batch: Batch) -> np.ndarray:
-        """Signs of all hidden pre-activations; used to screen finite
-        differences away from ReLU kinks.  (Under tanh they are read off
-        the outputs that overwrote them, which have the same signs.)"""
+        """Signs of all hidden pre-activations; `probe_coords` reads them to
+        screen finite differences away from ReLU kinks.  (Under tanh they
+        are read off the outputs that overwrote them, which have the same
+        signs.)"""
         layers = self._layers(theta)
         _, pre = self._forward(layers, batch)
         if len(pre) < 2:
             return np.empty(0)
         return np.concatenate([np.sign(z).ravel() for z in pre[:-1]])
+
+
+def probe_coords(obj, theta, batch, rng, count: int = 20, h: float = 1e-5) -> list:
+    """The first `count` entries of one `rng.permutation` of the coordinates
+    whose central difference at step `h` crosses no ReLU kink.
+
+    Only a ReLU `MlpObjective` is screened.  Its output-layer parameters
+    never move a hidden pre-activation, so the screen always keeps some.
+    """
+    screen = isinstance(obj, MlpObjective) and obj.spec.activation == "relu"
+    coords = []
+    for i in rng.permutation(theta.shape[0]).tolist():
+        if len(coords) >= count:
+            break
+        if screen:
+            up, down = theta.copy(), theta.copy()
+            up[i] += h
+            down[i] -= h
+            if not np.array_equal(obj.preactivation_signs(up, batch), obj.preactivation_signs(down, batch)):
+                continue
+        coords.append(i)
+    return coords
 
 
 def finite_diff_grad(obj, theta, batch=None, h: float = 1e-5, coords=None) -> np.ndarray:

@@ -34,6 +34,7 @@ from distnewton.objectives import (
     QuadraticObjective,
     RosenbrockObjective,
     max_relative_gradient_error,
+    probe_coords,
 )
 from distnewton.operator import (
     WorkerReport,
@@ -277,28 +278,10 @@ def _gradient_check_errors():
             theta = mlp.init_theta(prng)
             sel = prng.integers(0, data.sample_count, size=32)
             batch = Batch(data.inputs[:, sel], data.labels[sel])
-            coords = _screened_coords(mlp, theta, batch, prng, activation == "relu")
+            coords = probe_coords(mlp, theta, batch, prng)
             errs.append((activation, tol,
                          max_relative_gradient_error(mlp, theta, batch, coords=coords, h=1e-5)[0]))
     return errs
-
-
-def _screened_coords(mlp, theta, batch, rng, screen, count=20, h=1e-5):
-    coords = []
-    for i in rng.permutation(mlp.dim):
-        if len(coords) >= count:
-            break
-        i = int(i)
-        if screen:
-            up, down = theta.copy(), theta.copy()
-            up[i] += h
-            down[i] -= h
-            su = mlp.preactivation_signs(up, batch)
-            sd = mlp.preactivation_signs(down, batch)
-            if not (np.all(su == sd) and np.all(su != 0.0)):
-                continue
-        coords.append(i)
-    return coords
 
 
 def test_criterion_5_gradient_checks():

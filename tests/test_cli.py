@@ -464,6 +464,25 @@ def test_grad_check_relu_mlp_passes(tmp_path):
     assert main(["grad-check", "--config", str(cfg)]) == EXIT_OK
 
 
+def test_grad_check_relu_passes_with_zero_preactivations(tmp_path, capsys):
+    # at density 0.001 a class's feature support is empty, so its inputs are
+    # all zero and, with zero initial biases, its hidden pre-activations are
+    # exactly 0 at every probe: a kink screen that rejects any 0 keeps nothing
+    cfg = write_cfg(tmp_path, """
+objective.kind = mlp
+objective.layers = 784,32,10
+objective.activation = relu
+data.samples = 512
+data.density = 0.001
+data.spread = 0.15
+data.seed = 20260811
+harness.m = 4
+harness.global_batch = 256
+""")
+    assert main(["grad-check", "--config", str(cfg)]) == EXIT_OK
+    assert "max relative gradient error" in capsys.readouterr().out
+
+
 def test_grad_check_corrupted_gradient_fails(tmp_path, capsys, monkeypatch):
     # negative control: an honest value with one wrong gradient entry
     import distnewton.cli

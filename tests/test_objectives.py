@@ -10,6 +10,7 @@ from distnewton.objectives import (
     RosenbrockObjective,
     finite_diff_grad,
     max_relative_gradient_error,
+    probe_coords,
 )
 
 from oracles import mlp_init_oracle, traced_peak
@@ -148,20 +149,37 @@ def test_mlp_relu_finite_difference_away_from_kinks(sizes):
     theta = mlp.init_theta(rng)
     batch = balanced_batch(rng, 20, 5, 16)
     h = 1e-5
-    coords = []
-    for i in rng.permutation(mlp.dim):
-        if len(coords) >= 20:
-            break
-        up, down = theta.copy(), theta.copy()
-        up[int(i)] += h
-        down[int(i)] -= h
-        su = mlp.preactivation_signs(up, batch)
-        sd = mlp.preactivation_signs(down, batch)
-        if np.all(su == sd) and np.all(su != 0.0):
-            coords.append(int(i))
+    coords = probe_coords(mlp, theta, batch, rng, h=h)
     assert len(coords) == 20
     err, _ = max_relative_gradient_error(mlp, theta, batch, coords=coords, h=h)
     assert err <= 1e-5
+
+
+@pytest.mark.parametrize("kind", ["tanh", "quadratic"])
+def test_probe_coords_is_the_permutation_prefix_off_relu(kind):
+    if kind == "quadratic":
+        obj, batch = QuadraticObjective.seeded(30, seed=3), None
+    else:
+        obj = MlpObjective(MlpSpec((4, 3, 2), kind))
+        batch = balanced_batch(np.random.default_rng(2), 4, 2, 6)
+    theta = obj.init_theta(np.random.default_rng(1))
+    coords = probe_coords(obj, theta, batch, np.random.default_rng(8), count=7)
+    assert coords == np.random.default_rng(8).permutation(obj.dim)[:7].tolist()
+
+
+def test_probe_coords_keeps_a_preactivation_that_stays_at_zero():
+    # layers (3, 2, 2): W1 is theta[0:6], b1 theta[6:8], the output layer
+    # theta[8:14].  Hidden unit 0 sits exactly at the kink, w . x + b = 1 - 1;
+    # only its weight on the nonzero input (0) and its bias (6) move it.
+    mlp = MlpObjective(MlpSpec((3, 2, 2), "relu"))
+    theta = np.arange(14) / 10.0
+    theta[0:3], theta[6] = (1.0, 0.5, -0.5), -1.0
+    batch = Batch(np.array([[1.0], [0.0], [0.0]]), np.array([1]))
+    assert theta[0:3] @ batch.inputs[:, 0] + theta[6] == 0.0
+    coords = probe_coords(mlp, theta, batch, np.random.default_rng(4), count=14)
+    perm = np.random.default_rng(4).permutation(14).tolist()
+    assert coords == [i for i in perm if i not in (0, 6)]
+    assert set(range(8, 14)) <= set(coords)
 
 
 @pytest.mark.parametrize("sizes", [(7, 3), (7, 5, 3), (7, 6, 5, 3)])
