@@ -12,9 +12,13 @@ the sha256 of its dataset: the Fortran-order `inputs` bytes and the
 once more at `harness.local_steps = 2`, under their own aggregator, and
 print the same line with an `s=2` tag: no preset takes more than one local
 step, so only these rounds read three batches (and, at m = 3, split the
-global batch unevenly).  Last, one server round runs on seeded reports of
-n = 2 * RUN_ROWS + 123 entries, which no preset reaches, so that the step
-pass crosses two run edges, at m = 1, 2, 16 and 33 under both aggregators.
+global batch unevenly).  `mnist_tanh` then runs at m = 1 and m = 8 under
+distnewton with `objective.activation = relu` and prints the same line
+with a `relu` tag: the only ReLU preset, `relu_divergence`, diverges in
+its first round, so only these runs train the ReLU path.  Last, one
+server round runs on seeded reports of n = 2 * RUN_ROWS + 123 entries,
+which no preset reaches, so that the step pass crosses two run edges, at
+m = 1, 2, 16 and 33 under both aggregators.
 Each prints `server n=<n> m=<m> <aggregator> <sha>`, a sha256 over
 `theta_new`, `sigma` and `j`, and under distnewton also over
 `build_operator`'s `us`, `ys` and `sigmas`.  Run it on two checkouts and
@@ -41,6 +45,7 @@ from distnewton.operator import RUN_ROWS, WorkerReport, build_operator, center_r
 
 MAX_EPOCHS = 3
 MULTI_STEP = {"mnist_tanh": (1, 3, 8), "quadratic_newton": (None,)}  # None: the preset's m
+RELU = {"mnist_tanh": (1, 8)}
 SERVER_N, SERVER_MS = 2 * RUN_ROWS + 123, (1, 2, 16, 33)
 LAMBDA, TAU = 0.1, 0.01
 
@@ -93,6 +98,9 @@ def main():
             cfg = replace(base, m=m or base.m, local_steps=2)
             status, sha = digest(cfg, dataset)
             print(f"{path.stem} m={cfg.m} s=2 {cfg.aggregator} {status} {sha}", flush=True)
+        for m in RELU.get(path.stem, ()):
+            status, sha = digest(replace(base, m=m, activation="relu", aggregator="distnewton"), dataset)
+            print(f"{path.stem} m={m} relu distnewton {status} {sha}", flush=True)
     for m in SERVER_MS:
         for aggregator in ("distnewton", "sgd_average"):
             print(f"server n={SERVER_N} m={m} {aggregator} {server_digest(SERVER_N, m, aggregator)}", flush=True)

@@ -14,16 +14,19 @@ reads the m gradients and the step pass all 2m report vectors, so 8n * 3m
 for m >= 2, and 8n * 2 at m = 1 (no pass 1, and the step pass reads only
 theta_0 and g_0).  `GB/s` is that count over the warm median.  `read ms`
 is measured: the median, over ROUNDS more redraws after the timed
-rounds, of the time to read exactly those vectors once with `np.sum`, in
-that order; the gap between it and the warm median is what the round
-spends beyond reading its inputs.  `pass1 ms` and `step ms` split the
-round: over ROUNDS more redraws, `pass1 ms` is the median time of
-`difference_spectrum` on the round's `center_reports` (the Gram pass and
-the eigensolve), and `step ms` that of `step_coefficients` plus `combine`
-right after it on the same reports (the step pass).  `gram ms` is pass
-1's flop floor: the median time of one X^T X over the m gradients,
-stacked once, outside the timer, into one n x m Fortran-order matrix X;
-`pass1 GFLOP/s` is the 2 n m^2 flops of pass 1's Gram over `pass1 ms`.
+rounds, of the time to read exactly those vectors once, in that order,
+each by a BLAS dot product with itself (`v @ v`, which streams on every
+BLAS thread, where `np.sum`'s one-thread pairwise sum can be bound by its
+adds rather than by memory); the gap
+between it and the warm median is what the round spends beyond reading
+its inputs.  `pass1 ms` and `step ms` split the round: over ROUNDS more
+redraws, `pass1 ms` is the median time of `difference_spectrum` on the
+round's `center_reports` (the Gram pass and the eigensolve), and `step
+ms` that of `step_coefficients` plus `combine` right after it on the
+same reports (the step pass).  `gram ms` is pass 1's flop floor: the
+median time of one X^T X over the m gradients, stacked once, outside the
+timer, into one n x m Fortran-order matrix X; `pass1 GFLOP/s` is the
+2 n m^2 flops of pass 1's Gram over `pass1 ms`.
 A header line gives the numpy version, the BLAS numpy was built against
 and the usable core count.  It times this checkout's `src`, not an
 installed copy.
@@ -82,7 +85,7 @@ def time_size(n: int, m: int) -> dict:
         redraw()
         t0 = time.perf_counter()
         for v in reads:
-            np.sum(v)
+            v @ v
         read_times.append(time.perf_counter() - t0)
     pass1_times, step_times = [], []
     for _ in range(ROUNDS):

@@ -53,7 +53,7 @@ class ExperimentConfig:
     data_images: str = setting("data.images", "")
     data_labels: str = setting("data.labels", "")
     data_samples: int = setting("data.samples", 5000, ge=1)
-    synth_spread: float = setting("data.spread", 0.08)
+    synth_spread: float = setting("data.spread", 0.08, ge=0)
     synth_density: float = setting("data.density", 1.0, gt=0, le=1)
     synth_seed: int = setting("data.seed", 1234, ge=0)
     m: int = setting("harness.m", 4, ge=1)

@@ -13,10 +13,13 @@ gradient allocates its result.
 
 `probe_coords` picks the coordinates a finite-difference check probes: a
 prefix of one seeded permutation.  For a ReLU MLP it skips a coordinate
-whose +-h perturbation crosses a kink, that is, where the hidden
-pre-activation signs at theta + h e_i and theta - h e_i differ in any
-entry; a pre-activation that stays exactly 0 at both crosses none.  The
-objective decides: every other objective takes the prefix unscreened.
+whose +-h perturbation crosses a kink, that is, where the MLP's
+`active_units` at theta + h e_i and theta - h e_i differ in any entry.
+Those are the `a > 0` masks backprop multiplies by, so the screen and the
+gradient share one definition of a kink: a unit at exactly 0 is inactive
+(ReLU's subgradient at 0 is taken as 0), and one that stays inactive at
+both ends crosses none.  The objective decides: every other objective
+takes the prefix unscreened.
 """
 
 from __future__ import annotations
@@ -166,6 +169,9 @@ class MlpObjective:
         return out
 
     def _forward(self, layers, batch: Batch):
+        """The inputs and each hidden activation, in one list, and the
+        logits.  Every activation overwrites its own pre-activation, so
+        backprop reads the tanh derivative and the ReLU mask off it."""
         classes = self.spec.layer_sizes[-1]
         if batch.inputs.shape[0] != self.spec.layer_sizes[0]:
             raise DimensionMismatchError(
@@ -173,24 +179,23 @@ class MlpObjective:
             )
         if batch.labels.min() < 0 or batch.labels.max() >= classes:
             raise ValueError(f"mlp: labels must lie in [0, {classes})")
-        acts = [batch.inputs]
-        pre = []
-        a = batch.inputs
-        for i, (w, b) in enumerate(layers):
-            z = w @ a
+        acts, z = [], batch.inputs
+        for w, b in layers:
+            acts.append(z)
+            z = w @ z
             z += b[:, None]
-            pre.append(z)
-            if i < len(layers) - 1:
-                # tanh overwrites its pre-activation: backprop reads only its output
-                a = np.tanh(z, out=z) if self.spec.activation == "tanh" else np.maximum(z, 0.0)
-                acts.append(a)
-        return acts, pre
+            if len(acts) == len(layers):
+                break  # the logits
+            if self.spec.activation == "tanh":
+                np.tanh(z, out=z)
+            else:
+                np.maximum(z, 0.0, out=z)
+        return acts, z
 
     def value(self, theta, batch: Batch) -> float:
         """Mean NLL; the logits are shifted in place by their column max and
         overwritten by their exponentials."""
-        _, pre = self._forward(self._layers(theta), batch)
-        logits = pre[-1]
+        _, logits = self._forward(self._layers(theta), batch)
         logits -= logits.max(axis=0)
         picked = logits[batch.labels, np.arange(batch.sample_count)]
         lse = np.log(np.exp(logits, out=logits).sum(axis=0))
@@ -198,9 +203,8 @@ class MlpObjective:
 
     def gradient(self, theta, batch: Batch, *, out) -> np.ndarray:
         layers = self._layers(theta)
-        acts, pre = self._forward(layers, batch)
+        acts, delta = self._forward(layers, batch)  # the logits, made the probabilities in place
         b = batch.sample_count
-        delta = pre[-1]  # the logits, made the probabilities in place
         delta -= delta.max(axis=0)
         delta -= np.log(np.exp(delta).sum(axis=0))
         np.exp(delta, out=delta)
@@ -211,22 +215,16 @@ class MlpObjective:
             np.sum(delta, axis=1, out=db)
             if i > 0:
                 delta = layers[i][0].T @ delta
-                if self.spec.activation == "tanh":
-                    delta *= 1.0 - acts[i] ** 2
-                else:
-                    delta *= pre[i - 1] > 0.0
+                delta *= 1.0 - acts[i] ** 2 if self.spec.activation == "tanh" else acts[i] > 0.0
         return out
 
-    def preactivation_signs(self, theta, batch: Batch) -> np.ndarray:
-        """Signs of all hidden pre-activations; `probe_coords` reads them to
-        screen finite differences away from ReLU kinks.  (Under tanh they
-        are read off the outputs that overwrote them, which have the same
-        signs.)"""
-        layers = self._layers(theta)
-        _, pre = self._forward(layers, batch)
-        if len(pre) < 2:
-            return np.empty(0)
-        return np.concatenate([np.sign(z).ravel() for z in pre[:-1]])
+    def active_units(self, theta, batch: Batch) -> np.ndarray:
+        """Whether each hidden unit is active, `a > 0`, for every sample: the
+        mask ReLU's backprop multiplies by, and what `probe_coords` compares
+        to screen finite differences away from ReLU kinks.  Empty for a net
+        with no hidden layer."""
+        acts, _ = self._forward(self._layers(theta), batch)
+        return np.concatenate([a.ravel() for a in acts[1:]] + [np.empty(0)]) > 0.0
 
 
 def probe_coords(obj, theta, batch, rng, count: int = 20, h: float = 1e-5) -> list:
@@ -245,7 +243,7 @@ def probe_coords(obj, theta, batch, rng, count: int = 20, h: float = 1e-5) -> li
             up, down = theta.copy(), theta.copy()
             up[i] += h
             down[i] -= h
-            if not np.array_equal(obj.preactivation_signs(up, batch), obj.preactivation_signs(down, batch)):
+            if not np.array_equal(obj.active_units(up, batch), obj.active_units(down, batch)):
                 continue
         coords.append(i)
     return coords

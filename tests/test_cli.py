@@ -105,6 +105,17 @@ def test_run_rejects_zero_workers(tmp_path, capsys):
     assert "harness.m" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("spread,code", [("-0.15", EXIT_CONFIG), ("0", EXIT_OK)])
+def test_run_holds_data_spread_to_nonnegative(tmp_path, capsys, spread, code):
+    # a negative spread would only flip the noise's sign: the rule is >= 0
+    preset = next(p for p in PRESETS if p.stem == "mnist_tanh").read_text(encoding="utf-8")
+    text = with_setting(with_setting(preset, "data.spread", spread), "harness.epochs", 1)
+    cfg = write_cfg(tmp_path, with_setting(text, "data.samples", 512))
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == code
+    err = capsys.readouterr().err
+    assert err.startswith("config error: data.spread: must be >= 0") == (code == EXIT_CONFIG)
+
+
 def test_run_rejects_unknown_key(tmp_path, capsys):
     # data.kind was removed: the IDX paths alone choose the data source;
     # operator.lr_cap was removed: every round steps with harness.tau
@@ -596,6 +607,7 @@ RULE_VIOLATIONS = [
     ("objective.condition", "ge", "0.5"),
     ("objective.seed", "ge", "-1"),
     ("data.samples", "ge", "0"),
+    ("data.spread", "ge", "-0.15"),
     ("data.density", "gt", "0.0"),
     ("data.density", "le", "1.5"),
     ("data.seed", "ge", "-1"),

@@ -182,6 +182,28 @@ def test_probe_coords_keeps_a_preactivation_that_stays_at_zero():
     assert set(range(8, 14)) <= set(coords)
 
 
+def test_relu_unit_at_zero_is_inactive_in_backprop_and_the_screen():
+    # the setup above: hidden unit 0 sits exactly at 0, unit 1 at 0.3 + 0.7
+    mlp = MlpObjective(MlpSpec((3, 2, 2), "relu"))
+    theta = np.arange(14) / 10.0
+    theta[0:3], theta[6] = (1.0, 0.5, -0.5), -1.0
+    batch = Batch(np.array([[1.0], [0.0], [0.0]]), np.array([1]))
+    active = mlp.active_units(theta, batch)
+    assert active.tolist() == [False, True]
+    grad = mlp.gradient(theta, batch, out=np.full(14, np.nan))
+    # ReLU's subgradient at 0 is 0: no gradient reaches unit 0's incoming
+    # weights or its bias
+    assert grad[[0, 1, 2, 6]].tolist() == [0.0] * 4
+    # with one sample a hidden bias's gradient is W2^T (p - onehot) times the
+    # mask backprop used, and no entry of W2^T (p - onehot) is 0 here
+    w2, b2 = theta[8:12].reshape(2, 2), theta[12:14]
+    p = np.exp(w2 @ [0.0, 1.0] + b2)
+    upstream = w2.T @ (p / p.sum() - [0.0, 1.0])
+    assert np.all(upstream != 0.0)
+    assert np.array_equal(grad[6:8] != 0.0, active)
+    assert grad[7] == pytest.approx(upstream[1], rel=1e-12)
+
+
 @pytest.mark.parametrize("sizes", [(7, 3), (7, 5, 3), (7, 6, 5, 3)])
 def test_mlp_init_theta_matches_the_piecewise_oracle(sizes):
     mlp = MlpObjective(MlpSpec(sizes, "tanh"))
@@ -193,9 +215,11 @@ def test_mlp_init_theta_matches_the_piecewise_oracle(sizes):
 
 @pytest.mark.parametrize("activation", ["tanh", "relu"])
 def test_mlp_gradient_is_written_in_place(activation):
-    # beyond the batch and `out`: the hidden pre-activation and activation
-    # with three backward temporaries of that shape, and the logits with
-    # their exponentials; neither the flat gradient nor per-layer copies
+    # beyond the batch and `out`: the hidden activation, written over its
+    # pre-activation under either activation, with at most three backward
+    # temporaries of that shape, and the logits with their exponentials;
+    # one more hidden-sized array is headroom.  No flat gradient and no
+    # per-layer copies are allocated
     features, hidden, classes, b = 784, 32, 10, 256
     mlp = MlpObjective(MlpSpec((features, hidden, classes), activation))
     rng = np.random.default_rng(22)

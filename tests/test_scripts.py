@@ -84,19 +84,22 @@ def test_run_digest_prints_a_digest_per_dataset_and_run():
     presets = sorted((REPO / "configs").glob("*.cfg"))
     datasets = [line.split()[0] for line in lines if line.split()[1] == "dataset"]
     assert datasets == [p.stem for p in presets if load_config(p).objective_kind == "mlp"]
-    runs, multi, server = [], [], []
+    runs, multi, relu, server = [], [], [], []
     for line in lines:
         words = line.split()
         if words[0] == "server":
             server.append(words[1:4])
         elif words[1] != "dataset":
-            (multi if words[2] == "s=2" else runs).append(words[:2] + words[-3:-2])
+            {"s=2": multi, "relu": relu}.get(words[2], runs).append(words[:2] + words[-3:-2])
     want = []
     for p in presets:
         for m in (1, 8) if p.stem.startswith("mnist") else (load_config(p).m,):
             want += [[p.stem, f"m={m}", aggregator] for aggregator in ("distnewton", "sgd_average")]
     assert sorted(runs) == sorted(want)
     assert len(multi) == 4
+    # the ReLU path trained to the end: no preset trains it past its first round
+    assert relu == [["mnist_tanh", f"m={m}", "distnewton"] for m in (1, 8)]
+    assert [line.split()[4] for line in lines if line.split()[2] == "relu"] == ["completed"] * 2
     # one streamed round past two run edges, at sizes no preset reaches
     assert server == [
         [f"n={2 * RUN_ROWS + 123}", f"m={m}", aggregator]
