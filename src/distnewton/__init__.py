@@ -1,21 +1,13 @@
 """Distributed quasi-Newton optimization: low-rank inverse-Hessian updates
 built from worker (parameter, gradient) reports, plus a synchronous
-parameter-server simulation harness."""
+parameter-server simulation harness.
 
-from .config import ExperimentConfig, emit_config, load_config, parse_config_text
-from .harness import RunHistory, run_experiment, server_round
-from .operator import WorkerReport, apply, build_operator, newton_update
+The root exports what a run needs: `load_config` reads a config file,
+`run_experiment` trains from it, and `WorkerReport` is the server's input.
+Everything else is imported from its own module."""
 
-__all__ = [
-    "ExperimentConfig",
-    "RunHistory",
-    "WorkerReport",
-    "apply",
-    "build_operator",
-    "emit_config",
-    "load_config",
-    "newton_update",
-    "parse_config_text",
-    "run_experiment",
-    "server_round",
-]
+from .config import load_config
+from .harness import run_experiment
+from .operator import WorkerReport
+
+__all__ = ["WorkerReport", "load_config", "run_experiment"]

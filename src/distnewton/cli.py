@@ -66,16 +66,6 @@ def write_history_csv(history: RunHistory, path: Path):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def read_history_csv(path) -> list[dict]:
-    rows = []
-    lines = Path(path).read_text(encoding="utf-8").strip().splitlines()
-    names = lines[0].split(",")
-    for line in lines[1:]:
-        vals = line.split(",")
-        rows.append({k: float(v) for k, v in zip(names, vals)})
-    return rows
-
-
 def _summary_lines(results) -> list[str]:
     # results: list of (label, cfg, history); ranked by final loss,
     # ascending, diverged and failed runs at the bottom.
@@ -211,7 +201,7 @@ def cmd_grad_check(args) -> int:
         coords = None
         if batch is not None or theta.shape[0] > 64:
             coords = probe_coords(objective, theta, batch, rng)
-        err, coord = max_relative_gradient_error(objective, theta, batch, coords=coords, h=1e-5)
+        err, coord = max_relative_gradient_error(objective, theta, batch, coords=coords)
         if err > worst:
             worst, worst_coord = err, coord
     print(f"max relative gradient error: {worst:.3e} (coordinate {worst_coord}, tolerance {tol:.0e})")

@@ -117,6 +117,10 @@ def synthetic_blobs(
     """
     if min(n_features, n_classes, n_samples) < 1:
         raise ValueError("all counts must be positive")
+    if not 0.0 <= spread < np.inf:
+        raise ValueError(f"spread must be finite and >= 0, got {spread}")
+    if not 0.0 < density <= 1.0:
+        raise ValueError(f"density must lie in (0, 1], got {density}")
     rng = np.random.default_rng(seed)
     # 0.0/1.0 in float64, so that the per-chunk product casts nothing
     support = (rng.random((n_features, n_classes)) < density).astype(np.float64)

@@ -11,15 +11,18 @@ verification oracle.  Every objective draws its own start with
 which writes every entry of the gradient into `out` and returns it, so no
 gradient allocates its result.
 
-`probe_coords` picks the coordinates a finite-difference check probes: a
-prefix of one seeded permutation.  For a ReLU MLP it skips a coordinate
-whose +-h perturbation crosses a kink, that is, where the MLP's
-`active_units` at theta + h e_i and theta - h e_i differ in any entry.
-Those are the `a > 0` masks backprop multiplies by, so the screen and the
-gradient share one definition of a kink: a unit at exactly 0 is inactive
-(ReLU's subgradient at 0 is taken as 0), and one that stays inactive at
-both ends crosses none.  The objective decides: every other objective
-takes the prefix unscreened.
+`probe_coords` picks the coordinates a finite-difference check probes: the
+first PROBE_COUNT of one seeded permutation.  FD_STEP is the one
+finite-difference step: the default `h` of `finite_diff_grad` and
+`max_relative_gradient_error`, and the step the screen perturbs by.  For a
+ReLU MLP the screen skips a coordinate whose perturbation crosses a kink,
+that is, where the MLP's `active_units` at theta + FD_STEP e_i and
+theta - FD_STEP e_i differ in any entry.  Those are the `a > 0` masks
+backprop multiplies by, so the screen and the gradient share one
+definition of a kink: a unit at exactly 0 is inactive (ReLU's subgradient
+at 0 is taken as 0), and one that stays inactive at both ends crosses
+none.  The objective decides: every other objective takes the prefix
+unscreened.
 """
 
 from __future__ import annotations
@@ -31,6 +34,9 @@ import numpy as np
 from .data import Batch
 from .errors import DimensionMismatchError
 from .linalg import as_matrix, as_vector
+
+PROBE_COUNT = 20  # coordinates a finite-difference check probes
+FD_STEP = 1e-5  # central-difference step
 
 
 class QuadraticObjective:
@@ -121,6 +127,9 @@ class MlpSpec:
     def __post_init__(self):
         if len(self.layer_sizes) < 2:
             raise ValueError("mlp: need at least input and output layer sizes")
+        for size in self.layer_sizes:
+            if size < 1:
+                raise ValueError(f"mlp: layer size {size} is below 1")
         if self.activation not in ("tanh", "relu"):
             raise ValueError(f"mlp: unknown activation {self.activation!r}")
 
@@ -227,9 +236,9 @@ class MlpObjective:
         return np.concatenate([a.ravel() for a in acts[1:]] + [np.empty(0)]) > 0.0
 
 
-def probe_coords(obj, theta, batch, rng, count: int = 20, h: float = 1e-5) -> list:
-    """The first `count` entries of one `rng.permutation` of the coordinates
-    whose central difference at step `h` crosses no ReLU kink.
+def probe_coords(obj, theta, batch, rng) -> list:
+    """The first PROBE_COUNT entries of one `rng.permutation` of the
+    coordinates whose central difference at FD_STEP crosses no ReLU kink.
 
     Only a ReLU `MlpObjective` is screened.  Its output-layer parameters
     never move a hidden pre-activation, so the screen always keeps some.
@@ -237,19 +246,19 @@ def probe_coords(obj, theta, batch, rng, count: int = 20, h: float = 1e-5) -> li
     screen = isinstance(obj, MlpObjective) and obj.spec.activation == "relu"
     coords = []
     for i in rng.permutation(theta.shape[0]).tolist():
-        if len(coords) >= count:
+        if len(coords) >= PROBE_COUNT:
             break
         if screen:
             up, down = theta.copy(), theta.copy()
-            up[i] += h
-            down[i] -= h
+            up[i] += FD_STEP
+            down[i] -= FD_STEP
             if not np.array_equal(obj.active_units(up, batch), obj.active_units(down, batch)):
                 continue
         coords.append(i)
     return coords
 
 
-def finite_diff_grad(obj, theta, batch=None, h: float = 1e-5, coords=None) -> np.ndarray:
+def finite_diff_grad(obj, theta, batch=None, h: float = FD_STEP, coords=None) -> np.ndarray:
     """Central-difference gradient oracle.
 
     Perturbs one coordinate at a time; `coords` restricts the check to a
@@ -272,7 +281,7 @@ def finite_diff_grad(obj, theta, batch=None, h: float = 1e-5, coords=None) -> np
     return out
 
 
-def max_relative_gradient_error(obj, theta, batch=None, coords=None, h: float = 1e-5):
+def max_relative_gradient_error(obj, theta, batch=None, coords=None, h: float = FD_STEP):
     """Worst-case disagreement between the analytic gradient and central
     differences, relative to the gradient's own scale.
 

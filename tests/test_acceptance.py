@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from distnewton.cli import EXIT_DIVERGED, main, read_history_csv
+from distnewton.cli import EXIT_DIVERGED, main
 from distnewton.config import DEFAULT_LAMBDA, ExperimentConfig
 from distnewton.data import load_idx, synthetic_blobs
 from distnewton.harness import (

@@ -6,16 +6,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from distnewton.cli import (
-    EXIT_CONFIG,
-    EXIT_DIVERGED,
-    EXIT_INTERNAL,
-    EXIT_OK,
-    main,
-    read_history_csv,
-)
+from distnewton.cli import EXIT_CONFIG, EXIT_DIVERGED, EXIT_INTERNAL, EXIT_OK, main
 from distnewton.config import emit_config, load_config, parse_config_text
 from distnewton.data import IMAGE_MAGIC, LABEL_MAGIC
+
+
+def read_history_csv(path) -> list[dict]:
+    """The rows of a history CSV as {column: value} dicts."""
+    lines = Path(path).read_text(encoding="utf-8").strip().splitlines()
+    names = lines[0].split(",")
+    return [dict(zip(names, map(float, line.split(",")))) for line in lines[1:]]
+
 
 PRESETS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.cfg"))
 

@@ -157,6 +157,17 @@ def test_blobs_rejects_nonpositive_counts():
         synthetic_blobs(0, 2, 10, seed=0)
 
 
+@pytest.mark.parametrize(
+    "name, value",
+    [("spread", -0.15), ("spread", np.nan), ("spread", np.inf),
+     ("density", 0.0), ("density", -1.0), ("density", 2.0), ("density", np.nan)],
+)
+def test_blobs_rejects_spread_and_density_the_config_rejects(name, value):
+    # the config's rules: data.spread finite and >= 0, data.density in (0, 1]
+    with pytest.raises(ValueError, match=name):
+        synthetic_blobs(20, 3, 30, seed=1, **{name: value})
+
+
 def test_blobs_linearly_separable_enough():
     # a linear softmax classifier trained to convergence clears 90% train
     # accuracy on the (2 features, 2 classes, 200 samples, seed 7) setup
@@ -183,17 +194,22 @@ def blob_cases():
     return samples.flatmap(shaped)
 
 
+# the smallest positive density: no draw of rng.random() but an exact 0.0
+# falls below it, so every class's feature support is empty
+SMALLEST_DENSITY = np.nextafter(0.0, 1.0)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     blob_cases(),
     st.integers(1, 12),
     st.integers(0, 2**32 - 1),
     st.floats(0.0, 1.0),
-    st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+    st.one_of(st.sampled_from([SMALLEST_DENSITY, 1.0]), st.floats(0.0, 1.0, exclude_min=True)),
 )
 @example((CHUNK_BYTES // 160 + 1, 10), 3, 1, 0.15, 0.2)  # more than one chunk, 10 % 3 != 0
 @example((3, CHUNK_BYTES // 16 + 3), 2, 2, 0.08, 1.0)  # each chunk one row
-@example((5, 7), 1, 3, 0.5, 0.0)  # one class, no support
+@example((5, 7), 1, 3, 0.5, SMALLEST_DENSITY)  # one class, no support
 @example((3, 4), 7, 4, 0.3, 0.5)  # fewer samples than classes: no full label cycle
 @example((CHUNK_BYTES // 160 + 1, 20), 10, 5, 0.15, 0.2)  # whole label cycles, more than one chunk
 def test_blobs_match_the_whole_matrix_oracle(shape, n_classes, seed, spread, density):

@@ -3,6 +3,7 @@ import pytest
 
 from distnewton.errors import DimensionMismatchError
 from distnewton.objectives import (
+    PROBE_COUNT,
     Batch,
     MlpObjective,
     MlpSpec,
@@ -116,6 +117,15 @@ def test_mlp_rejects_unknown_activation():
         MlpSpec((4, 2), "sigmoid")
 
 
+@pytest.mark.parametrize("sizes", [(4, 0, 3), (4, -2, 3), (0, 3), (4, 0)])
+def test_mlp_rejects_a_layer_size_below_one(sizes):
+    # an empty hidden layer would build a net that predicts uniformly, and a
+    # negative one fails later inside numpy; the config demands each >= 1
+    bad = min(sizes)
+    with pytest.raises(ValueError, match=f"layer size {bad} is below 1"):
+        MlpSpec(sizes, "tanh")
+
+
 def test_mlp_uniform_prediction_nll_is_log_classes():
     rng = np.random.default_rng(4)
     mlp = MlpObjective(MlpSpec((12, 6, 10), "tanh"))
@@ -148,10 +158,9 @@ def test_mlp_relu_finite_difference_away_from_kinks(sizes):
     mlp = MlpObjective(MlpSpec(sizes, "relu"))
     theta = mlp.init_theta(rng)
     batch = balanced_batch(rng, 20, 5, 16)
-    h = 1e-5
-    coords = probe_coords(mlp, theta, batch, rng, h=h)
-    assert len(coords) == 20
-    err, _ = max_relative_gradient_error(mlp, theta, batch, coords=coords, h=h)
+    coords = probe_coords(mlp, theta, batch, rng)
+    assert len(coords) == PROBE_COUNT
+    err, _ = max_relative_gradient_error(mlp, theta, batch, coords=coords)
     assert err <= 1e-5
 
 
@@ -163,8 +172,8 @@ def test_probe_coords_is_the_permutation_prefix_off_relu(kind):
         obj = MlpObjective(MlpSpec((4, 3, 2), kind))
         batch = balanced_batch(np.random.default_rng(2), 4, 2, 6)
     theta = obj.init_theta(np.random.default_rng(1))
-    coords = probe_coords(obj, theta, batch, np.random.default_rng(8), count=7)
-    assert coords == np.random.default_rng(8).permutation(obj.dim)[:7].tolist()
+    coords = probe_coords(obj, theta, batch, np.random.default_rng(8))
+    assert coords == np.random.default_rng(8).permutation(obj.dim)[:PROBE_COUNT].tolist()
 
 
 def test_probe_coords_keeps_a_preactivation_that_stays_at_zero():
@@ -176,7 +185,8 @@ def test_probe_coords_keeps_a_preactivation_that_stays_at_zero():
     theta[0:3], theta[6] = (1.0, 0.5, -0.5), -1.0
     batch = Batch(np.array([[1.0], [0.0], [0.0]]), np.array([1]))
     assert theta[0:3] @ batch.inputs[:, 0] + theta[6] == 0.0
-    coords = probe_coords(mlp, theta, batch, np.random.default_rng(4), count=14)
+    # all 14 coordinates are fewer than PROBE_COUNT, so the screen sees each
+    coords = probe_coords(mlp, theta, batch, np.random.default_rng(4))
     perm = np.random.default_rng(4).permutation(14).tolist()
     assert coords == [i for i in perm if i not in (0, 6)]
     assert set(range(8, 14)) <= set(coords)
@@ -216,10 +226,12 @@ def test_mlp_init_theta_matches_the_piecewise_oracle(sizes):
 @pytest.mark.parametrize("activation", ["tanh", "relu"])
 def test_mlp_gradient_is_written_in_place(activation):
     # beyond the batch and `out`: the hidden activation, written over its
-    # pre-activation under either activation, with at most three backward
-    # temporaries of that shape, and the logits with their exponentials;
-    # one more hidden-sized array is headroom.  No flat gradient and no
-    # per-layer copies are allocated
+    # pre-activation, the backward delta of that shape, and the logits with
+    # their exponentials.  tanh's derivative 1 - a**2 takes two more
+    # hidden-sized temporaries, and what ReLU's boolean mask a > 0 takes
+    # stays under one more.  Each bound sits less than one hidden-sized array above
+    # its activation's peak, so a hidden-sized copy, a flat gradient or a
+    # per-layer copy fails it
     features, hidden, classes, b = 784, 32, 10, 256
     mlp = MlpObjective(MlpSpec((features, hidden, classes), activation))
     rng = np.random.default_rng(22)
@@ -227,7 +239,8 @@ def test_mlp_gradient_is_written_in_place(activation):
     batch = Batch(np.asfortranarray(rng.uniform(0.0, 1.0, size=(features, b))), np.arange(b) % classes)
     out = np.empty(mlp.dim)
     _, peak = traced_peak(lambda: mlp.gradient(theta, batch, out=out))
-    assert peak <= 8 * (5 * hidden * b + 2 * classes * b)
+    hidden_arrays = {"tanh": 4, "relu": 3}[activation]
+    assert peak <= 8 * (hidden_arrays * hidden * b + 2 * classes * b)
 
 
 def test_mlp_deterministic():

@@ -125,3 +125,19 @@ def test_server_round_sizes_times_one_size():
     # pass 1's block of m columns, then theta_new and one difference run
     # (here all n rows), each freed with its pass
     assert 1.0 <= r["peak_alloc_8n"] <= (max(block_rows(m) * m, 2 * n) * 8 + 2**16) / (8 * n)
+
+
+def test_code_lines_counts_only_code(tmp_path):
+    # a module docstring, a function docstring, comments and blank lines
+    # around three code lines
+    (tmp_path / "mod.py").write_text(
+        '"""Module docstring,\nover two lines."""\n\n# a comment\nimport os\n\n\n'
+        'def f():\n    """Function docstring."""\n    # another comment\n    return os.sep  # trailing\n',
+        encoding="utf-8",
+    )
+    out = subprocess.run(
+        [sys.executable, str(REPO / "scripts" / "code_lines.py"), str(tmp_path)],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert out.returncode == 0, out.stderr
+    assert [line.split() for line in out.stdout.splitlines()] == [["mod.py", "3"], ["total", "3"]]
