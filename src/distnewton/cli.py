@@ -46,6 +46,7 @@ OUTPUT_DIR_ENV = "DISTNEWTON_OUT"
 CSV_HEADER = "epoch,train_nll,sigma_max,retained_j,wall_time_s"
 
 GRAD_CHECK_TOLERANCES = {"quadratic": 1e-8, "rosenbrock": 1e-6, "tanh": 1e-6, "relu": 1e-5}
+GRAD_CHECK_POINTS = 10  # seeded (theta, batch) points each check probes
 
 
 def run_label(cfg: ExperimentConfig) -> str:
@@ -176,10 +177,10 @@ def cmd_sweep(args) -> int:
     return _run_cells(base, overrides, Path(args.out))
 
 
-def _grad_check_points(cfg: ExperimentConfig, inner, dataset, count=10):
+def _grad_check_points(cfg: ExperimentConfig, inner, dataset):
     """Seeded (theta, batch) probe points for the gradient check."""
     rng = np.random.default_rng([cfg.seed, 0xC0FFEE])
-    for _ in range(count):
+    for _ in range(GRAD_CHECK_POINTS):
         theta = inner.init_theta(rng)
         if dataset is None:
             yield theta, None

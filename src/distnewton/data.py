@@ -5,7 +5,9 @@ IDX layout (all integers big-endian):
             count*rows*cols unsigned pixel bytes, row-major per image
     labels: u32 magic 0x00000801, u32 count, then count unsigned bytes
 
-Pixels are scaled by 1/255 on load so inputs always sit in [0, 1].
+Pixels are scaled by 1/255 on load so inputs always sit in [0, 1].  A
+malformed pair raises one IdxFormatError, whose `part` names the file at
+fault.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadMagicError, CountMismatchError, DimensionMismatchError, TruncatedFileError
+from .errors import DimensionMismatchError, IdxFormatError
 from .linalg import as_matrix
 
 IMAGE_MAGIC = 0x00000803
@@ -51,10 +53,10 @@ class Batch:
         return int(self.inputs.shape[0])
 
 
-def _read_header(f, words: int, path) -> tuple:
+def _read_header(f, words: int, part: str, path) -> tuple:
     raw = f.read(4 * words)
     if len(raw) < 4 * words:
-        raise TruncatedFileError(path, "header truncated")
+        raise IdxFormatError(part, path, "header truncated")
     return struct.unpack(f">{words}I", raw)
 
 
@@ -64,25 +66,25 @@ def load_idx(images_path, labels_path, count: int | None = None) -> Batch:
 
     Only the kept samples are read and converted, each image straight
     into its column of the Fortran-order result; the full files' lengths
-    are still checked from their sizes.  Distinct failures raise distinct
-    errors: wrong magic, truncated payload, or an image/label count
-    mismatch.
+    are still checked from their sizes.  A wrong magic, a truncated
+    header or payload, or an image/label count mismatch raises
+    IdxFormatError, its `part` the file at fault ("images" or "labels").
     """
     with open(images_path, "rb") as img, open(labels_path, "rb") as lab:
-        magic, total, rows, cols = _read_header(img, 4, images_path)
+        magic, total, rows, cols = _read_header(img, 4, "images", images_path)
         if magic != IMAGE_MAGIC:
-            raise BadMagicError(images_path, f"bad magic 0x{magic:08x}")
+            raise IdxFormatError("images", images_path, f"bad magic 0x{magic:08x}")
         size, expected = os.fstat(img.fileno()).st_size, 16 + total * rows * cols
         if size < expected:
-            raise TruncatedFileError(images_path, f"expected {expected} bytes, file has {size}")
+            raise IdxFormatError("images", images_path, f"expected {expected} bytes, file has {size}")
 
-        lab_magic, lab_count = _read_header(lab, 2, labels_path)
+        lab_magic, lab_count = _read_header(lab, 2, "labels", labels_path)
         if lab_magic != LABEL_MAGIC:
-            raise BadMagicError(labels_path, f"bad magic 0x{lab_magic:08x}")
+            raise IdxFormatError("labels", labels_path, f"bad magic 0x{lab_magic:08x}")
         if os.fstat(lab.fileno()).st_size < 8 + lab_count:
-            raise TruncatedFileError(labels_path, "label payload truncated")
+            raise IdxFormatError("labels", labels_path, "label payload truncated")
         if lab_count != total:
-            raise CountMismatchError(labels_path, f"{total} images but {lab_count} labels")
+            raise IdxFormatError("labels", labels_path, f"{total} images but {lab_count} labels")
 
         kept = total if count is None else min(count, total)
         pixels = np.frombuffer(img.read(kept * rows * cols), dtype=np.uint8)

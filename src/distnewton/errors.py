@@ -5,10 +5,6 @@ class DimensionMismatchError(ValueError):
     """Operands have incompatible shapes."""
 
 
-class AsymmetricMatrixError(ValueError):
-    """A symmetric-only routine received a matrix that is not symmetric."""
-
-
 class NonFiniteInputError(ValueError):
     """An input holds a NaN or an infinity."""
 
@@ -30,20 +26,9 @@ class ConfigError(ValueError):
 
 
 class IdxFormatError(ValueError):
-    """Base class for IDX file parsing failures; `path` names the file at fault."""
+    """A malformed IDX file: `part` ("images" or "labels") names which file
+    of the pair is at fault, and the message starts with its path."""
 
-    def __init__(self, path, message: str):
+    def __init__(self, part: str, path, message: str):
         super().__init__(f"{path}: {message}")
-        self.path = path
-
-
-class BadMagicError(IdxFormatError):
-    pass
-
-
-class TruncatedFileError(IdxFormatError):
-    pass
-
-
-class CountMismatchError(IdxFormatError):
-    pass
+        self.part = part

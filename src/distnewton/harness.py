@@ -215,9 +215,10 @@ def load_dataset(cfg: ExperimentConfig) -> Batch | None:
     if cfg.data_images:  # a config holds the two paths to both or neither
         try:
             ds = load_idx(cfg.data_images, cfg.data_labels, cfg.data_samples)
-        except (IdxFormatError, OSError) as exc:  # malformed, missing, a directory, unreadable
-            path = exc.path if isinstance(exc, IdxFormatError) else exc.filename
-            key = "data.images" if path == cfg.data_images else "data.labels"
+        except IdxFormatError as exc:
+            raise ConfigError(f"data.{exc.part}", str(exc)) from None
+        except OSError as exc:  # missing, a directory, unreadable
+            key = "data.images" if exc.filename == cfg.data_images else "data.labels"
             raise ConfigError(key, str(exc)) from None
     else:
         ds = synthetic_blobs(

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AsymmetricMatrixError, DimensionMismatchError, NonFiniteInputError
+from .errors import DimensionMismatchError, NonFiniteInputError
 
 SYMMETRY_RTOL = 1e-12
 # The plain Gram sum is kept while its largest diagonal entry lies in this
@@ -77,7 +77,7 @@ def sym_eig(mat) -> tuple[np.ndarray, np.ndarray]:
         raise DimensionMismatchError(f"sym_eig: matrix must be square, got {m}x{mc}")
     # max-abs entries, not norms: a norm of entries near 1e300 overflows to inf
     if np.max(np.abs(s - s.T), initial=0.0) > SYMMETRY_RTOL * np.max(np.abs(s), initial=0.0):
-        raise AsymmetricMatrixError("sym_eig: input is not symmetric within tolerance")
+        raise ValueError("sym_eig: input is not symmetric within tolerance")
 
     eigvals, v = np.linalg.eigh(s)
     order = np.argsort(-eigvals, kind="stable")

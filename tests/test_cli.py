@@ -180,18 +180,25 @@ def test_rosenbrock_odd_dimension_exits_config(tmp_path, capsys):
 def test_run_malformed_idx_exits_config_naming_file(tmp_path, capsys):
     images = struct.pack(">4I", IMAGE_MAGIC, 2, 2, 2) + bytes(8)
     labels = struct.pack(">2I", LABEL_MAGIC, 2) + bytes(2)
+    # label bytes of None point data.labels at the images file
     broken = {
-        "bad image magic": (struct.pack(">4I", 0, 2, 2, 2) + bytes(8), labels, "data.images"),
-        "truncated images": (images[:-3], labels, "data.images"),
-        "truncated labels": (images, labels[:-1], "data.labels"),
-        "count mismatch": (images, struct.pack(">2I", LABEL_MAGIC, 1) + bytes(1), "data.labels"),
-        "garbage labels": (images, b"garbage", "data.labels"),
+        "bad image magic": (struct.pack(">4I", 0, 2, 2, 2) + bytes(8), labels, "data.images",
+                            "bad magic 0x00000000"),
+        "truncated images": (images[:-3], labels, "data.images", "expected 24 bytes, file has 21"),
+        "truncated labels": (images, labels[:-1], "data.labels", "label payload truncated"),
+        "count mismatch": (images, struct.pack(">2I", LABEL_MAGIC, 1) + bytes(1), "data.labels",
+                           "2 images but 1 labels"),
+        "garbage labels": (images, b"garbage", "data.labels", "header truncated"),
+        "images as labels": (images, None, "data.labels", "bad magic 0x00000803"),
     }
-    for case, (image_bytes, label_bytes, key) in broken.items():
-        cfg = idx_cfg(tmp_path, image_bytes, label_bytes)
+    for case, (image_bytes, label_bytes, key, fault) in broken.items():
+        cfg = idx_cfg(tmp_path, image_bytes, labels if label_bytes is None else label_bytes)
+        if label_bytes is None:
+            write_cfg(tmp_path, with_setting(cfg.read_text(), "data.labels", tmp_path / "images.idx"))
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG, case
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {key}: "), case
+        assert fault in err, case
         assert "Traceback" not in err, case
 
 

@@ -14,7 +14,7 @@ from distnewton.data import (
     shard,
     synthetic_blobs,
 )
-from distnewton.errors import BadMagicError, CountMismatchError, TruncatedFileError
+from distnewton.errors import IdxFormatError
 from distnewton.objectives import MlpObjective, MlpSpec
 
 from oracles import synthetic_blobs_oracle, traced_peak
@@ -49,31 +49,23 @@ def test_load_idx_three_image_fixture(tmp_path):
     assert ds.inputs[0, 1] == pixels[rows * cols] / 255.0
 
 
-def test_load_idx_bad_magic(tmp_path):
-    ipath, lpath = make_idx_pair(tmp_path, [0] * 4, [0], 2, 2, image_magic=0)
-    with pytest.raises(BadMagicError):
+@pytest.mark.parametrize(
+    "fault, part, text",
+    [
+        (dict(image_magic=0), "images", "bad magic 0x00000000"),
+        (dict(label_magic=0xDEAD), "labels", "bad magic 0x0000dead"),
+        (dict(truncate_images=3), "images", "expected 24 bytes, file has 21"),
+        (dict(truncate_images=12), "images", "header truncated"),
+        (dict(label_count=1), "labels", "2 images but 1 labels"),
+    ],
+    ids=["bad_magic", "bad_label_magic", "truncated", "header_truncated", "count_mismatch"],
+)
+def test_load_idx_fault_names_its_file(tmp_path, fault, part, text):
+    ipath, lpath = make_idx_pair(tmp_path, [0] * 8, [0, 1], 2, 2, **fault)
+    with pytest.raises(IdxFormatError, match=text) as info:
         load_idx(ipath, lpath)
-
-
-def test_load_idx_bad_label_magic(tmp_path):
-    ipath, lpath = make_idx_pair(tmp_path, [0] * 4, [0], 2, 2, label_magic=0xDEAD)
-    with pytest.raises(BadMagicError):
-        load_idx(ipath, lpath)
-
-
-def test_load_idx_truncated(tmp_path):
-    ipath, lpath = make_idx_pair(tmp_path, [0] * 8, [0, 1], 2, 2, truncate_images=3)
-    with pytest.raises(TruncatedFileError):
-        load_idx(ipath, lpath)
-
-
-def test_load_idx_count_mismatch(tmp_path):
-    # five images claimed, four labels claimed
-    pixels = [0] * (5 * 4)
-    ipath, lpath = make_idx_pair(tmp_path, pixels, [0] * 5, 2, 2)
-    lpath.write_bytes(struct.pack(">2I", LABEL_MAGIC, 4) + bytes([0] * 4))
-    with pytest.raises(CountMismatchError):
-        load_idx(ipath, lpath)
+    assert info.value.part == part
+    assert str(info.value).startswith(f"{ipath if part == 'images' else lpath}: ")
 
 
 def test_idx_round_trip_exact(tmp_path):
@@ -117,8 +109,10 @@ def test_load_idx_truncated_past_the_kept_samples(tmp_path, truncate):
     ipath, lpath = random_idx_pair(tmp_path, 5)
     path = ipath if truncate == "images" else lpath
     path.write_bytes(path.read_bytes()[:-1])
-    with pytest.raises(TruncatedFileError):
+    text = "expected 46 bytes, file has 45" if truncate == "images" else "label payload truncated"
+    with pytest.raises(IdxFormatError, match=text) as info:
         load_idx(ipath, lpath, 2)
+    assert info.value.part == truncate
 
 
 def test_load_idx_count_reads_only_the_kept_samples(tmp_path):

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from distnewton.data import Batch
-from distnewton.errors import AsymmetricMatrixError, DimensionMismatchError
+from distnewton.errors import DimensionMismatchError
 from distnewton.linalg import as_vector, gram, sym_eig, thin_svd_via_gram
 from distnewton.objectives import MlpObjective, MlpSpec, QuadraticObjective, RosenbrockObjective
 from distnewton.operator import InverseHessianOperator, WorkerReport, apply, center_reports, newton_update
@@ -113,13 +113,13 @@ def test_sym_eig_identity():
 
 
 def test_sym_eig_rejects_asymmetric():
-    with pytest.raises(AsymmetricMatrixError):
+    with pytest.raises(ValueError, match="not symmetric"):
         sym_eig([[1.0, 2.0], [0.0, 1.0]])
 
 
 def test_sym_eig_rejects_asymmetric_near_overflow():
     # the Frobenius norm of entries near 1e300 overflows to inf
-    with pytest.raises(AsymmetricMatrixError):
+    with pytest.raises(ValueError, match="not symmetric"):
         sym_eig(np.array([[1.0, 0.0], [1.0, 1.0]]) * 1e300)
 
 
